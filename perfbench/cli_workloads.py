@@ -1,8 +1,10 @@
-"""The two fresh-process workloads: ``cli_paper`` and ``grid_sweep``.
+"""The fresh-process workload, ``grid_sweep``.
 
 Each timed cycle runs its commands one after another as fresh
 ``python -m repro`` processes against a new cache directory: first
 cold (empty cache), then warm (the cache the cold commands filled).
+Each command's time is reported in reference seconds
+(:class:`common.HostClock`).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import statistics
 import sys
 import time
 from dataclasses import dataclass, field
@@ -19,11 +22,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import inputs
 import layers
 from common import (
-    ROOT, Command, Outcome, Tamper, another_cycle, compile_sources, median,
-    peak_child_rss_mb, percentile, repro, run_command, run_dir,
+    Command, HostClock, Outcome, Tamper, another_cycle, compile_sources,
+    median, peak_child_rss_mb, percentile, repro, run_command, run_dir,
 )
 
-#: Fresh ``repro list`` processes timed for ``setup_s``.
+#: Fresh ``repro list`` processes run before the timed cycles.
 SETUP_SAMPLES = 5
 
 _TRAILER = re.compile(
@@ -33,36 +36,67 @@ _TRAILER = re.compile(
 
 @dataclass
 class Cycle:
-    """The samples of one cold-then-warm cycle."""
+    """The samples of one cold-then-warm cycle: command times in
+    reference seconds, and ``ops_s`` in host seconds for the trace."""
 
+    list_s: List[float] = field(default_factory=list)
     cold_s: List[float] = field(default_factory=list)
     warm_s: List[float] = field(default_factory=list)
-    evals_per_s: List[float] = field(default_factory=list)
+    evaluations: int = 0
     ops_s: List[float] = field(default_factory=list)
+    ref_ops_s: List[float] = field(default_factory=list)
     traces: List[Path] = field(default_factory=list)
 
-    def add(self, command: Command, kind: str) -> None:
+    def add(self, command: Command, kind: str, scale: float) -> float:
+        """Record a ``list``, ``cold`` or ``warm`` command; its time in
+        reference seconds."""
+        ref_s = command.wall_s * scale
         self.ops_s.append(command.wall_s)
-        if kind == "cold":
-            self.cold_s.append(command.wall_s)
-        elif kind == "warm":
-            self.warm_s.append(command.wall_s)
+        self.ref_ops_s.append(ref_s)
+        getattr(self, f"{kind}_s").append(ref_s)
+        return ref_s
 
     @property
     def wall_s(self) -> float:
         return sum(self.ops_s)
 
 
-class CliWorkload:
-    """Shared set-up, timing loop and traced loop of a CLI workload."""
+class GridSweep:
+    """``repro list``, then ``repro sweep`` over all six designs and a
+    seeded ~50x50 degree grid at two GEMM sizes, cold then warm.
 
-    name = ""
+    Both sizes share the cycle's cache directory, so the second cold
+    sweep loads and rewrites the first one's entries and takes longer.
+    Per-cycle means of the cold and of the warm commands are therefore
+    the samples; a median pooled over single commands would sit on the
+    boundary between the first and the second size.
+    """
+
+    name = "grid_sweep"
 
     def __init__(self, out: Outcome, seed: int, tamper: Tamper) -> None:
         self.out = out
-        self.seed = seed
         self.tamper = tamper
         self.list_reference: Optional[str] = None
+        self.degrees = ",".join(str(d) for d in inputs.grid_degrees(seed))
+        self.sizes = inputs.grid_sizes(seed)
+        reference = inputs.REFERENCE.get("grid_sweep_sha256", "")
+        self.reference = reference if seed == inputs.DEFAULT_SEED else ""
+        #: Made by :meth:`start`, which every run calls first.
+        self.clock: HostClock
+
+    def start(self, workdir: Path) -> None:
+        """Compile the sources and start the host speed meter."""
+        compile_sources()
+        self.clock = HostClock(workdir)
+        self.out.ticks = self.clock.ticks
+
+    def timed(self, command: Command, kind: str, cycle: Cycle) -> float:
+        """Add ``command``, just finished, to ``cycle``; its reference
+        seconds, from the meter ticks while it ran."""
+        scale = self.clock.scale(command.started,
+                                 command.started + command.wall_s)
+        return cycle.add(command, kind, scale)
 
     def output(self, kind: str, command: Command) -> str:
         if self.tamper is None:
@@ -88,55 +122,54 @@ class CliWorkload:
         else:
             self.ran(command)
 
-    def setup(self) -> None:
-        """``setup_s``: median wall time of fresh ``repro list``."""
-        compile_sources()
-        samples = []
+    def setup(self) -> Cycle:
+        """:data:`SETUP_SAMPLES` fresh ``repro list`` commands."""
+        samples = Cycle()
         for _ in range(SETUP_SAMPLES):
             command = repro(["list"])
+            self.timed(command, "list", samples)
             self.check_list(command)
-            samples.append(command.wall_s)
-        self.out.set("setup_s", median(samples), "s", len(samples),
-                     "fresh `repro list`")
-
-    def cycle(self, index: int, trace: Optional[Path]) -> Cycle:
-        raise NotImplementedError
+        return samples
 
     # ------------------------------------------------------------------
 
     def run(self, seconds: float, workdir: Path) -> None:
         """End-to-end metrics; each cycle makes its own directory."""
-        self.setup()
+        self.start(workdir)
+        setup = self.setup()
         cycles: List[Cycle] = []
         start = time.perf_counter()
         while another_cycle(start, len(cycles), seconds):
             cycles.append(self.cycle(len(cycles), None))
-        elapsed = time.perf_counter() - start
-        cold = [s for c in cycles for s in c.cold_s]
-        warm = [s for c in cycles for s in c.warm_s]
-        evals = [s for c in cycles for s in c.evals_per_s]
-        ops = [s for c in cycles for s in c.ops_s]
+        # Every cycle starts with a fresh `repro list` too.
+        listed = [s for c in [setup, *cycles] for s in c.list_s]
+        ops = [s for c in cycles for s in c.ref_ops_s]
         out = self.out
-        out.set("cold_s", median(cold), "s", len(cold),
-                "fresh command, empty cache")
-        out.set("warm_s", median(warm), "s", len(warm),
-                "fresh command, filled cache")
-        out.set("evals_per_s", median(evals) if evals else 0.0, "1/s",
-                len(evals), "record evaluations / cold wall")
-        out.set("req_p50_ms", median(ops) * 1e3, "ms", len(ops),
+        out.set("setup_s", median(listed), len(listed),
+                "fresh `repro list`")
+        out.set("cold_s", median([statistics.fmean(c.cold_s)
+                                  for c in cycles]),
+                len(cycles), "fresh command, empty cache; cycle means")
+        out.set("warm_s", median([statistics.fmean(c.warm_s)
+                                  for c in cycles]),
+                len(cycles), "fresh command, filled cache; cycle means")
+        out.set("evals_per_s", median([c.evaluations / sum(c.cold_s)
+                                       for c in cycles]),
+                len(cycles), "record evaluations / cold time")
+        out.set("req_p50_ms", median(ops) * 1e3, len(ops),
                 "every timed command")
-        out.set("req_p90_ms", percentile(ops, 90) * 1e3, "ms", len(ops),
+        out.set("req_p90_ms", percentile(ops, 90) * 1e3, len(ops),
                 "every timed command")
-        out.set("serve_rps", len(ops) / elapsed, "1/s", len(ops),
+        out.set("serve_rps", len(ops) / sum(ops), len(ops),
                 "timed commands per second")
-        out.set("peak_rss_mb", peak_child_rss_mb(), "MB", len(ops) + 5,
+        out.set("peak_rss_mb", peak_child_rss_mb(), len(ops) + 5,
                 "largest child process")
 
     def run_traced(self, seconds: float,
                    workdir: Path) -> Tuple[Dict[str, float], int]:
         """Per-layer metrics: median over cycles of (import profile,
         untraced cycle, traced cycle) on identical inputs."""
-        compile_sources()
+        self.start(workdir)
         rows: List[Dict[str, float]] = []
         start = time.perf_counter()
         while another_cycle(start, len(rows), seconds):
@@ -155,7 +188,7 @@ class CliWorkload:
                     summary.add_file(path)
             row = summary.metrics()
             row.update(layers.parse_importtime(profile.stderr))
-            row["other_ms"] = traced.wall_s * 1e3 - summary.total_self_ms
+            row["other_ms"] = traced.wall_s * 1e3 - summary.covered_ms
             row["trace.overhead_ms"] = (traced.wall_s - untraced.wall_s) * 1e3
             rows.append(row)
         return layers.median_metrics(rows), len(rows)
@@ -164,71 +197,6 @@ class CliWorkload:
                 tag: str) -> Command:
         trace = trace_dir / f"{tag}.json" if trace_dir is not None else None
         return repro(args, trace=trace)
-
-
-class CliPaper(CliWorkload):
-    """``repro list``, then ``repro all`` cold and warm.
-
-    Inputs are the CLI defaults; the seed picks nothing here.
-    """
-
-    name = "cli_paper"
-
-    def __init__(self, out: Outcome, seed: int, tamper: Tamper) -> None:
-        super().__init__(out, seed, tamper)
-        self.golden = (ROOT / "tests" / "golden" / "all.txt").read_text()
-
-    def check_all(self, kind: str, command: Command) -> bool:
-        if not self.ran(command):
-            return False
-        return self.out.check(
-            self.output(kind, command) == self.golden,
-            f"repro all ({kind}) differs from tests/golden/all.txt",
-        )
-
-    def cycle(self, index: int, trace: Optional[Path]) -> Cycle:
-        cycle = Cycle()
-        directory = run_dir(f"cycle{index}")
-        cache, record = directory / "cache", directory / "record.json"
-
-        listed = self.command(["list"], trace, f"list{index}")
-        self.check_list(listed)
-        cycle.add(listed, "list")
-
-        cold = self.command(
-            ["all", "--cache-dir", str(cache), "--record", str(record)],
-            trace, f"cold{index}",
-        )
-        if self.check_all("cold", cold):
-            evaluations = record_evaluations(self.out, record)
-            if self.out.check(evaluations > 0,
-                              f"cold repro all evaluated {evaluations}"):
-                cycle.evals_per_s.append(evaluations / cold.wall_s)
-        cycle.add(cold, "cold")
-
-        warm = self.command(["all", "--cache-dir", str(cache)], trace,
-                            f"warm{index}")
-        self.check_all("warm", warm)
-        cycle.add(warm, "warm")
-        if trace is not None:
-            cycle.traces = sorted(trace.glob("*.json"))
-        return cycle
-
-
-class GridSweep(CliWorkload):
-    """``repro list``, then ``repro sweep`` over all six designs and a
-    seeded ~50x50 degree grid at two GEMM sizes, cold then warm."""
-
-    name = "grid_sweep"
-
-    def __init__(self, out: Outcome, seed: int, tamper: Tamper) -> None:
-        super().__init__(out, seed, tamper)
-        self.degrees = ",".join(str(d) for d in inputs.grid_degrees(seed))
-        self.sizes = inputs.grid_sizes(seed)
-        reference = inputs.REFERENCE.get("grid_sweep_sha256", "")
-        self.reference = reference if seed == inputs.DEFAULT_SEED else ""
-        #: sha256 of the cold tables, one per cycle (for the reference).
-        self.digests: List[str] = []
 
     def sweep_args(self, size: int, cache: Path) -> List[str]:
         return [
@@ -252,8 +220,8 @@ class GridSweep(CliWorkload):
         directory = run_dir(f"cycle{index}")
         cache = directory / "cache"
         listed = self.command(["list"], trace, f"list{index}")
+        self.timed(listed, "list", cycle)
         self.check_list(listed)
-        cycle.add(listed, "list")
         cold_tables = []
         for size in self.sizes:
             record = directory / f"record{size}.json"
@@ -261,8 +229,8 @@ class GridSweep(CliWorkload):
                 self.sweep_args(size, cache) + ["--record", str(record)],
                 trace, f"cold{size}-{index}",
             )
+            self.timed(cold, "cold", cycle)
             table, evaluations = self.sweep("cold", cold)
-            cycle.add(cold, "cold")
             cold_tables.append(table)
             if not table:
                 continue
@@ -272,12 +240,12 @@ class GridSweep(CliWorkload):
                 f"cold sweep @ {size}: trailer says {evaluations} "
                 f"evaluations, record says {recorded}",
             ):
-                cycle.evals_per_s.append(evaluations / cold.wall_s)
+                cycle.evaluations += evaluations
         for size, cold_table in zip(self.sizes, cold_tables):
             warm = self.command(self.sweep_args(size, cache), trace,
                                 f"warm{size}-{index}")
+            self.timed(warm, "warm", cycle)
             table, evaluations = self.sweep("warm", warm)
-            cycle.add(warm, "warm")
             if table:
                 self.out.check(
                     evaluations == 0 and table == cold_table,
@@ -287,7 +255,6 @@ class GridSweep(CliWorkload):
         digest = hashlib.sha256(
             "\n\0\n".join(cold_tables).encode("utf-8")
         ).hexdigest()
-        self.digests.append(digest)
         if self.reference:
             self.out.check(
                 digest == self.reference,
@@ -308,7 +275,6 @@ def record_evaluations(out: Outcome, record: Path) -> int:
     return evaluations
 
 
-WORKLOADS: Dict[str, Callable[[Outcome, int, Tamper], CliWorkload]] = {
-    CliPaper.name: CliPaper,
+WORKLOADS: Dict[str, Callable[[Outcome, int, Tamper], GridSweep]] = {
     GridSweep.name: GridSweep,
 }

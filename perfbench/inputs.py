@@ -55,17 +55,25 @@ def grid_sizes(seed: int) -> Tuple[int, int]:
 # serve_mix: lockstep rounds of two requests
 # ----------------------------------------------------------------------
 
-#: Warm artifact requests of one block ("all" only occasionally).
-BLOCK_ARTIFACTS = (
-    ["fig16"], ["fig16"], ["fig16"], ["fig16"],
-    ["fig17"], ["fig17"], ["fig17"], ["fig17"],
-    ["tables"], ["tables"], ["tables"],
-    "all",
+#: The single artifacts a warm request may name; "all" is its own kind.
+SINGLE_ARTIFACTS = ("fig16", "fig17", "tables")
+
+#: The served traffic: (kind, requests in one block of ten lockstep
+#: rounds). The shares were chosen, not measured, because the repository
+#: records no served traffic; perfbench/README.md gives the reason for
+#: each. A measured mix replaces this table and nothing else. The two
+#: "coalesce" requests are one round in which both clients send the
+#: same new spec.
+BLOCK_MIX = (
+    ("fig16", 4),
+    ("fig17", 4),
+    ("tables", 3),
+    ("all", 1),
+    ("sweep_cold", 2),
+    ("sweep_warm", 3),
+    ("invalid", 1),
+    ("coalesce", 2),
 )
-#: The other solo requests of one block; with the artifacts and one
-#: coalesced pair, a block is 20 requests in 10 rounds.
-BLOCK_SWEEPS = ("sweep_cold", "sweep_cold", "sweep_warm", "sweep_warm",
-                "sweep_warm", "invalid")
 
 INVALID_SPECS = (
     ("/v1/artifacts", {"artifacts": ["fig99"]}),
@@ -102,17 +110,20 @@ class ServeMix:
     yields pairs of requests that the two clients send at once. Each
     block of ten rounds has the same composition; the seed draws the
     order, the sweep specs' degrees and designs, and which earlier spec
-    a repeat targets. New specs alternate between a model sweep (the
-    four models in turn) and a small grid, so every seed's cold work
-    is of similar size.
+    a repeat targets. The new specs of each kind alternate between a
+    model sweep (the four models in turn) and a small grid, so every
+    seed sends the same number of each size of cold work.
     """
 
     def __init__(self, seed: "int | str") -> None:
         self._rng = random.Random(f"serve-mix-{seed}")
         self._sent: List[Dict[str, Any]] = []
+        #: Request kind -> new specs made for it so far.
+        self._made: Dict[str, int] = {}
 
-    def _new_spec(self) -> Dict[str, Any]:
-        rng, count = self._rng, len(self._sent)
+    def _new_spec(self, kind: str) -> Dict[str, Any]:
+        rng, count = self._rng, self._made.get(kind, 0)
+        self._made[kind] = count + 1
         if count % 2 == 0:
             designs = rng.sample(DESIGNS, 3)
             spec: Dict[str, Any] = {
@@ -135,35 +146,43 @@ class ServeMix:
         """``all`` first (cold, compared with the CLI stream), then each
         single artifact, then two specs so repeats have a target."""
         requests = [_artifacts("all")]
-        requests += [_artifacts([name]) for name in ("fig16", "fig17", "tables")]
+        requests += [_artifacts([name]) for name in SINGLE_ARTIFACTS]
         requests += [
-            _request("sweep_cold", "/v1/sweep", self._new_spec())
+            _request("sweep_cold", "/v1/sweep", self._new_spec("sweep_cold"))
             for _ in range(2)
         ]
         return requests
 
-    def _solo(self, kind: "str | list") -> Request:
-        if not isinstance(kind, str) or kind == "all":
-            return _artifacts(kind)
+    def _solo(self, kind: str) -> Request:
+        if kind == "all":
+            return _artifacts("all")
+        if kind in SINGLE_ARTIFACTS:
+            return _artifacts([kind])
         if kind == "invalid":
             path, body = self._rng.choice(INVALID_SPECS)
             return _request("invalid", path, body, expect_status=400)
         if kind == "sweep_warm":
             return _request(kind, "/v1/sweep", self._rng.choice(self._sent))
-        return _request(kind, "/v1/sweep", self._new_spec())
+        return _request(kind, "/v1/sweep", self._new_spec(kind))
 
     def rounds(self) -> Iterator[Tuple[Request, Request]]:
-        """Endless blocks: nine rounds of shuffled solo requests plus one
-        round where both clients send the same new spec."""
+        """Endless blocks of :data:`BLOCK_MIX`: the solo requests
+        shuffled into rounds of two, and the coalesced rounds inserted
+        at random places."""
         rng = self._rng
+        solo_mix = [kind for kind, count in BLOCK_MIX if kind != "coalesce"
+                    for _ in range(count)]
+        coalesced_rounds = dict(BLOCK_MIX)["coalesce"] // 2
         while True:
-            solo: List[Any] = [*BLOCK_ARTIFACTS, *BLOCK_SWEEPS]
+            solo = list(solo_mix)
             rng.shuffle(solo)
             pairs = [tuple(solo[i:i + 2]) for i in range(0, len(solo), 2)]
-            pairs.insert(rng.randrange(len(pairs) + 1), ("coalesce",))
+            for _ in range(coalesced_rounds):
+                pairs.insert(rng.randrange(len(pairs) + 1), ("coalesce",))
             for pair in pairs:
                 if pair == ("coalesce",):
-                    twin = _request("coalesce", "/v1/sweep", self._new_spec())
+                    twin = _request("coalesce", "/v1/sweep",
+                                    self._new_spec("coalesce"))
                     yield twin, twin
                 else:
                     yield self._solo(pair[0]), self._solo(pair[1])

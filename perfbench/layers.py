@@ -2,9 +2,9 @@
 
 Self times come from the spans :mod:`tracing` records inside a traced
 process; counts ride on the same spans. ``other_ms`` is the traced wall
-time no span claims (interpreter start, imports, glue, exit, idle), and
-``trace.overhead_ms`` is the traced wall time minus the untraced wall
-time of the same work.
+time during which no span is open on any thread (interpreter start,
+imports, glue, exit, idle), and ``trace.overhead_ms`` is the traced
+wall time minus the untraced wall time of the same work.
 """
 
 from __future__ import annotations
@@ -15,53 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from common import median
-
-#: (metric, unit) in the order BENCHMARK.json lists them.
-PER_LAYER: Tuple[Tuple[str, str], ...] = (
-    ("startup.import_ms", "ms"),
-    ("startup.numpy_ms", "ms"),
-    ("startup.asyncio_ms", "ms"),
-    ("startup.sqlite3_ms", "ms"),
-    ("startup.repro_ms", "ms"),
-    ("cli.parse_ms", "ms"),
-    ("artifacts.compute_ms", "ms"),
-    ("artifacts.render_ms", "ms"),
-    ("harness.realize_calls", "count"),
-    ("harness.realize_ms", "ms"),
-    ("harness.realize_hit_ratio", "ratio"),
-    ("workload.key_calls", "count"),
-    ("workload.key_ms", "ms"),
-    ("engine.setup_ms", "ms"),
-    ("engine.evaluate_ms", "ms"),
-    ("engine.pairs", "count"),
-    ("engine.hits", "count"),
-    ("engine.disk_hits", "count"),
-    ("engine.misses", "count"),
-    ("accel.model_ms", "ms"),
-    ("accel.batch_rows", "count"),
-    ("accel.scalar_calls", "count"),
-    ("batch.stack_ms", "ms"),
-    ("cache.load_ms", "ms"),
-    ("cache.get_many_ms", "ms"),
-    ("cache.get_many_keys", "count"),
-    ("cache.put_many_ms", "ms"),
-    ("cache.flush_ms", "ms"),
-    ("cache.flushes", "count"),
-    ("codec.encode_ms", "ms"),
-    ("codec.decode_ms", "ms"),
-    ("codec.blobs", "count"),
-    ("reporting.render_ms", "ms"),
-    ("runs.record_ms", "ms"),
-    ("protocol.parse_spec_ms", "ms"),
-    ("broker.started", "count"),
-    ("broker.joined", "count"),
-    ("broker.coalesce_ratio", "ratio"),
-    ("handlers.run_ms", "ms"),
-    ("serve.wait_ms", "ms"),
-    ("other_ms", "ms"),
-    ("trace.overhead_ms", "ms"),
-)
+from common import PER_LAYER, median
 
 #: Span layer -> the metric holding its self time.
 SELF_TIME = {
@@ -111,7 +65,7 @@ COUNTS = {
 
 
 def zero_metrics() -> Dict[str, float]:
-    return {name: 0.0 for name, _ in PER_LAYER}
+    return {name: 0.0 for name in PER_LAYER}
 
 
 class TraceSummary:
@@ -122,6 +76,8 @@ class TraceSummary:
         self.calls: Dict[str, int] = defaultdict(int)
         self.counts: Dict[Tuple[str, str], int] = defaultdict(int)
         self.handler_ns = 0
+        #: (start, end) of every span without a parent on its thread.
+        self.roots: List[Tuple[int, int]] = []
 
     def add_file(self, path: Path,
                  window: Optional[Tuple[int, int]] = None) -> None:
@@ -129,11 +85,15 @@ class TraceSummary:
         (perf_counter_ns is CLOCK_MONOTONIC, shared by all processes)."""
         data = json.loads(path.read_text())
         layers: List[str] = data["layers"]
-        for index, start, end, self_ns, nested, counts in data["spans"]:
+        for index, start, end, self_ns, nested, root, counts in data["spans"]:
             if window is not None and not window[0] <= start <= window[1]:
                 continue
             layer = layers[index]
             self.self_ns[layer] += self_ns
+            if root:
+                self.roots.append(
+                    (start, end if window is None else min(end, window[1]))
+                )
             if not nested:
                 self.calls[layer] += 1
                 if layer == "handlers.run":
@@ -142,8 +102,19 @@ class TraceSummary:
                 self.counts[(layer, key)] += value
 
     @property
-    def total_self_ms(self) -> float:
-        return sum(self.self_ns.values()) / 1e6
+    def covered_ms(self) -> float:
+        """Time during which a span is open on at least one thread.
+
+        Threads overlap in a served process, so summing self times
+        there could exceed the wall time; the union of root spans
+        cannot. On one thread the two are equal.
+        """
+        covered = reach = 0
+        for start, end in sorted(self.roots):
+            if end > reach:
+                covered += end - max(start, reach)
+                reach = end
+        return covered / 1e6
 
     def metrics(self) -> Dict[str, float]:
         out = zero_metrics()
@@ -210,5 +181,5 @@ def median_metrics(cycles: Iterable[Dict[str, float]]) -> Dict[str, float]:
     """Per metric, the median over traced cycles."""
     rows = list(cycles)
     return {
-        name: median([row[name] for row in rows]) for name, _ in PER_LAYER
+        name: median([row[name] for row in rows]) for name in PER_LAYER
     }

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 perfbench/run.py --workload {cli_paper,grid_sweep,serve_mix}
+    python3 perfbench/run.py --workload {grid_sweep,serve_mix}
         [--seed N] [--seconds S] [--trace 0|1]
     python3 perfbench/run.py --workload all [--seed N] [--seconds S]
 
@@ -25,26 +25,14 @@ import sys
 from typing import List
 
 import inputs
-import layers
 from cli_workloads import WORKLOADS as CLI_WORKLOADS
 from common import (
-    WORK, BenchError, Outcome, Tamper, require_program, run_dir,
+    PER_LAYER, REFERENCE_TICK_S, SPEC, WORK, BenchError, Outcome, Tamper,
+    median, require_program, run_dir, stop_clocks,
 )
 from serve_workload import ServeMix, stop_all
 
 WORKLOADS = {**CLI_WORKLOADS, ServeMix.name: ServeMix}
-
-#: (metric, unit) in the order BENCHMARK.json lists them.
-END_TO_END = (
-    ("setup_s", "s"),
-    ("cold_s", "s"),
-    ("warm_s", "s"),
-    ("evals_per_s", "1/s"),
-    ("req_p50_ms", "ms"),
-    ("req_p90_ms", "ms"),
-    ("serve_rps", "1/s"),
-    ("peak_rss_mb", "MB"),
-)
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool,
@@ -55,13 +43,14 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     try:
         if trace:
             per_layer, cycles = workload.run_traced(seconds, workdir)
-            for metric, unit in layers.PER_LAYER:
-                out.set(metric, per_layer[metric], unit, cycles,
+            for metric in PER_LAYER:
+                out.set(metric, per_layer[metric], cycles,
                         "median over traced cycles")
         else:
             workload.run(seconds, workdir)
     finally:
         stop_all()
+        stop_clocks()
         for path in WORK.glob(f"{os.getpid()}-*"):
             shutil.rmtree(path, ignore_errors=True)
         try:
@@ -86,6 +75,13 @@ def describe(out: Outcome, seed: int, seconds: float, trace: bool) -> List[str]:
         f"  {'error_rate':26s} {out.error_rate:14.4f} {'':6s} "
         f"{out.failed}/{out.attempted} operations failed"
     )
+    if out.ticks:
+        lines.append(
+            f"  times are reference seconds; host meter tick median "
+            f"{median([took for _, took in out.ticks]) * 1e6:.0f} us "
+            f"(reference {REFERENCE_TICK_S * 1e6:.0f} us), "
+            f"n={len(out.ticks)}"
+        )
     lines += [f"  FAILED: {problem}" for problem in out.problems]
     return lines
 
@@ -130,7 +126,7 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--workload", required=True,
                         choices=(*WORKLOADS, "all"))
     parser.add_argument("--seed", type=int, default=inputs.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     try:

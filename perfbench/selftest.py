@@ -1,4 +1,4 @@
-"""Self-tests of the benchmark: seeds, metric lists and output checks.
+"""Self-tests of the benchmark: seeds, tracing, metrics and output checks.
 
     python3 perfbench/selftest.py
 
@@ -9,14 +9,15 @@ briefly with one output corrupted and expect ``error_rate`` > 0.
 from __future__ import annotations
 
 import itertools
-import json
 import sys
+import threading
 from typing import Callable, List
 
 import inputs
 import layers
-from common import ROOT, require_program
-from run import END_TO_END, WORKLOADS, run_workload
+import tracing
+from common import END_TO_END, SPEC, require_program
+from run import run_workload
 
 
 class Failure(Exception):
@@ -54,15 +55,37 @@ def test_seeds() -> None:
             "invalid"} <= kinds, f"request kinds {sorted(kinds)}")
 
 
-def test_metric_lists() -> None:
-    """BENCHMARK.json names exactly the metrics the benchmark reports."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    expect([(m["name"], m["unit"]) for m in spec["end_to_end"]]
-           == list(END_TO_END), "end_to_end list differs from run.py")
-    expect([(m["name"], m["unit"]) for m in spec["per_layer"]]
-           == list(layers.PER_LAYER), "per_layer list differs from layers.py")
-    expect([w["name"] for w in spec["workloads"]] == list(WORKLOADS),
-           "workload list differs from run.py")
+def test_tracing_threads() -> None:
+    """Spans recorded by racing threads keep their own counts."""
+    recorder = tracing.Recorder()
+    counted = recorder.wrap("counted", lambda: None,
+                            count=lambda args, kwargs, result, state: {"n": 1})
+    plain = recorder.wrap("plain", lambda: None)
+    calls = 2000
+
+    def work() -> None:
+        for _ in range(calls):
+            counted()
+            plain()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    expect(not any(thread.is_alive() for thread in threads),
+           "tracing threads did not finish")
+    names = list(recorder.layers)
+    rows = recorder.rows()
+    expect(len(rows) == 2 * 4 * calls, f"{len(rows)} spans recorded")
+    for row in rows:
+        wanted = {"n": 1} if names[row[0]] == "counted" else None
+        expect(row[-1] == wanted, f"{names[row[0]]} span carries {row[-1]}")
 
 
 def test_importtime() -> None:
@@ -95,13 +118,20 @@ def corrupt_once(kind: str) -> Callable[[str, str], str]:
     return tamper
 
 
+#: Workload -> the kind of output the self-test corrupts.
+CORRUPTED = {"grid_sweep": "warm", "serve_mix": "artifact"}
+
+
 def test_corrupted_outputs() -> None:
-    """Every workload counts one corrupted output as a failure."""
-    for workload, kind in (("cli_paper", "warm"), ("grid_sweep", "warm"),
-                           ("serve_mix", "artifact")):
+    """Every workload BENCHMARK.json names reports every end-to-end
+    metric, and counts one corrupted output as a failure."""
+    for workload in (w["name"] for w in SPEC["workloads"]):
+        kind = CORRUPTED[workload]
         clean = run_workload(workload, inputs.DEFAULT_SEED, 0.1, False)
         expect(clean.correct, f"{workload}: clean run failed: "
                f"{clean.problems}")
+        expect(set(clean.metrics) == set(END_TO_END),
+               f"{workload}: reports {sorted(clean.metrics)}")
         out = run_workload(workload, inputs.DEFAULT_SEED, 0.1, False,
                            corrupt_once(kind))
         expect(out.failed == 1 and out.error_rate > 0 and not out.correct,
@@ -112,7 +142,7 @@ def test_corrupted_outputs() -> None:
 def main() -> int:
     require_program()
     failed = 0
-    for test in (test_seeds, test_metric_lists, test_importtime,
+    for test in (test_seeds, test_tracing_threads, test_importtime,
                  test_corrupted_outputs):
         try:
             test()

@@ -3,7 +3,9 @@
 The clients run a closed loop in lockstep rounds: each round both send
 one request at once over a fresh connection, and the next round starts
 when both replies are complete. Requests come from the seeded
-:class:`inputs.ServeMix`.
+:class:`inputs.ServeMix`. Latencies are reported in reference seconds
+(:class:`common.HostClock`), scaled once per :data:`SEGMENT_ROUNDS`
+rounds.
 """
 
 from __future__ import annotations
@@ -12,24 +14,31 @@ import json
 import re
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import inputs
 import layers
 from common import (
-    ROOT, TRACE_ENTRY, BenchError, Outcome, Tamper, another_cycle,
-    compile_sources, median, peak_child_rss_mb, percentile, repro,
-    repro_env, run_command,
+    ROOT, TRACE_ENTRY, BenchError, HostClock, Outcome, Tamper,
+    another_cycle, compile_sources, median, percentile, repro, repro_env,
+    run_command,
 )
 
 #: Timed lockstep rounds per server (two requests each).
 ROUNDS = 200
+#: Rounds that share one scale: two blocks of the mix, about 0.2 s.
+SEGMENT_ROUNDS = 20
+#: Seeded request mixes the cycles of a run take in turn. Several mixes
+#: average out the cost of any one draw of sweep specs, and a fixed set
+#: keeps what a run averages over independent of how many cycles it fits.
+MIXES = 8
 READY_TIMEOUT_S = 60.0
 REQUEST_TIMEOUT_S = 60.0
 _ANNOUNCE = re.compile(r"serving on http://[^:\s]+:(\d+)")
@@ -46,6 +55,12 @@ class Reply:
     latency_s: float
     #: Evaluations the reply's final stats report.
     evaluations: int = 0
+    #: Reference seconds per host second, from the meter ticks.
+    scale: float = 1.0
+
+    @property
+    def ref_s(self) -> float:
+        return self.latency_s * self.scale
 
 
 def http(port: int, method: str, path: str, body: Any = None) -> Tuple[int, bytes]:
@@ -119,12 +134,21 @@ class Server:
                     status = 0
                 if status == 200:
                     return time.perf_counter() - self.started
-            time.sleep(0.002)
+            time.sleep(0.005)
         self.stop()
         raise BenchError(
             f"repro serve never became healthy: "
             f"{self.log.read_text()[-500:]}"
         )
+
+    def peak_rss_mb(self) -> float:
+        """The server's resident-set high-water mark so far (0 if gone)."""
+        try:
+            status = Path(f"/proc/{self.proc.pid}/status").read_text()
+        except OSError:
+            return 0.0
+        match = re.search(r"^VmHWM:\s+(\d+) kB", status, re.MULTILINE)
+        return int(match.group(1)) / 1024.0 if match else 0.0
 
     def stop(self) -> int:
         """SIGTERM, wait for the drain; the exit code (0 when clean)."""
@@ -245,13 +269,14 @@ class Checker:
 class Phase:
     """Replies of one cycle's timed rounds, with their time window."""
 
-    replies: List[Reply]
-    start_ns: int
-    end_ns: int
-
-    @property
-    def wall_s(self) -> float:
-        return (self.end_ns - self.start_ns) / 1e9
+    replies: List[Reply] = field(default_factory=list)
+    start_ns: int = 0
+    end_ns: int = 0
+    #: Time spent in the rounds: host and reference seconds.
+    wall_s: float = 0.0
+    ref_s: float = 0.0
+    #: The server's peak resident set, read just before it stops.
+    rss_mb: float = 0.0
 
 
 class ServeMix:
@@ -275,51 +300,71 @@ class ServeMix:
             raise BenchError("the CLI reference stream failed")
         return Checker(self.out, command.stdout.splitlines(), self.tamper)
 
-    def drive(self, port: int, mix: inputs.ServeMix,
-              checker: Checker) -> Phase:
-        """The warm-up pass, then :data:`ROUNDS` timed lockstep rounds."""
+    def drive(self, port: int, mix: inputs.ServeMix, checker: Checker,
+              clock: HostClock) -> Phase:
+        """The warm-up pass, then :data:`ROUNDS` timed lockstep rounds,
+        scaled per :data:`SEGMENT_ROUNDS`."""
         for index, request in enumerate(mix.warmup()):
             checker.check(send(port, request), cold_all=index == 0)
-        replies: List[Reply] = []
+        phase = Phase()
         schedule = mix.rounds()
         with ThreadPoolExecutor(max_workers=2) as pool:
-            start_ns = time.perf_counter_ns()
-            for _ in range(ROUNDS):
-                futures = [
-                    pool.submit(send, port, request)
-                    for request in next(schedule)
-                ]
-                for future in futures:
-                    reply = future.result()
-                    reply.evaluations = checker.check(reply)
-                    replies.append(reply)
-            end_ns = time.perf_counter_ns()
-        return Phase(replies, start_ns, end_ns)
+            phase.start_ns = time.perf_counter_ns()
+            for _ in range(ROUNDS // SEGMENT_ROUNDS):
+                segment: List[Reply] = []
+                began = time.perf_counter()
+                for _ in range(SEGMENT_ROUNDS):
+                    futures = [
+                        pool.submit(send, port, request)
+                        for request in next(schedule)
+                    ]
+                    for future in futures:
+                        reply = future.result()
+                        reply.evaluations = checker.check(reply)
+                        segment.append(reply)
+                took = time.perf_counter() - began
+                scale = clock.scale(began, began + took)
+                for reply in segment:
+                    reply.scale = scale
+                phase.replies += segment
+                phase.wall_s += took
+                phase.ref_s += took * scale
+            phase.end_ns = time.perf_counter_ns()
+        return phase
 
     def cycle(self, workdir: Path, index: int, checker: Checker,
+              clock: HostClock,
               trace: Optional[Path] = None) -> Tuple[float, Phase]:
-        """Seconds from spawn to healthy, and the timed phase, of cycle
-        ``index`` (whose requests depend on the seed and the index)."""
+        """Reference seconds from spawn to healthy, and the timed phase,
+        of cycle ``index``, which sends mix ``index %`` :data:`MIXES`."""
         server = Server(workdir, f"{index}-{'traced' if trace else 'plain'}",
                         trace)
         try:
             ready_s = server.wait_ready()
-            mix = inputs.ServeMix(f"{self.seed}/{index}")
-            phase = self.drive(server.port, mix, checker)
+            ready_s *= clock.scale(server.started, server.started + ready_s)
+            mix = inputs.ServeMix(f"{self.seed}/{index % MIXES}")
+            phase = self.drive(server.port, mix, checker, clock)
+            phase.rss_mb = server.peak_rss_mb()
         finally:
             code = server.stop()
             self.out.check(code == 0,
                            f"repro serve exited {code} on SIGTERM")
         return ready_s, phase
 
-    def run(self, seconds: float, workdir: Path) -> None:
+    def start(self, workdir: Path) -> Tuple[Checker, HostClock]:
         compile_sources()
         checker = self.checker(workdir)
+        clock = HostClock(workdir)
+        self.out.ticks = clock.ticks
+        return checker, clock
+
+    def run(self, seconds: float, workdir: Path) -> None:
+        checker, clock = self.start(workdir)
         setups: List[float] = []
         phases: List[Phase] = []
         start = time.perf_counter()
         while another_cycle(start, len(phases), seconds):
-            ready_s, phase = self.cycle(workdir, len(phases), checker)
+            ready_s, phase = self.cycle(workdir, len(phases), checker, clock)
             setups.append(ready_s)
             phases.append(phase)
         self.report(setups, phases)
@@ -327,35 +372,42 @@ class ServeMix:
     def report(self, setups: List[float], phases: List[Phase]) -> None:
         out = self.out
         replies = [reply for phase in phases for reply in phase.replies]
-        latencies = [r.latency_s for r in replies]
+        latencies = [r.ref_s for r in replies]
         cold = [r for r in replies if r.request.kind == "sweep_cold"]
-        warm = [r.latency_s for r in replies if r.request.kind == "artifact"]
-        out.set("setup_s", median(setups), "s", len(setups),
+        warm = [r.ref_s for r in replies if r.request.kind == "artifact"]
+        # New specs come in several sizes (see inputs.ServeMix), in the
+        # same numbers in every cycle; a per-cycle mean keeps cold_s off
+        # the boundaries between those sizes, where a median would sit.
+        cold_means = [
+            statistics.fmean(r.ref_s for r in phase.replies
+                             if r.request.kind == "sweep_cold")
+            for phase in phases
+        ]
+        out.set("setup_s", median(setups), len(setups),
                 "spawn until /v1/health is 200")
-        out.set("cold_s", median([r.latency_s for r in cold]), "s",
-                len(cold), "first request of a new sweep spec")
-        out.set("warm_s", median(warm), "s", len(warm),
+        out.set("cold_s", median(cold_means), len(cold),
+                "new sweep spec; median of per-cycle means")
+        out.set("warm_s", median(warm), len(warm),
                 "warm artifact request")
         out.set("evals_per_s",
                 sum(r.evaluations for r in cold)
-                / sum(r.latency_s for r in cold), "1/s", len(cold),
+                / sum(r.ref_s for r in cold), len(cold),
                 "evaluations / latency of new sweep specs")
-        out.set("req_p50_ms", median(latencies) * 1e3, "ms", len(replies),
+        out.set("req_p50_ms", median(latencies) * 1e3, len(replies),
                 "every timed request")
-        out.set("req_p90_ms", percentile(latencies, 90) * 1e3, "ms",
+        out.set("req_p90_ms", percentile(latencies, 90) * 1e3,
                 len(replies), "every timed request")
         out.set("serve_rps",
-                len(replies) / sum(phase.wall_s for phase in phases),
-                "1/s", len(replies), "completed requests per second")
-        out.set("peak_rss_mb", peak_child_rss_mb(), "MB", len(phases),
-                "largest child process")
+                len(replies) / sum(phase.ref_s for phase in phases),
+                len(replies), "completed requests per second")
+        out.set("peak_rss_mb", median([phase.rss_mb for phase in phases]),
+                len(phases), "server's peak RSS; median over cycles")
 
     def run_traced(self, seconds: float,
                    workdir: Path) -> Tuple[Dict[str, float], int]:
         """Per cycle: the import profile, an untraced and a traced
         server, each with the same warm-up and timed rounds."""
-        compile_sources()
-        checker = self.checker(workdir)
+        checker, clock = self.start(workdir)
         rows: List[Dict[str, float]] = []
         start = time.perf_counter()
         while another_cycle(start, len(rows), seconds):
@@ -364,9 +416,9 @@ class ServeMix:
                 [sys.executable, "-X", "importtime", "-m", "repro", "list"]
             )
             self.out.check(profile.ok, "import-time profile failed")
-            _, untraced = self.cycle(workdir, index, checker)
+            _, untraced = self.cycle(workdir, index, checker, clock)
             trace = workdir / f"trace{index}.json"
-            _, traced = self.cycle(workdir, index, checker, trace)
+            _, traced = self.cycle(workdir, index, checker, clock, trace)
             summary = layers.TraceSummary()
             if trace.is_file():
                 summary.add_file(trace, (traced.start_ns, traced.end_ns))
@@ -376,7 +428,7 @@ class ServeMix:
             row["serve.wait_ms"] = (
                 latency_ms - summary.handler_ns / 1e6
             ) / len(traced.replies)
-            row["other_ms"] = traced.wall_s * 1e3 - summary.total_self_ms
+            row["other_ms"] = traced.wall_s * 1e3 - summary.covered_ms
             row["trace.overhead_ms"] = (traced.wall_s - untraced.wall_s) * 1e3
             rows.append(row)
         return layers.median_metrics(rows), len(rows)

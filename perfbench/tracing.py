@@ -6,8 +6,9 @@ functions are replaced wherever they were imported by name, methods on
 their class and every subclass that overrides them) so that each call
 records one span: layer name, start, end, self time (duration minus the
 time of child spans on the same thread) and optional counts. Parents
-are thread-local, so the serve event loop and its executor thread keep
-separate stacks. A target that no longer exists is skipped, so a later
+and finished spans are thread-local, so the serve event loop and its
+executor threads keep separate stacks and never interleave their
+records. A target that no longer exists is skipped, so a later
 refactor leaves its metric at zero rather than breaking the run.
 """
 
@@ -29,38 +30,54 @@ CountFn = Callable[[tuple, dict, Any, Any], Optional[Dict[str, int]]]
 BeforeFn = Callable[[tuple, dict], Any]
 
 
-class Recorder:
-    """Every span of one process, in completion order.
+class ThreadSpans:
+    """The open spans and the finished spans of one thread.
 
-    Spans are packed into a flat integer array rather than one tuple
-    each: a sweep records hundreds of thousands, and tracking that many
-    objects would make the garbage collector part of the overhead.
+    Finished spans are packed into a flat integer array rather than one
+    tuple each: a sweep records hundreds of thousands, and tracking that
+    many objects would make the garbage collector part of the overhead.
+    Only the owning thread writes here, so recording takes no lock.
     """
 
-    #: Integers per span: layer index, start, end, self time, nested.
-    WIDTH = 5
+    __slots__ = ("stack", "data", "counts")
+
+    def __init__(self) -> None:
+        self.stack: List[list] = []
+        self.data = array("q")
+        #: Span number (within this thread) -> counts, for the spans
+        #: that carry any.
+        self.counts: Dict[int, Dict[str, int]] = {}
+
+
+class Recorder:
+    """Every span of one process, per thread in completion order."""
+
+    #: Integers per span: layer index, start, end, self time, nested
+    #: (its parent is the same layer), root (it has no parent).
+    WIDTH = 6
 
     def __init__(self) -> None:
         self.layers: Dict[str, int] = {}
-        self.data = array("q")
-        #: Span number -> counts, for the spans that carry any.
-        self.counts: Dict[int, Dict[str, int]] = {}
         self._local = threading.local()
+        self._lock = threading.Lock()
+        self._threads: List[ThreadSpans] = []
 
-    def _stack(self) -> List[list]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+    def _spans(self) -> ThreadSpans:
+        spans = getattr(self._local, "spans", None)
+        if spans is None:
+            spans = self._local.spans = ThreadSpans()
+            with self._lock:
+                self._threads.append(spans)
+        return spans
 
     def wrap(self, layer: str, fn: Callable, count: Optional[CountFn] = None,
              before: Optional[BeforeFn] = None) -> Callable:
         index = self.layers.setdefault(layer, len(self.layers))
-        data, counts, stack_of = self.data, self.counts, self._stack
-        width = self.WIDTH
+        spans_of, width = self._spans, self.WIDTH
 
         def traced(*args: Any, **kwargs: Any) -> Any:
-            stack = stack_of()
+            spans = spans_of()
+            stack = spans.stack
             nested = int(bool(stack) and stack[-1][1] == layer)
             frame = [0, layer]
             stack.append(frame)
@@ -79,8 +96,9 @@ class Recorder:
                 if count is not None:
                     extra = count(args, kwargs, result, state)
                     if extra:
-                        counts[len(data) // width] = extra
-                data.extend((index, start, end, duration - frame[0], nested))
+                        spans.counts[len(spans.data) // width] = extra
+                spans.data.extend((index, start, end, duration - frame[0],
+                                   nested, int(not stack)))
 
         setattr(traced, LAYER_ATTR, layer)
         traced.__name__ = getattr(fn, "__name__", layer)
@@ -88,16 +106,22 @@ class Recorder:
         traced.__doc__ = getattr(fn, "__doc__", None)
         return traced
 
-    def write(self, path: str, argv: List[str]) -> None:
-        """Spans as ``[layer, start, end, self, nested, counts]`` rows."""
-        width, data = self.WIDTH, self.data
-        rows = [
-            [*data[i:i + width], self.counts.get(i // width)]
-            for i in range(0, len(data), width)
+    def rows(self) -> List[list]:
+        """Spans as ``[layer, start, end, self, nested, root, counts]``
+        rows, thread after thread."""
+        width = self.WIDTH
+        with self._lock:
+            threads = list(self._threads)
+        return [
+            [*spans.data[i:i + width], spans.counts.get(i // width)]
+            for spans in threads
+            for i in range(0, len(spans.data), width)
         ]
+
+    def write(self, path: str, argv: List[str]) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"argv": argv, "layers": list(self.layers),
-                       "spans": rows}, handle, separators=(",", ":"))
+                       "spans": self.rows()}, handle, separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,11 @@
-"""Flush cost by persistent-cache backend at production scale.
+"""Persistent-cache flush cost at production scale, and codec speed.
 
-The JSON store rewrites the whole file per flush — O(total entries) —
-which turns the cache itself into the hot path of a sharded grid fill
-once a fingerprint accumulates ~10k entries. The SQLite store upserts
-only the dirty entries (``INSERT OR REPLACE``), so flush cost is
-O(dirty): these benchmarks populate a 10k-entry cache, dirty 100
-entries, and time ``flush()`` on each backend. The comparison test
-asserts the SQLite win outright, so a regression that drags flush back
-to O(total) fails loudly rather than just drifting in the trajectory.
+The SQLite store upserts only the dirty entries (``INSERT OR
+REPLACE``), so flush cost is O(dirty): these benchmarks populate a
+10k-entry cache, dirty 100 entries, and time ``flush()``. The scaling
+test asserts that growing the cache does not grow the flush with it,
+so a regression that drags flush back to O(total) fails loudly rather
+than just drifting in the trajectory.
 """
 
 import time
@@ -23,13 +21,11 @@ from repro.model.workload import synthetic_workload
 #: estimator needs to resolve it).
 FINGERPRINT = "beefcafe" * 2
 
-#: Steady-state cache size — the ROADMAP's "JSON stops scaling" point.
+#: Steady-state cache size.
 N_TOTAL = 10_000
 
 #: New entries per flush (one engine batch's worth of evaluations).
 N_DIRTY = 100
-
-BACKENDS = ("json", "sqlite")
 
 
 @pytest.fixture(scope="session")
@@ -42,18 +38,18 @@ def metrics(estimator):
     return result
 
 
-def _populate(directory, backend, metrics, total=N_TOTAL):
-    cache = PersistentCache(directory, FINGERPRINT, backend=backend)
+def _populate(directory, metrics, total=N_TOTAL):
+    cache = PersistentCache(directory, FINGERPRINT)
     for i in range(total):
         cache.put("TC", ("bench", i), metrics)
     cache.flush()
     cache.close()
 
 
-def _timed_dirty_flush(directory, backend, metrics, tag):
+def _timed_dirty_flush(directory, metrics, tag):
     """Open the populated cache, dirty N_DIRTY fresh entries, and time
     the flush alone."""
-    cache = PersistentCache(directory, FINGERPRINT, backend=backend)
+    cache = PersistentCache(directory, FINGERPRINT)
     for i in range(N_DIRTY):
         cache.put("TC", ("dirty", tag, i), metrics)
     start = time.perf_counter()
@@ -63,14 +59,12 @@ def _timed_dirty_flush(directory, backend, metrics, tag):
     return elapsed
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_flush_100_dirty_of_10k(benchmark, tmp_path, metrics, backend):
-    directory = tmp_path / backend
-    _populate(directory, backend, metrics)
+def test_flush_100_dirty_of_10k(benchmark, tmp_path, metrics):
+    _populate(tmp_path, metrics)
     tags = iter(range(10 ** 9))
 
     def setup():
-        cache = PersistentCache(directory, FINGERPRINT, backend=backend)
+        cache = PersistentCache(tmp_path, FINGERPRINT)
         tag = next(tags)
         for i in range(N_DIRTY):
             cache.put("TC", ("dirty", tag, i), metrics)
@@ -81,36 +75,15 @@ def test_flush_100_dirty_of_10k(benchmark, tmp_path, metrics, backend):
     )
 
 
-def test_sqlite_flush_beats_json_at_10k_entries(tmp_path, metrics):
-    """The acceptance claim: at >=10k cached entries, flushing 100
-    dirty entries through SQLite is faster than the JSON whole-file
-    rewrite (O(dirty) vs O(total))."""
-    best = {}
-    for backend in BACKENDS:
-        directory = tmp_path / backend
-        _populate(directory, backend, metrics)
-        best[backend] = min(
-            _timed_dirty_flush(directory, backend, metrics, tag)
-            for tag in range(3)
-        )
-    emit(
-        "Cache flush, 100 dirty of 10k entries (best of 3)",
-        f"json={best['json'] * 1e3:.1f} ms  "
-        f"sqlite={best['sqlite'] * 1e3:.1f} ms  "
-        f"speedup={best['json'] / best['sqlite']:.1f}x",
-    )
-    assert best["sqlite"] < best["json"]
-
-
 def test_sqlite_flush_time_tracks_dirty_not_total(tmp_path, metrics):
     """Growing the cache 8x should not grow SQLite's dirty-flush time
     with it (a generous 4x guard band absorbs timer noise)."""
     timings = {}
     for total in (2_000, 16_000):
         directory = tmp_path / str(total)
-        _populate(directory, "sqlite", metrics, total=total)
+        _populate(directory, metrics, total=total)
         timings[total] = min(
-            _timed_dirty_flush(directory, "sqlite", metrics, tag)
+            _timed_dirty_flush(directory, metrics, tag)
             for tag in range(3)
         )
     emit(

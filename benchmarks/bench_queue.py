@@ -52,9 +52,7 @@ def _drain_bookkeeping(store):
 def _drain_evaluating(directory, store, estimator, worker_id):
     engine = SweepEngine(
         estimator,
-        cache=PersistentCache.for_estimator(
-            directory, estimator, backend="sqlite"
-        ),
+        cache=PersistentCache.for_estimator(directory, estimator),
     )
     batches = list(engine.run_queue(
         store, worker_id=worker_id, batch_size=BATCH, poll_s=0.01

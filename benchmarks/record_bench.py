@@ -202,9 +202,7 @@ def _queue_section(rounds: int) -> dict:
     def drain(directory, store, worker_id):
         engine = SweepEngine(
             estimator,
-            cache=PersistentCache.for_estimator(
-                directory, estimator, backend="sqlite"
-            ),
+            cache=PersistentCache.for_estimator(directory, estimator),
         )
         list(engine.run_queue(
             store, worker_id=worker_id, batch_size=16, poll_s=0.01

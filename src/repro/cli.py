@@ -8,7 +8,6 @@ Usage::
     python -m repro sweep --model-file F    # ... or a user-defined one
     python -m repro cache stats|clear       # persistent-cache upkeep
     python -m repro cache merge DIR...      # fan-in sharded cache fills
-    python -m repro cache migrate           # convert JSON shards to SQLite
     python -m repro serve [--port N]        # long-lived evaluation service
     python -m repro queue fill [...]        # enqueue a grid for workers
     python -m repro queue stats|requeue     # job-queue upkeep
@@ -63,7 +62,6 @@ from repro.errors import (
     EvaluationError,
     LintError,
     LintUsageError,
-    QueueError,
     WorkloadError,
 )
 from repro.eval import cache as cache_mod
@@ -217,13 +215,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "reuse them across runs (also: $REPRO_CACHE_DIR)",
     )
     parser.add_argument(
-        "--cache-backend", choices=cache_mod.CACHE_BACKENDS,
-        default=cache_mod.DEFAULT_CACHE_BACKEND,
-        help="cache storage backend (default auto: an existing .db "
-        "wins, large JSON files upgrade to sqlite, else json; sqlite "
-        "flushes only dirty entries, the right choice at 10k+ entries)",
-    )
-    parser.add_argument(
         "--record", default=None, metavar="PATH",
         help="write a JSON run record of this invocation",
     )
@@ -321,15 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_options(sweep)
 
     cache = sub.add_parser(
-        "cache", help="inspect, clear, merge, or migrate the "
-        "persistent evaluation cache"
+        "cache", help="inspect, clear, or merge the persistent "
+        "evaluation cache"
     )
     cache.add_argument(
-        "action", choices=("stats", "clear", "merge", "migrate"),
+        "action", choices=("stats", "clear", "merge"),
         help="'stats' prints per-fingerprint entry counts; 'clear' "
         "deletes all cache files; 'merge' folds the DIR shards into "
-        "--cache-dir (same estimator fingerprint required); 'migrate' "
-        "converts JSON cache files to SQLite in place",
+        "--cache-dir (same estimator fingerprint required)",
     )
     cache.add_argument(
         "dirs", nargs="*", metavar="DIR",
@@ -339,13 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="cache directory to operate on (default: $REPRO_CACHE_DIR "
         "or ~/.cache/repro-highlight)",
-    )
-    cache.add_argument(
-        "--cache-backend", choices=cache_mod.CACHE_BACKENDS,
-        default=None,
-        help="(merge only) storage backend for the merged destination "
-        "file (default auto: keep the destination's current format, "
-        "else sqlite for large merges)",
     )
     cache.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -391,11 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist evaluations under DIR — the service's shared "
         "warm cache across requests and restarts (also: "
         "$REPRO_CACHE_DIR)",
-    )
-    serve.add_argument(
-        "--cache-backend", choices=cache_mod.CACHE_BACKENDS,
-        default=cache_mod.DEFAULT_CACHE_BACKEND,
-        help="cache storage backend (default auto)",
     )
     serve.add_argument(
         "--record", default=None, metavar="DIR",
@@ -610,13 +588,24 @@ def _resolve_cache_dir(
     return None
 
 
-def _build_context(args: argparse.Namespace) -> EngineContext:
+def _open_context(parser: argparse.ArgumentParser,
+                  **settings: Any) -> EngineContext:
+    """:meth:`EngineContext.create`, with a cache that cannot open
+    reported as a usage error (exit 2) before any work."""
+    try:
+        return EngineContext.create(**settings)
+    except CacheError as error:
+        parser.error(str(error))
+
+
+def _build_context(args: argparse.Namespace,
+                   parser: argparse.ArgumentParser) -> EngineContext:
     """The invocation's single EngineContext, from the CLI knobs."""
-    return EngineContext.create(
+    return _open_context(
+        parser,
         jobs=args.jobs,
         backend=args.backend,
         cache_dir=_resolve_cache_dir(args.cache_dir),
-        cache_backend=args.cache_backend,
         record=args.record,
     )
 
@@ -666,7 +655,7 @@ def _cmd_artifact(args: argparse.Namespace,
         ORDER if "all" in args.names
         else list(dict.fromkeys(args.names))
     )
-    ctx = _build_context(args)
+    ctx = _build_context(args, parser)
     # closing(): an interrupt mid-grid must still flush completed
     # evaluations to the persistent cache, not silently discard them.
     with closing(ctx.engine):
@@ -720,7 +709,7 @@ def _cmd_sweep_model(args: argparse.Namespace,
     design_names = (
         tuple(args.designs) if args.designs else main_design_names()
     )
-    ctx = _build_context(args)
+    ctx = _build_context(args, parser)
     with closing(ctx.engine):
         start = time.perf_counter()
         try:
@@ -810,7 +799,7 @@ def _cmd_sweep(args: argparse.Namespace,
     a_degrees = args.a_degrees if args.a_degrees is not None else E.A_DEGREES
     b_degrees = args.b_degrees if args.b_degrees is not None else E.B_DEGREES
     size = args.size if args.size is not None else 1024
-    ctx = _build_context(args)
+    ctx = _build_context(args, parser)
     with closing(ctx.engine):
         start = time.perf_counter()
         sweep = ctx.engine.sweep(
@@ -872,19 +861,13 @@ def _cmd_cache(args: argparse.Namespace,
                 "cache merge needs at least one source DIR "
                 "(merged into --cache-dir)"
             )
-        backend = (
-            args.cache_backend if args.cache_backend is not None
-            else cache_mod.DEFAULT_CACHE_BACKEND
-        )
         try:
-            summary = cache_mod.merge_cache_dirs(
-                args.dirs, directory, backend=backend
-            )
+            summary = cache_mod.merge_cache_dirs(args.dirs, directory)
         except CacheError as error:
             parser.error(str(error))
         print(
             f"merged {len(summary['sources'])} shard(s) into "
-            f"{summary['path']} ({summary['backend']}): "
+            f"{summary['path']}: "
             f"{summary['total_entries']} entries "
             f"({summary['new_entries']} new)"
         )
@@ -894,38 +877,6 @@ def _cmd_cache(args: argparse.Namespace,
             f"DIR arguments only apply to 'cache merge', not "
             f"'cache {args.action}'"
         )
-    if args.cache_backend is not None:
-        # 'cache migrate --cache-backend json' would otherwise exit 0
-        # while converting to sqlite anyway.
-        parser.error(
-            f"--cache-backend only applies to 'cache merge' (it picks "
-            f"the merged destination format), not "
-            f"'cache {args.action}'"
-        )
-    if args.action == "migrate":
-        try:
-            summary = cache_mod.migrate_cache_dir(directory)
-        except CacheError as error:
-            parser.error(str(error))
-        if not summary["files"] and not summary["reencoded_rows"]:
-            print(f"no cache files to migrate in {directory}")
-            return 0
-        for item in summary["files"]:
-            print(
-                f"migrated {item['fingerprint']}.json -> "
-                f"{item['path']} ({item['entries']} entries)"
-            )
-        if summary["files"]:
-            print(
-                f"migrated {len(summary['files'])} file(s), "
-                f"{summary['total_entries']} entries"
-            )
-        if summary["reencoded_rows"]:
-            print(
-                f"re-encoded {summary['reencoded_rows']} v1 row(s) "
-                f"as codec v2"
-            )
-        return 0
     if args.action == "clear":
         removed = cache_mod.clear_cache(directory)
         print(f"removed {removed} cache file(s) from {directory}")
@@ -959,11 +910,11 @@ def _cmd_cache(args: argparse.Namespace,
 
 def _cmd_serve(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    ctx = EngineContext.create(
+    ctx = _open_context(
+        parser,
         jobs=args.jobs,
         backend=args.backend,
         cache_dir=_resolve_cache_dir(args.cache_dir),
-        cache_backend=args.cache_backend,
     )
     # closing(): the service closes the engine on its own shutdown
     # path; this is the belt-and-braces close for failures before the
@@ -1114,7 +1065,7 @@ def _cmd_queue(args: argparse.Namespace,
                 which = "failed/stale" if args.stale else "failed"
                 print(f"requeued {moved} {which} cell(s)")
             _print_queue_stats(store)
-    except QueueError as error:
+    except CacheError as error:
         parser.error(str(error))
     return 0
 
@@ -1132,14 +1083,14 @@ def _cmd_worker(args: argparse.Namespace,
         args.worker_id if args.worker_id
         else queue_mod.default_worker_id()
     )
-    # The worker's persistent cache IS the queue database: sqlite
-    # backend, cache dir = the queue file's directory, so results are
-    # durable in the same file the queue rows live in.
-    ctx = EngineContext.create(
+    # The worker's persistent cache IS the queue database (cache dir =
+    # the queue file's directory), so results are durable in the same
+    # file the queue rows live in.
+    ctx = _open_context(
+        parser,
         jobs=args.jobs,
         backend=args.backend,
         cache_dir=str(path.parent),
-        cache_backend="sqlite",
         record=args.record,
     )
     interrupted = False
@@ -1148,7 +1099,7 @@ def _cmd_worker(args: argparse.Namespace,
     with closing(ctx.engine):
         try:
             store = queue_mod.JobStore(path, fingerprint)
-        except QueueError as error:
+        except CacheError as error:
             parser.error(str(error))
         with store:
             try:
@@ -1260,7 +1211,7 @@ def _cmd_report(args: argparse.Namespace,
             "--record applies to 'report --format md' (the full "
             "report has no structured artifact results to record)"
         )
-    ctx = _build_context(args)
+    ctx = _build_context(args, parser)
     with closing(ctx.engine):
         if args.report_format == "md":
             document, outcome = run_markdown_report(ctx, ORDER)

@@ -3,28 +3,26 @@
 The analytical cost models are pure functions of (design, workload,
 technology table), so their results can be reused across *processes and
 runs*, not just within one engine. A :class:`PersistentCache` stores
-one file per estimator fingerprint under a cache directory, in one of
-two interchangeable storage backends (:class:`CacheStore`
-implementations)::
+one SQLite database per estimator fingerprint under a cache
+directory::
 
-    <cache_dir>/<fingerprint>.json    # JSON file store
-    <cache_dir>/<fingerprint>.db      # SQLite store (WAL mode)
+    <cache_dir>/<fingerprint>.db      # WAL mode
 
 Keys are SHA-256 digests of the canonical (design name, workload key)
-content tuple; values are serialized :class:`~repro.model.metrics
-.Metrics` (or ``null`` for unsupported pairs — negative results are
-worth caching too). The fingerprint covers the energy/area table, the
-plug-in stack, and a model-version constant, so any change to the cost
-models invalidates old entries automatically by landing in a new file.
+content tuple; values are packed :mod:`repro.eval.codec` blobs of
+:class:`~repro.model.metrics.Metrics` (or ``NULL`` for unsupported
+pairs — negative results are worth caching too). The fingerprint covers
+the energy/area table, the plug-in stack, and a model-version constant,
+so any change to the cost models invalidates old entries automatically
+by landing in a new file.
 
-The JSON backend flushes read-merge-write with an atomic rename —
-O(total entries) per flush, fine for small caches, and concurrent
-writers can only lose each other's *new* entries, never corrupt the
-file. The SQLite backend upserts only the dirty entries (``INSERT OR
-REPLACE``), so flush cost is O(dirty), and concurrent writers are
-serialized by SQLite's own locking — the right choice once a cache
-outgrows ~10k entries (the ``auto`` backend switches over on its own;
-``repro cache migrate`` converts existing JSON files in place).
+A flush upserts only the dirty entries (``INSERT OR REPLACE``), so its
+cost is O(dirty), and concurrent writers are serialized by SQLite's own
+locking. Caches written by older versions are not read: a leftover
+``<fingerprint>.json`` raises :class:`~repro.errors.CacheError` when
+the cache opens (delete it with ``repro cache clear`` and refill), and
+a v1 JSON ``TEXT`` row fails blob decoding, so the database reads as
+empty and is rotated aside by the next flush.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import json
 import os
 import re
 import sqlite3
-import tempfile
 import threading
 import time
 from functools import lru_cache
@@ -53,34 +50,11 @@ from repro.model.workload import WorkloadKey
 #: invalidates previously cached metrics.
 MODEL_FINGERPRINT_VERSION = 1
 
-#: Cache file schema version (shared by both storage backends).
+#: Cache database schema version (recorded in the ``meta`` table).
 CACHE_SCHEMA_VERSION = 1
-
-#: JSON-store file schema whose entry section is one columnar block
-#: (digest column, length column, one base64 blob of concatenated v2
-#: codec blobs) instead of a per-digest entries dict. Writers emit
-#: this form; schema-1 files (v1 tagged dicts and/or per-entry base64
-#: strings) remain readable on every path. The SQLite store stays at
-#: :data:`CACHE_SCHEMA_VERSION` — its rows are already columnar.
-COLUMNS_SCHEMA_VERSION = 2
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Selectable storage backends (``auto`` resolves per fingerprint: an
-#: existing ``.db`` wins, a JSON file past the size threshold upgrades
-#: to SQLite, everything else stays JSON).
-CACHE_BACKENDS = ("json", "sqlite", "auto")
-
-DEFAULT_CACHE_BACKEND = "auto"
-
-#: ``auto`` switches a fingerprint to SQLite once its JSON file reaches
-#: this size (~10k entries at typical serialized-metrics weight).
-AUTO_SQLITE_SIZE_BYTES = 4 * 1024 * 1024
-
-#: ``auto`` writes a fresh merge destination as SQLite at this many
-#: merged entries.
-AUTO_SQLITE_ENTRIES = 10_000
 
 #: Sentinel distinguishing "no cached entry" from a cached ``None``
 #: (an unsupported pair).
@@ -204,179 +178,13 @@ def pair_digest(design: str, workload_key: WorkloadKey) -> str:
     ).hexdigest()
 
 
-# --- storage backends ---------------------------------------------------
+# --- storage -------------------------------------------------------------
 
 
-def _entry_from_raw(
-    raw: "str | Dict[str, Any] | None"
-) -> Optional[Metrics]:
-    return codec.decode_json_entry(raw)
-
-
-#: Absent-marker for the JSON store's encoded-blob memo (a memoized
-#: value may legitimately be ``None`` — a cached unsupported verdict).
-_UNENCODED = object()
-
-
-class CacheStore:
-    """One fingerprint's on-disk storage: the backend half of
-    :class:`PersistentCache`.
-
-    A store owns one file (``<fingerprint><suffix>``) and knows how to
-    :meth:`load` all entries, :meth:`flush` new ones, and :meth:`close`
-    any held resources. Stores are *not* locked — the owning
-    :class:`PersistentCache` serializes access.
-    """
-
-    #: Backend name as selected by ``--cache-backend``.
-    backend = ""
-    #: The store's file extension (with the dot).
-    suffix = ""
-
-    def __init__(self, directory: "str | Path", fingerprint: str) -> None:
-        self.directory = Path(directory)
-        self.fingerprint = fingerprint
-        self.path = self.directory / f"{fingerprint}{self.suffix}"
-
-    def load(self) -> Dict[str, Optional[Metrics]]:
-        """All on-disk entries (best-effort: corruption reads empty)."""
-        raise NotImplementedError
-
-    def get_many(
-        self, digests: List[str]
-    ) -> Dict[str, Optional[Metrics]]:
-        """Entries for ``digests`` that landed on disk *after*
-        :meth:`load` (a concurrent process filling the same cache).
-        Best-effort: the default says "nothing new", which is exact for
-        stores whose load reads the whole file into memory."""
-        return {}
-
-    def flush(
-        self,
-        entries: Dict[str, Optional[Metrics]],
-        dirty: Dict[str, Optional[Metrics]],
-    ) -> Dict[str, Optional[Metrics]]:
-        """Persist ``dirty``; returns the post-flush in-memory view
-        (which may fold in entries a concurrent writer landed)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release held resources (reopened lazily if used again)."""
-
-
-class JsonCacheStore(CacheStore):
-    """One JSON file per fingerprint; flush is a read-merge-write of
-    the whole file behind an atomic rename (O(total entries)).
-
-    Files are written in the columnar form (schema
-    :data:`COLUMNS_SCHEMA_VERSION`): one digest column, one length
-    column, one base64 blob of every entry's v2 codec blob
-    concatenated. Schema-1 files — per-digest entry dicts holding v1
-    tagged dicts and/or per-entry base64 strings — load transparently.
-    """
-
-    backend = "json"
-    suffix = ".json"
-
-    def __init__(self, directory: "str | Path", fingerprint: str) -> None:
-        super().__init__(directory, fingerprint)
-        #: (st_mtime_ns, st_size) of the file as last read/written by
-        #: this store — lets flush skip the read-merge step when no
-        #: other writer has touched the file in between.
-        self._disk_state: Optional[Tuple[int, int]] = None
-        #: digest -> encoded v2 blob (or ``None`` for cached
-        #: unsupported verdicts). Rewriting the whole file is inherent
-        #: to the format, but *re-encoding* every Metrics per flush is
-        #: not: each flush encodes only digests not yet in the memo
-        #: (dirty digests are evicted first, so an overwritten entry
-        #: never reuses a stale encoding).
-        self._encoded: Dict[str, Optional[bytes]] = {}
-
-    def _stat(self) -> Optional[Tuple[int, int]]:
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
-
-    @staticmethod
-    def _read_entries(path: Path) -> Dict[str, Optional[Metrics]]:
-        """Deserialize a cache file; any corruption — torn writes,
-        invalid JSON, malformed entries — yields an empty dict rather
-        than an exception (the cache is a best-effort accelerator)."""
-        try:
-            data = json.loads(path.read_text())
-            version = data.get("schema_version")
-            if version == COLUMNS_SCHEMA_VERSION:
-                return {
-                    digest: None if blob is None
-                    else codec.decode_blob(blob)
-                    for digest, blob in codec.raw_from_columns(
-                        data.get("columns") or {}
-                    ).items()
-                }
-            if version != CACHE_SCHEMA_VERSION:
-                return {}
-            return {
-                digest: _entry_from_raw(entry)
-                for digest, entry in data.get("entries", {}).items()
-            }
-        except Exception:
-            return {}
-
-    def load(self) -> Dict[str, Optional[Metrics]]:
-        self._disk_state = self._stat()
-        if self._disk_state is None:
-            return {}
-        return self._read_entries(self.path)
-
-    def flush(
-        self,
-        entries: Dict[str, Optional[Metrics]],
-        dirty: Dict[str, Optional[Metrics]],
-    ) -> Dict[str, Optional[Metrics]]:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        merged = dict(entries)
-        if self._stat() != self._disk_state:
-            # Foreign writes landed: merge them under ours (their
-            # digests join the columnar block in merged-dict order).
-            for digest, entry in self._read_entries(self.path).items():
-                merged.setdefault(digest, entry)
-        encoded = self._encoded
-        for digest in dirty:
-            # Overwritten entries must not reuse a stale encoding.
-            encoded.pop(digest, None)
-        # Digest-sorted columns: the file's byte content is a pure
-        # function of its entries, so two fills that evaluated the
-        # same grid in different orders (or on different machines)
-        # produce identical files — the property queue-vs-local
-        # equivalence checks rely on.
-        raw: Dict[str, Optional[bytes]] = {}
-        for digest in sorted(merged):
-            metrics = merged[digest]
-            blob = encoded.get(digest, _UNENCODED)
-            if blob is _UNENCODED:
-                blob = encoded[digest] = (
-                    None if metrics is None
-                    else codec.encode_metrics(metrics)
-                )
-            raw[digest] = blob
-        _atomic_write_json(
-            self.path,
-            {
-                "schema_version": COLUMNS_SCHEMA_VERSION,
-                "fingerprint": self.fingerprint,
-                "columns": codec.columns_from_raw(raw),
-            },
-        )
-        self._disk_state = self._stat()
-        return merged
-
-
-#: The SQLite store's table layout. ``meta`` pins the schema version
-#: and fingerprint (the loud merge path requires both); ``entries``
-#: holds one row per pair digest, with a NULL ``metrics`` column for
-#: cached "unsupported" verdicts.
+#: The database's table layout. ``meta`` pins the schema version and
+#: fingerprint (the loud merge path requires both); ``entries`` holds
+#: one row per pair digest, with a NULL ``metrics`` column for cached
+#: "unsupported" verdicts.
 _SQLITE_SCHEMA = (
     "CREATE TABLE IF NOT EXISTS meta ("
     " key TEXT PRIMARY KEY, value TEXT NOT NULL)",
@@ -385,13 +193,36 @@ _SQLITE_SCHEMA = (
 )
 
 
+def _require_directory(directory: Path) -> None:
+    """Refuse a cache directory that cannot be created because it, or
+    one of its parents, is not a directory — when the cache opens,
+    before any work, rather than as a traceback from the first flush."""
+    for path in (directory, *directory.parents):
+        if path.is_dir():
+            return
+        if path.exists():
+            raise CacheError(
+                f"cannot use {directory} as a cache directory: {path} "
+                f"is not a directory"
+            )
+
+
+def _legacy_error(path: Path) -> CacheError:
+    return CacheError(
+        f"{path} is a cache file from an older version, which this "
+        f"version does not read; delete it (repro cache clear "
+        f"--cache-dir {path.parent}) and refill"
+    )
+
+
 def _sqlite_connect_rw(path: Path, fingerprint: str) -> sqlite3.Connection:
     """A writable connection with the schema ensured and WAL enabled.
 
     WAL keeps readers unblocked during a writer's transaction, and
-    SQLite's own locking (with a generous busy timeout) replaces the
-    JSON store's mtime heuristic for concurrent-writer safety.
+    SQLite's own locking (with a generous busy timeout) keeps
+    concurrent writers safe.
     """
+    _require_directory(path.parent)
     path.parent.mkdir(parents=True, exist_ok=True)
     conn = sqlite3.connect(
         path, timeout=SQLITE_BUSY_TIMEOUT_S, check_same_thread=False
@@ -439,40 +270,44 @@ def _sqlite_connect_ro(path: Path) -> sqlite3.Connection:
     return sqlite3.connect(uri, uri=True, timeout=SQLITE_BUSY_TIMEOUT_S)
 
 
-#: Entry upserts as fixed literal statements (REP002: SQL is never
-#: assembled from runtime strings; the REPLACE/IGNORE choice selects
-#: between two complete templates instead of interpolating a verb).
-_UPSERT_REPLACE = (
-    "INSERT OR REPLACE INTO entries (digest, metrics) VALUES (?, ?)"
-)
-_UPSERT_IGNORE = (
-    "INSERT OR IGNORE INTO entries (digest, metrics) VALUES (?, ?)"
-)
+#: Entry upsert as a fixed literal statement (REP002: SQL is never
+#: assembled from runtime strings).
+_UPSERT = "INSERT OR REPLACE INTO entries (digest, metrics) VALUES (?, ?)"
+
+
+def _decode_row(value: Optional[bytes]) -> Optional[Metrics]:
+    """An ``entries.metrics`` value back to Metrics (``NULL`` is a
+    cached unsupported verdict). Anything but a v2 blob — such as a v1
+    JSON ``TEXT`` row — raises :class:`~repro.errors.CacheError`."""
+    return None if value is None else codec.decode_blob(value)
 
 
 class _SchemaMismatch(Exception):
     """A database whose recorded schema version this code cannot use
-    (internal control flow for the SQLite store's flush recovery)."""
+    (internal control flow for the store's flush recovery)."""
 
 
-class SqliteCacheStore(CacheStore):
-    """One SQLite database per fingerprint; flush upserts only the
-    dirty entries (O(dirty), not O(total)).
+class SqliteCacheStore:
+    """One fingerprint's SQLite database, the storage half of
+    :class:`PersistentCache`; flush upserts only the dirty entries
+    (O(dirty), not O(total)).
 
-    A sibling legacy ``<fingerprint>.json`` file seeds the *first*
-    :meth:`load` after a backend switch: its entries are imported into
-    the database durably and the JSON file is retired, so the
-    switchover never goes cold, later runs never re-parse the legacy
-    file, and ``cache stats`` never double-counts. (``repro cache
-    migrate`` does the same conversion explicitly, with loud
-    validation.)
+    The store is *not* locked — the owning :class:`PersistentCache`
+    serializes access. Opening it refuses a cache directory that is a
+    file and a leftover ``<fingerprint>.json`` from an older version
+    with :class:`~repro.errors.CacheError`.
     """
 
-    backend = "sqlite"
     suffix = ".db"
 
     def __init__(self, directory: "str | Path", fingerprint: str) -> None:
-        super().__init__(directory, fingerprint)
+        self.directory = Path(directory)
+        self.fingerprint = fingerprint
+        self.path = self.directory / f"{fingerprint}{self.suffix}"
+        _require_directory(self.directory)
+        legacy = self.path.with_suffix(".json")
+        if legacy.exists():
+            raise _legacy_error(legacy)
         self._conn: Optional[sqlite3.Connection] = None
         #: Set when load() found the database undecodable for reasons
         #: flush's except clauses cannot see again (e.g. one poisoned
@@ -486,60 +321,31 @@ class SqliteCacheStore(CacheStore):
         return self._conn
 
     def load(self) -> Dict[str, Optional[Metrics]]:
-        entries: Dict[str, Optional[Metrics]] = {}
-        db_usable = not self.path.exists()
-        if self.path.exists():
-            try:
-                conn = self._connect()
-                meta = _sqlite_meta(conn)
-                if meta.get("schema_version") == str(
-                    CACHE_SCHEMA_VERSION
-                ):
-                    db_usable = True
-                    for digest, value in conn.execute(
-                        "SELECT digest, metrics FROM entries"
-                    ):
-                        entries[digest] = codec.decode_sqlite_value(
-                            value
-                        )
-            except sqlite3.OperationalError:
-                # Transient (locked, I/O): read as empty this run but
-                # leave the file alone — it may be healthy.
-                db_usable = False
-                entries = {}
-            except Exception:
-                # Same best-effort contract as the JSON store: a
-                # corrupt database reads as empty, never as a crash.
-                # Flag it so the next flush rotates and rebuilds even
-                # when the damage (e.g. one undecodable row) would not
-                # resurface as a sqlite3.DatabaseError there.
-                db_usable = False
-                entries = {}
-                self._unreadable = True
-        legacy = self.path.with_suffix(".json")
-        if not legacy.is_file():
-            return entries
-        legacy_entries = JsonCacheStore._read_entries(legacy)
-        if not legacy_entries:
-            return entries
-        if db_usable:
-            # Fold the sibling JSON in durably (database rows win) and
-            # retire the file — whether this is the first load after a
-            # backend switch or a json-backend writer landed entries
-            # next to an existing database. Later runs then read only
-            # the database: no repeated O(total) JSON parse, no
-            # shadowed entries, no double-counted stats. Skipped when
-            # the database is corrupt/stale: flush recovery would
-            # rotate the import away with it.
-            try:
-                self._upsert(legacy_entries, replace=False)
-            except sqlite3.Error:
-                pass
-            else:
-                legacy.unlink(missing_ok=True)
-        for digest, metrics in legacy_entries.items():
-            entries.setdefault(digest, metrics)
-        return entries
+        """All on-disk entries (best-effort: problems read empty)."""
+        if not self.path.exists():
+            return {}
+        try:
+            conn = self._connect()
+            meta = _sqlite_meta(conn)
+            if meta.get("schema_version") != str(CACHE_SCHEMA_VERSION):
+                return {}
+            return {
+                digest: _decode_row(value)
+                for digest, value in conn.execute(
+                    "SELECT digest, metrics FROM entries"
+                )
+            }
+        except sqlite3.OperationalError:
+            # Transient (locked, I/O): read as empty this run but
+            # leave the file alone — it may be healthy.
+            return {}
+        except Exception:
+            # A corrupt database reads as empty, never as a crash.
+            # Flag it so the next flush rotates and rebuilds even when
+            # the damage (e.g. one undecodable row) would not resurface
+            # as a sqlite3.DatabaseError there.
+            self._unreadable = True
+            return {}
 
     def get_many(
         self, digests: List[str]
@@ -565,18 +371,13 @@ class SqliteCacheStore(CacheStore):
                     f"WHERE digest IN ({placeholders})",
                     chunk,
                 ):
-                    found[digest] = codec.decode_sqlite_value(value)
+                    found[digest] = _decode_row(value)
         except Exception:
             return {}
         return found
 
-    def _upsert(
-        self,
-        dirty: Dict[str, Optional[Metrics]],
-        replace: bool = True,
-    ) -> None:
+    def _upsert(self, dirty: Dict[str, Optional[Metrics]]) -> None:
         conn = self._connect()
-        sql = _UPSERT_REPLACE if replace else _UPSERT_IGNORE
         rows = [
             (
                 digest,
@@ -587,7 +388,7 @@ class SqliteCacheStore(CacheStore):
         ]
 
         def upsert() -> None:
-            conn.executemany(sql, rows)
+            conn.executemany(_UPSERT, rows)
             conn.commit()
 
         # Contended multi-worker flushes retry a few times before the
@@ -613,6 +414,7 @@ class SqliteCacheStore(CacheStore):
         entries: Dict[str, Optional[Metrics]],
         dirty: Dict[str, Optional[Metrics]],
     ) -> Dict[str, Optional[Metrics]]:
+        """Persist ``dirty``; returns the post-flush in-memory view."""
         try:
             if self._unreadable:
                 self._unreadable = False
@@ -629,67 +431,36 @@ class SqliteCacheStore(CacheStore):
             # "no such table" cannot reach here.)
             raise
         except (sqlite3.DatabaseError, _SchemaMismatch) as error:
-            # Match the JSON store's behavior for a file this version
-            # cannot use (a torn or stale-schema file reads as empty
-            # and is overwritten on the next flush): set the database
-            # aside and rebuild it from memory at the current schema.
+            # A file this version cannot use (torn, stale schema, an
+            # undecodable row) read as empty at load: set it aside and
+            # rebuild it from memory at the current schema.
             stale = isinstance(error, _SchemaMismatch)
             self._rotate_aside(".stale" if stale else ".corrupt")
             self._upsert(entries)
         return entries
 
     def close(self) -> None:
+        """Release the connection (reopened lazily if used again)."""
         if self._conn is not None:
             self._conn.close()
             self._conn = None
 
 
-_STORE_CLASSES: Dict[str, type] = {
-    "json": JsonCacheStore,
-    "sqlite": SqliteCacheStore,
-}
-
-
-def _require_known_backend(backend: str) -> None:
-    if backend not in CACHE_BACKENDS:
-        raise CacheError(
-            f"unknown cache backend {backend!r}; supported: "
-            f"{', '.join(CACHE_BACKENDS)}"
-        )
-
-
-def resolve_backend(
-    directory: "str | Path", fingerprint: str, backend: str
-) -> str:
-    """The concrete backend for one fingerprint under ``directory``.
-
-    ``json``/``sqlite`` are honored as given; ``auto`` prefers an
-    existing database, upgrades a JSON file that has outgrown
-    :data:`AUTO_SQLITE_SIZE_BYTES`, and otherwise stays JSON.
-    """
-    _require_known_backend(backend)
-    if backend != "auto":
-        return backend
-    root = Path(directory)
-    if (root / f"{fingerprint}.db").exists():
-        return "sqlite"
-    try:
-        size = (root / f"{fingerprint}.json").stat().st_size
-    except OSError:
-        size = 0
-    return "sqlite" if size >= AUTO_SQLITE_SIZE_BYTES else "json"
+#: The store's former base-class name, kept as an alias because
+#: tracing tools (``perfbench/tracing.py``) wrap ``CacheStore.load``
+#: and ``CacheStore.flush``.
+CacheStore = SqliteCacheStore
 
 
 class PersistentCache:
     """A dict-like store of evaluated pairs, backed by one
-    :class:`CacheStore` file.
+    :class:`SqliteCacheStore` database.
 
-    Entries live in memory after load; :meth:`flush` persists new
-    entries through the backend (the JSON store merges and atomically
-    rewrites the whole file, the SQLite store upserts only the dirty
-    rows). ``None`` values are first-class (cached "unsupported"
-    verdicts). All operations are guarded by an internal lock, so an
-    engine can perform lookups while another thread flushes.
+    Entries live in memory after load; :meth:`flush` upserts the
+    entries added since the last flush. ``None`` values are first-class
+    (cached "unsupported" verdicts). All operations are guarded by an
+    internal lock, so an engine can perform lookups while another
+    thread flushes.
     """
 
     #: Fields that must only be touched under ``self._lock`` (REP001).
@@ -697,16 +468,8 @@ class PersistentCache:
     #: ``*_locked`` suffix instead.
     _lock_guarded = frozenset({"_entries", "_dirty", "_last_flush"})
 
-    def __init__(
-        self,
-        directory: "str | Path",
-        fingerprint: str,
-        backend: str = DEFAULT_CACHE_BACKEND,
-    ) -> None:
-        resolved = resolve_backend(directory, fingerprint, backend)
-        self.store: CacheStore = _STORE_CLASSES[resolved](
-            directory, fingerprint
-        )
+    def __init__(self, directory: "str | Path", fingerprint: str) -> None:
+        self.store = SqliteCacheStore(directory, fingerprint)
         self.directory = Path(directory)
         self.fingerprint = fingerprint
         self._entries: Dict[str, Optional[Metrics]] = {}
@@ -720,23 +483,13 @@ class PersistentCache:
 
     @classmethod
     def for_estimator(
-        cls,
-        directory: "str | Path",
-        estimator: Estimator,
-        backend: str = DEFAULT_CACHE_BACKEND,
+        cls, directory: "str | Path", estimator: Estimator
     ) -> "PersistentCache":
-        return cls(
-            directory, estimator_fingerprint(estimator), backend=backend
-        )
-
-    @property
-    def backend(self) -> str:
-        """The resolved concrete backend name (``json``/``sqlite``)."""
-        return self.store.backend
+        return cls(directory, estimator_fingerprint(estimator))
 
     @property
     def path(self) -> Path:
-        """The backing file (suffix depends on the backend)."""
+        """The backing database file."""
         return self.store.path
 
     def get(self, design: str, workload_key: WorkloadKey) -> Any:
@@ -753,9 +506,9 @@ class PersistentCache:
         order, with :data:`MISS` for absent entries.
 
         One lock acquisition serves the whole batch from memory; keys
-        still missing are then probed against the backing store in one
-        bulk query (the SQLite store sees rows concurrent processes
-        committed after our load). Store finds are folded into the
+        still missing are then probed against the database in one bulk
+        query (it sees rows concurrent processes committed after our
+        load). Store finds are folded into the
         in-memory view but *not* marked dirty — they are already on
         disk."""
         digests = [
@@ -823,8 +576,8 @@ class PersistentCache:
 
         The engine calls this after every evaluation batch: a run of
         many small batches (a network sweep is one batch per layer
-        group) pays for one file rewrite per interval instead of one
-        per batch, while a crash still loses at most ``min_interval``
+        group) pays for one commit per interval instead of one per
+        batch, while a crash still loses at most ``min_interval``
         of completed work — and only on hard kills, since every
         Python-level exit path funnels through :meth:`close`, which
         flushes unconditionally."""
@@ -839,17 +592,16 @@ class PersistentCache:
     def _flush_locked(self) -> None:
         if not self._dirty:
             return
-        # No snapshot copies: the lock is held for the duration,
-        # and the JSON store builds its own merged dict (the
-        # SQLite store reads ``entries`` only on corruption
-        # recovery), so the SQLite flush stays O(dirty).
+        # No snapshot copies: the lock is held for the duration, and
+        # the store reads ``entries`` only on corruption recovery, so
+        # the flush stays O(dirty).
         self._entries = self.store.flush(self._entries, self._dirty)
         self._dirty.clear()
         self._last_flush = time.monotonic()
 
     def close(self) -> None:
-        """Flush pending entries and release backend resources (the
-        store reopens lazily, so a closed cache stays usable). The
+        """Flush pending entries and release the database connection
+        (the store reopens lazily, so a closed cache stays usable). The
         store is closed even when the final flush fails — a full disk
         must not leak the SQLite connection."""
         try:
@@ -859,100 +611,84 @@ class PersistentCache:
                 self.store.close()
 
 
-# --- directory-level maintenance (stats / clear / merge / migrate) ------
+# --- directory-level maintenance (stats / clear / merge) -----------------
 
-#: Cache files are named <16-hex-digit fingerprint>.json or .db — the
-#: strict pattern keeps ``cache clear``/``stats`` away from unrelated
-#: files (run records, benchmark output) a user may keep in the same
+#: Cache databases are named <16-hex-digit fingerprint>.db — the strict
+#: pattern keeps ``cache clear``/``stats`` away from unrelated files
+#: (run records, benchmark output) a user may keep in the same
 #: directory.
-_CACHE_FILE_RE = re.compile(r"^[0-9a-f]{16}\.(json|db)$")
+_CACHE_FILE_RE = re.compile(r"^[0-9a-f]{16}\.db$")
 
-#: Databases the SQLite store set aside during flush recovery
-#: (unusable, but they occupy space: ``stats`` reports them and
-#: ``clear`` deletes them).
-_ROTATED_FILE_RE = re.compile(r"^[0-9a-f]{16}\.db\.(corrupt|stale)$")
+#: Cache files left by older versions (the retired JSON store).
+_LEGACY_FILE_RE = re.compile(r"^[0-9a-f]{16}\.json$")
+
+#: Files that hold no usable entries but occupy space: databases set
+#: aside by flush recovery and leftover JSON cache files. ``stats``
+#: reports them as ``rotated`` and ``clear`` deletes them.
+_ROTATED_FILE_RE = re.compile(
+    r"^[0-9a-f]{16}\.(db\.(corrupt|stale)|json)$"
+)
+
+
+def _matching_files(
+    directory: "str | Path", pattern: "re.Pattern[str]"
+) -> Tuple[Path, ...]:
+    root = Path(directory)
+    if not root.is_dir():
+        return ()
+    return tuple(
+        sorted(path for path in root.iterdir() if pattern.match(path.name))
+    )
 
 
 def cache_files(directory: "str | Path") -> Tuple[Path, ...]:
-    """All cache files under a directory, both backends."""
-    root = Path(directory)
-    if not root.is_dir():
-        return ()
-    return tuple(
-        sorted(
-            path for path in root.iterdir()
-            if _CACHE_FILE_RE.match(path.name)
-        )
-    )
-
-
-def _rotated_files(directory: "str | Path") -> Tuple[Path, ...]:
-    root = Path(directory)
-    if not root.is_dir():
-        return ()
-    return tuple(
-        sorted(
-            path for path in root.iterdir()
-            if _ROTATED_FILE_RE.match(path.name)
-        )
-    )
+    """All cache databases under a directory."""
+    return _matching_files(directory, _CACHE_FILE_RE)
 
 
 def _count_entries(path: Path) -> int:
-    """Best-effort entry count of one cache file (0 on corruption)."""
-    if path.suffix == ".db":
-        try:
-            conn = _sqlite_connect_ro(path)
-            try:
-                (count,) = conn.execute(
-                    "SELECT COUNT(*) FROM entries"
-                ).fetchone()
-                return int(count)
-            finally:
-                conn.close()
-        except sqlite3.Error:
-            return 0
+    """Best-effort entry count of one database (0 on corruption)."""
     try:
-        data = json.loads(path.read_text())
-        columns = data.get("columns")
-        if columns is not None:
-            return len(columns.get("lengths", ()))
-        return len(data.get("entries", {}))
-    except (OSError, json.JSONDecodeError):
+        conn = _sqlite_connect_ro(path)
+        try:
+            (count,) = conn.execute(
+                "SELECT COUNT(*) FROM entries"
+            ).fetchone()
+            return int(count)
+        finally:
+            conn.close()
+    except sqlite3.Error:
         return 0
 
 
 def cache_stats(directory: "str | Path") -> Dict[str, Any]:
     """Aggregate statistics for ``repro cache stats``.
 
-    SQLite files doubling as job queues (a ``jobs`` table beside the
-    cache ``entries`` — see :mod:`repro.eval.queue`) additionally
-    report their per-status job counts under ``queue`` rather than
-    being listed as plain cache files.
+    Databases doubling as job queues (a ``jobs`` table beside the cache
+    ``entries`` — see :mod:`repro.eval.queue`) additionally report
+    their per-status job counts under ``queue``.
     """
     # Deferred: queue imports this module.
     from repro.eval.queue import queue_counts
 
-    files = cache_files(directory)
     per_file = []
     total_entries = 0
-    for path in files:
+    for path in cache_files(directory):
         entries = _count_entries(path)
         total_entries += entries
         info = {
             "file": path.name,
-            "backend": "sqlite" if path.suffix == ".db" else "json",
+            "backend": "sqlite",
             "entries": entries,
             "bytes": path.stat().st_size,
         }
-        if path.suffix == ".db":
-            queue = queue_counts(path)
-            if queue is not None:
-                info["queue"] = queue
+        queue = queue_counts(path)
+        if queue is not None:
+            info["queue"] = queue
         per_file.append(info)
-    for path in _rotated_files(directory):
-        # Set aside by flush recovery: no usable entries, but their
-        # bytes are real and ``clear`` reclaims them.
+    for path in _matching_files(directory, _ROTATED_FILE_RE):
+        # No usable entries, but their bytes are real and ``clear``
+        # reclaims them.
         per_file.append(
             {
                 "file": path.name,
@@ -969,9 +705,7 @@ def cache_stats(directory: "str | Path") -> Dict[str, Any]:
 
 
 def _sidecar_files(path: Path) -> Tuple[Path, ...]:
-    """A SQLite file's WAL/shared-memory companions (may not exist)."""
-    if path.suffix != ".db":
-        return ()
+    """A database's WAL/shared-memory companions (may not exist)."""
     return (
         path.with_name(path.name + "-wal"),
         path.with_name(path.name + "-shm"),
@@ -979,76 +713,52 @@ def _sidecar_files(path: Path) -> Tuple[Path, ...]:
 
 
 def clear_cache(directory: "str | Path") -> int:
-    """Delete all cache files under ``directory``; returns the count
-    (SQLite WAL sidecars and rotated ``.corrupt``/``.stale`` databases
-    are removed but not counted)."""
+    """Delete all cache databases under ``directory``; returns the
+    count (WAL sidecars, rotated ``.corrupt``/``.stale`` databases and
+    leftover JSON cache files are removed but not counted)."""
     files = cache_files(directory)
     for path in files:
         path.unlink()
         for sidecar in _sidecar_files(path):
             sidecar.unlink(missing_ok=True)
-    for path in _rotated_files(directory):
+    for path in _matching_files(directory, _ROTATED_FILE_RE):
         path.unlink()
     return len(files)
 
 
 def _read_raw_entries(path: Path) -> Dict[str, Optional[bytes]]:
-    """One cache file's entries in canonical raw form (v2 codec blobs,
-    ``None`` for cached unsupported verdicts) — loud, unlike the
-    best-effort runtime reads: merging/migrating should never silently
-    drop a shard, and v1 entries are re-encoded *through* the metrics
-    deserializer so malformed legacy content fails here rather than
-    being copied forward. The fingerprint field is *required* and must
-    match the file name; a file missing it is refused rather than
-    waved through.
+    """One database's entries as raw v2 blobs (``None`` for cached
+    unsupported verdicts) — loud, unlike the best-effort runtime reads:
+    merging should never silently drop a shard. The schema must be
+    current, the fingerprint field is *required* and must match the
+    file name, and a v1 JSON ``TEXT`` row is refused rather than copied
+    forward.
     """
-    if path.suffix == ".db":
-        try:
-            conn = _sqlite_connect_ro(path)
-        except sqlite3.Error as error:
-            raise CacheError(f"cannot read cache file {path}: {error}")
-        try:
-            meta = _sqlite_meta(conn)
-            rows = conn.execute(
-                "SELECT digest, metrics FROM entries"
-            ).fetchall()
-        except sqlite3.Error as error:
-            raise CacheError(f"cannot read cache file {path}: {error}")
-        finally:
-            conn.close()
-        schema = meta.get("schema_version")
-        if schema != str(CACHE_SCHEMA_VERSION):
-            raise CacheError(
-                f"{path} has cache schema {schema!r}; this version "
-                f"reads schema {CACHE_SCHEMA_VERSION}"
-            )
-        _require_fingerprint(path, meta.get("fingerprint"))
-        return {
-            digest: codec.raw_from_sqlite_value(value)
-            for digest, value in rows
-        }
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
+        conn = _sqlite_connect_ro(path)
+    except sqlite3.Error as error:
         raise CacheError(f"cannot read cache file {path}: {error}")
-    version = data.get("schema_version")
-    if version == COLUMNS_SCHEMA_VERSION:
-        _require_fingerprint(path, data.get("fingerprint"))
-        try:
-            return codec.raw_from_columns(data.get("columns") or {})
-        except CacheError as error:
-            raise CacheError(f"cannot read cache file {path}: {error}")
-    if version != CACHE_SCHEMA_VERSION:
+    try:
+        meta = _sqlite_meta(conn)
+        rows = conn.execute("SELECT digest, metrics FROM entries").fetchall()
+    except sqlite3.Error as error:
+        raise CacheError(f"cannot read cache file {path}: {error}")
+    finally:
+        conn.close()
+    schema = meta.get("schema_version")
+    if schema != str(CACHE_SCHEMA_VERSION):
         raise CacheError(
-            f"{path} has cache schema {version!r}; this version reads "
-            f"schemas {CACHE_SCHEMA_VERSION} and "
-            f"{COLUMNS_SCHEMA_VERSION}"
+            f"{path} has cache schema {schema!r}; this version "
+            f"reads schema {CACHE_SCHEMA_VERSION}"
         )
-    _require_fingerprint(path, data.get("fingerprint"))
-    return {
-        digest: codec.raw_from_json_entry(entry)
-        for digest, entry in data.get("entries", {}).items()
-    }
+    _require_fingerprint(path, meta.get("fingerprint"))
+    for digest, value in rows:
+        if value is not None and not isinstance(value, bytes):
+            raise CacheError(
+                f"{path} holds entry {digest} in the v1 format, which "
+                f"this version does not read; delete the file and refill"
+            )
+    return dict(rows)
 
 
 def _require_fingerprint(path: Path, fingerprint: Any) -> None:
@@ -1064,150 +774,18 @@ def _require_fingerprint(path: Path, fingerprint: Any) -> None:
         )
 
 
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    # dumps-then-write, not json.dump: streaming to a file handle
-    # takes the pure-Python iterencode path, while dumps uses the C
-    # encoder (several times faster on flush-sized payloads).
-    _atomic_write_text(path, json.dumps(payload))
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=".cache-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_raw_json(
-    path: Path,
-    fingerprint: str,
-    entries: Dict[str, Optional[bytes]],
-) -> None:
-    # Digest-sorted for canonical bytes (see JsonCacheStore.flush):
-    # merging N worker shards and one local fill of the same grid
-    # yields bit-identical files, whatever order entries landed in.
-    _atomic_write_json(
-        path,
-        {
-            "schema_version": COLUMNS_SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "columns": codec.columns_from_raw(
-                {digest: entries[digest] for digest in sorted(entries)}
-            ),
-        },
-    )
-
-
-def _write_raw_sqlite(
-    path: Path,
-    fingerprint: str,
-    entries: Dict[str, Optional[bytes]],
-    replace: bool = True,
-) -> None:
-    conn = _sqlite_connect_rw(path, fingerprint)
-    try:
-        conn.executemany(
-            _UPSERT_REPLACE if replace else _UPSERT_IGNORE,
-            list(entries.items()),
-        )
-        conn.commit()
-    finally:
-        conn.close()
-
-
-def _ordered_by_format(files: "Tuple[Path, ...] | List[Path]") -> List[Path]:
-    """JSON first, SQLite last — so a dict built by successive updates
-    lets database rows win over a stale legacy JSON sibling."""
-    return sorted(files, key=lambda path: path.suffix == ".db")
-
-
-def _reencode_v1_rows(path: Path) -> int:
-    """Re-encode any v1 JSON TEXT rows of one database as v2 codec
-    blobs, in place; returns how many rows were upgraded. The rows were
-    already validated by a loud read, so this is a mechanical rewrite.
-    """
-    conn = _sqlite_connect_rw(path, path.stem)
-    try:
-        rows = conn.execute(
-            "SELECT digest, metrics FROM entries "
-            "WHERE typeof(metrics) = 'text'"
-        ).fetchall()
-        if rows:
-            conn.executemany(
-                "UPDATE entries SET metrics = ? WHERE digest = ?",
-                [
-                    (codec.blob_from_raw_dict(json.loads(text)), digest)
-                    for digest, text in rows
-                ],
-            )
-            conn.commit()
-    finally:
-        conn.close()
-    return len(rows)
-
-
-def migrate_cache_dir(directory: "str | Path") -> Dict[str, Any]:
-    """Bring every cache file under ``directory`` to the current
-    on-disk format in place (``repro cache migrate``).
-
-    Each ``<fingerprint>.json`` is folded into ``<fingerprint>.db``
-    (existing database rows win — they are newer) and then deleted;
-    remaining databases then have any v1 JSON TEXT rows re-encoded as
-    v2 codec blobs. Reads are loud: a corrupt or misnamed shard raises
-    :class:`~repro.errors.CacheError` before anything is deleted.
-    Returns a summary dict (per-file entry counts, totals).
-    """
-    root = Path(directory)
-    migrated: List[Dict[str, Any]] = []
-    total = 0
-    for path in cache_files(root):
-        if path.suffix != ".json":
-            continue
-        entries = _read_raw_entries(path)
-        db_path = path.with_suffix(".db")
-        if db_path.is_file():
-            # Validate the fold-into destination as loudly as the
-            # source: folding rows into a corrupt or stale-schema
-            # database and then deleting the JSON would lose them.
-            _read_raw_entries(db_path)
-        _write_raw_sqlite(db_path, path.stem, entries, replace=False)
-        path.unlink()
-        migrated.append(
-            {
-                "fingerprint": path.stem,
-                "entries": len(entries),
-                "path": str(db_path),
-            }
-        )
-        total += len(entries)
-    reencoded = 0
-    for path in cache_files(root):
-        if path.suffix != ".db":
-            continue
-        _read_raw_entries(path)  # loud validation before rewriting
-        reencoded += _reencode_v1_rows(path)
-    return {
-        "directory": str(root),
-        "files": migrated,
-        "total_entries": total,
-        "reencoded_rows": reencoded,
-    }
+def _refuse_legacy_files(directory: "str | Path") -> None:
+    legacy = _matching_files(directory, _LEGACY_FILE_RE)
+    if legacy:
+        raise _legacy_error(legacy[0])
 
 
 def merge_cache_dirs(
     sources: "Tuple[str | Path, ...] | list",
     dest: "str | Path",
-    backend: str = DEFAULT_CACHE_BACKEND,
 ) -> Dict[str, Any]:
-    """Merge the cache files of ``sources`` into ``dest`` (one file).
+    """Merge the cache databases of ``sources`` into ``dest`` (one
+    database).
 
     This is the fan-in step of a sharded grid fill: N workers each run
     with their own ``--cache-dir`` against the *same* estimator, then
@@ -1215,26 +793,23 @@ def merge_cache_dirs(
     directories must therefore hold exactly one, identical estimator
     fingerprint — mixing fingerprints would silently interleave
     incompatible cost models, so it raises
-    :class:`~repro.errors.CacheError` instead. Shards may be stored in
-    either backend (a directory holding both formats of one fingerprint
-    contributes their union, database rows winning). Entries are
-    content-keyed, so overlapping shards merge idempotently; existing
-    ``dest`` files of the same fingerprint are merged under the sources
-    and consolidated into a single file of the resolved ``backend``
-    (``auto``: keep the dest's current format, or pick SQLite for
-    fresh merges of :data:`AUTO_SQLITE_ENTRIES`+ entries).
+    :class:`~repro.errors.CacheError` instead, as does any unreadable,
+    stale-schema or misnamed database, a v1 row, and a leftover JSON
+    cache file from an older version. Entries are content-keyed, so
+    overlapping shards merge idempotently; existing ``dest`` entries of
+    the same fingerprint are merged under the sources.
 
-    Returns a summary dict (``fingerprint``, ``path``, ``backend``,
-    per-source and total entry counts, how many were new to ``dest``).
+    Returns a summary dict (``fingerprint``, ``path``, per-source and
+    total entry counts, how many were new to ``dest``).
     """
-    _require_known_backend(backend)
     per_dir: Dict[str, Tuple[Path, ...]] = {}
     for source in sources:
+        _refuse_legacy_files(source)
         files = cache_files(source)
         if not files:
             raise CacheError(
                 f"no cache files under {source} (expected "
-                f"<fingerprint>.json or .db; is this a --cache-dir?)"
+                f"<fingerprint>.db; is this a --cache-dir?)"
             )
         per_dir[str(source)] = files
     fingerprints = {
@@ -1251,53 +826,27 @@ def merge_cache_dirs(
             f"same estimator, one fingerprint per directory"
         )
     fingerprint = fingerprints.pop()
+    _refuse_legacy_files(dest)
     merged: Dict[str, Optional[bytes]] = {}
     source_counts: Dict[str, int] = {}
-    for source, files in per_dir.items():
-        dir_entries: Dict[str, Optional[bytes]] = {}
-        for path in _ordered_by_format(files):
-            dir_entries.update(_read_raw_entries(path))
-        source_counts[source] = len(dir_entries)
-        merged.update(dir_entries)
-    dest_dir = Path(dest)
-    dest_json = dest_dir / f"{fingerprint}.json"
-    dest_db = dest_dir / f"{fingerprint}.db"
-    existing_entries: Dict[str, Optional[bytes]] = {}
-    for path in _ordered_by_format(
-        [p for p in (dest_json, dest_db) if p.is_file()]
-    ):
-        existing_entries.update(_read_raw_entries(path))
-    existing = len(existing_entries)
-    for digest, entry in existing_entries.items():
+    for source, (path,) in per_dir.items():
+        entries = _read_raw_entries(path)
+        source_counts[source] = len(entries)
+        merged.update(entries)
+    dest_db = Path(dest) / f"{fingerprint}.db"
+    existing = _read_raw_entries(dest_db) if dest_db.is_file() else {}
+    for digest, entry in existing.items():
         merged.setdefault(digest, entry)
-    if backend != "auto":
-        dest_backend = backend
-    elif dest_db.is_file():
-        dest_backend = "sqlite"
-    elif dest_json.is_file():
-        dest_backend = "json"
-    else:
-        dest_backend = (
-            "sqlite" if len(merged) >= AUTO_SQLITE_ENTRIES else "json"
-        )
-    if dest_backend == "sqlite":
-        _write_raw_sqlite(dest_db, fingerprint, merged)
-        absorbed = dest_json
-    else:
-        _write_raw_json(dest_json, fingerprint, merged)
-        absorbed = dest_db
-        for sidecar in _sidecar_files(dest_db):
-            sidecar.unlink(missing_ok=True)
-    # The other-format dest file (if any) is fully folded in above;
-    # leaving it behind would double-count in stats and shadow the
-    # merge under the auto backend.
-    absorbed.unlink(missing_ok=True)
-    dest_path = dest_db if dest_backend == "sqlite" else dest_json
+    conn = _sqlite_connect_rw(dest_db, fingerprint)
+    try:
+        conn.executemany(_UPSERT, list(merged.items()))
+        conn.commit()
+    finally:
+        conn.close()
     return {
         "fingerprint": fingerprint,
-        "path": str(dest_path),
-        "backend": dest_backend,
+        "path": str(dest_db),
         "sources": source_counts,
         "total_entries": len(merged),
-        "new_entries": len(merged) - existing,
+        "new_entries": len(merged) - len(existing),
     }

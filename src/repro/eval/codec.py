@@ -1,4 +1,4 @@
-"""Columnar wire codec for cached :class:`~repro.model.metrics.Metrics`.
+"""Packed wire codec for cached :class:`~repro.model.metrics.Metrics`.
 
 Cache profiling after the batch-evaluation work showed the residual
 cold/warm cost of a sweep is not model math but metrics serialization:
@@ -18,25 +18,20 @@ the *exact* floats that were encoded (no text round-trip), and the
 component name block preserves breakdown key order — the equivalence
 suite asserts ``==`` on decoded metrics including dict order.
 
-Versioning is per entry, not per file: the cache file schema stays at
-version 1 and old v1 entries (JSON dicts in the JSON store, TEXT rows
-in the SQLite store) remain readable next to v2 blobs. ``repro cache
-migrate`` re-encodes v1 rows; the loud maintenance paths (merge /
-migrate) use the v2 blob as their interchange form.
+Versioning is per entry: the version byte leads every blob. The v1
+form (a JSON dict, as written by older versions) is not read — it
+fails decoding as a :class:`~repro.errors.CacheError`.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import struct
-from typing import Any, Dict, Optional
+from typing import Dict
 
 from repro.errors import CacheError
 from repro.model.metrics import Metrics
-from repro.serialization import metrics_from_dict, metrics_to_dict
 
-#: Version byte of the packed-blob entry encoding (v1 is the tagged
+#: Version byte of the packed-blob entry encoding (v1 was the tagged
 #: JSON dict produced by :func:`~repro.serialization.metrics_to_dict`).
 METRICS_CODEC_VERSION = 2
 
@@ -153,7 +148,8 @@ def decode_blob(blob: bytes) -> Metrics:
     ``__post_init__`` range checks are bypassed (the blob was encoded
     from an already-validated Metrics, and skipping re-validation is
     most of the warm-load win). Structural corruption — a bad version
-    byte, truncated payload, mismatched name count — still raises
+    byte, truncated payload, mismatched name count, a value that is not
+    bytes (a v1 JSON ``TEXT`` row) — still raises
     :class:`~repro.errors.CacheError`, which the best-effort runtime
     readers treat like any other corrupt cache content.
     """
@@ -174,7 +170,7 @@ def decode_blob(blob: bytes) -> Metrics:
         values = _values_struct(n).unpack_from(blob, offset)
     except CacheError:
         raise
-    except (struct.error, UnicodeDecodeError) as error:
+    except (struct.error, TypeError, UnicodeDecodeError) as error:
         raise CacheError(f"corrupt metrics blob: {error}")
     names = names_block.split("\0") if nlen else []
     if len(names) != n:
@@ -192,149 +188,3 @@ def decode_blob(blob: bytes) -> Metrics:
         swapped=bool(flags & 2),
     )
     return metrics
-
-
-# --- store value forms ---------------------------------------------------
-#
-# The SQLite store keeps blobs as BLOB column values (v1 rows are JSON
-# TEXT). The JSON store writes whole files in the columnar block form
-# below; its schema-1 files carried per-entry values — base64 strings
-# of v2 blobs or v1 JSON dicts — which these decoders still read by
-# dispatching on the stored type.
-
-
-def decode_sqlite_value(value: "bytes | str | None") -> Optional[Metrics]:
-    """A SQLite ``metrics`` column value back to Metrics (or None)."""
-    if value is None:
-        return None
-    if isinstance(value, bytes):
-        return decode_blob(value)
-    return metrics_from_dict(json.loads(value))
-
-
-def json_entry_from_metrics(metrics: Metrics) -> str:
-    """One Metrics as a v2 JSON-store entry (base64 of the blob)."""
-    return base64.b64encode(encode_metrics(metrics)).decode("ascii")
-
-
-def decode_json_entry(entry: "str | Dict[str, Any] | None") -> Optional[Metrics]:
-    """A JSON-store entry value back to Metrics (or None)."""
-    if entry is None:
-        return None
-    if isinstance(entry, str):
-        return decode_blob(base64.b64decode(entry))
-    return metrics_from_dict(entry)
-
-
-# --- raw bridges (loud maintenance paths) --------------------------------
-#
-# ``repro cache merge``/``migrate`` move entries between files without
-# keeping Metrics objects around; their interchange form is the v2 blob
-# itself (``None`` for cached unsupported verdicts). Conversions from
-# v1 forms go *through* metrics_from_dict, so a malformed legacy entry
-# fails loudly instead of being copied forward.
-
-
-def blob_from_raw_dict(raw: Dict[str, Any]) -> bytes:
-    """A v1 tagged metrics dict re-encoded as a v2 blob (validating)."""
-    return encode_metrics(metrics_from_dict(raw))
-
-
-def raw_from_sqlite_value(value: "bytes | str | None") -> Optional[bytes]:
-    """A SQLite column value in canonical raw (blob) form."""
-    if value is None or isinstance(value, bytes):
-        return value
-    return blob_from_raw_dict(json.loads(value))
-
-
-def raw_from_json_entry(
-    entry: "str | Dict[str, Any] | None"
-) -> Optional[bytes]:
-    """A JSON-store entry value in canonical raw (blob) form."""
-    if entry is None:
-        return None
-    if isinstance(entry, str):
-        return base64.b64decode(entry)
-    return blob_from_raw_dict(entry)
-
-
-def json_entry_from_blob(blob: Optional[bytes]) -> Optional[str]:
-    """A raw blob as a JSON-store entry value."""
-    return None if blob is None else base64.b64encode(blob).decode("ascii")
-
-
-# --- columnar block (JSON store schema 2) --------------------------------
-#
-# The JSON store's current file form keeps all entries in one columnar
-# block: a space-joined digest column, a per-entry length column, and a
-# single base64 string of every v2 blob concatenated in digest order.
-# One base64 encode/decode covers the whole file (the per-entry form
-# paid one per entry), and a length of 0 marks a cached ``None``
-# verdict — a real v2 blob is never empty (its fixed header alone is
-# 34 bytes).
-
-
-def columns_from_raw(
-    entries: Dict[str, Optional[bytes]]
-) -> Dict[str, Any]:
-    """A digest -> raw-blob mapping as the columnar block dict."""
-    lengths: list = []
-    blobs: list = []
-    for blob in entries.values():
-        if blob is None:
-            lengths.append(0)
-        else:
-            lengths.append(len(blob))
-            blobs.append(blob)
-    return {
-        "digests": " ".join(entries),
-        "lengths": lengths,
-        "blob": base64.b64encode(b"".join(blobs)).decode("ascii"),
-    }
-
-
-def raw_from_columns(
-    columns: Dict[str, Any]
-) -> Dict[str, Optional[bytes]]:
-    """A columnar block back to the digest -> raw-blob mapping.
-
-    Loud: any structural inconsistency — missing keys, digest/length
-    count mismatch, a blob shorter or longer than the lengths claim —
-    raises :class:`~repro.errors.CacheError`. Best-effort callers wrap
-    this in their usual corruption handling.
-    """
-    try:
-        digest_block = columns["digests"]
-        lengths = columns["lengths"]
-        blob = base64.b64decode(columns["blob"], validate=True)
-    except (KeyError, TypeError, ValueError) as error:
-        raise CacheError(f"corrupt columnar cache block: {error}")
-    digests = digest_block.split() if digest_block else []
-    if len(digests) != len(lengths):
-        raise CacheError(
-            f"corrupt columnar cache block: {len(digests)} digests, "
-            f"{len(lengths)} lengths"
-        )
-    entries: Dict[str, Optional[bytes]] = {}
-    offset = 0
-    for digest, length in zip(digests, lengths):
-        if not isinstance(length, int) or length < 0:
-            raise CacheError(
-                f"corrupt columnar cache block: bad length {length!r}"
-            )
-        if length == 0:
-            entries[digest] = None
-        else:
-            entries[digest] = blob[offset:offset + length]
-            offset += length
-    if offset != len(blob):
-        raise CacheError(
-            f"corrupt columnar cache block: lengths cover {offset} "
-            f"bytes, blob holds {len(blob)}"
-        )
-    return entries
-
-
-def raw_dict_from_blob(blob: bytes) -> Dict[str, Any]:
-    """A raw blob as the v1 tagged dict (for human-readable export)."""
-    return metrics_to_dict(decode_blob(blob))

@@ -846,10 +846,10 @@ class SweepEngine:
                 raise
             # Disk I/O stays outside the engine lock (the cache has its
             # own); other threads keep hitting the in-memory cache
-            # while the merged file is rewritten. Debounced: a sweep of
-            # many quick batches persists once per flush_interval (and
+            # while it flushes. Debounced: a sweep of many quick
+            # batches persists once per flush_interval (and
             # unconditionally at close / on the failure path above)
-            # instead of rewriting the file per batch.
+            # instead of committing per batch.
             if self.persistent is not None:
                 self.persistent.maybe_flush(self.flush_interval)
         for event in waits.values():
@@ -1063,14 +1063,6 @@ class EngineContext:
             return None
         return str(self.engine.persistent.directory)
 
-    @property
-    def cache_backend(self) -> Optional[str]:
-        """The resolved cache storage backend (``json``/``sqlite``),
-        when a persistent cache is attached."""
-        if self.engine.persistent is None:
-            return None
-        return self.engine.persistent.backend
-
     @classmethod
     def create(
         cls,
@@ -1078,15 +1070,18 @@ class EngineContext:
         jobs: int = 1,
         backend: str = "thread",
         cache_dir: "Optional[str]" = None,
-        cache_backend: str = cache_mod.DEFAULT_CACHE_BACKEND,
         record: Optional[str] = None,
     ) -> "EngineContext":
-        """Build a context from invocation settings (the CLI path)."""
+        """Build a context from invocation settings (the CLI path).
+
+        A cache that cannot open (``cache_dir`` is a file, or holds a
+        leftover cache from an older version) raises
+        :class:`~repro.errors.CacheError` before any work."""
         engine = SweepEngine(estimator, jobs=jobs, backend=backend)
         if cache_dir is not None:
             engine.attach_cache(
                 cache_mod.PersistentCache.for_estimator(
-                    cache_dir, engine.estimator, backend=cache_backend
+                    cache_dir, engine.estimator
                 )
             )
         return cls(engine=engine, record_path=record)

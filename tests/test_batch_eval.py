@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sqlite3
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ import repro.accelerators  # noqa: F401 - populates the registry
 from repro.accelerators.base import evaluate_workloads_batch
 from repro.accelerators.registry import REGISTRY
 from repro.dnn.models import deit_small
-from repro.eval import codec
 from repro.energy.estimator import Estimator
 from repro.errors import ModelError
 from repro.eval.cache import MISS, PersistentCache
@@ -136,9 +137,7 @@ class TestEngineBatchPath:
     def _sweep_payload(self, tmp_path, use_batch, jobs=1,
                        backend="thread"):
         estimator = Estimator()
-        cache = PersistentCache.for_estimator(
-            tmp_path, estimator, backend="json"
-        )
+        cache = PersistentCache.for_estimator(tmp_path, estimator)
         engine = SweepEngine(
             estimator, cache=cache, use_batch=use_batch,
             jobs=jobs, backend=backend,
@@ -158,27 +157,25 @@ class TestEngineBatchPath:
                 for key, value in sweep.cells.items()
             )
         }
-        return payload, cache.path.read_bytes(), engine.stats
+        # Digest order: the routes may record entries in different
+        # orders, but digest for digest the blobs must match.
+        with closing(sqlite3.connect(cache.path)) as conn:
+            rows = conn.execute(
+                "SELECT digest, metrics FROM entries ORDER BY digest"
+            ).fetchall()
+        return payload, rows, engine.stats
 
     def test_batch_and_scalar_routes_are_byte_identical(self, tmp_path):
-        batch_payload, batch_file, batch_stats = self._sweep_payload(
+        batch_payload, batch_rows, batch_stats = self._sweep_payload(
             tmp_path / "batch", use_batch=True
         )
-        scalar_payload, scalar_file, scalar_stats = self._sweep_payload(
+        scalar_payload, scalar_rows, scalar_stats = self._sweep_payload(
             tmp_path / "scalar", use_batch=False
         )
         assert json.dumps(batch_payload, sort_keys=True) == json.dumps(
             scalar_payload, sort_keys=True
         )
-        # The batch route records misses grouped by design, so the two
-        # files may list entries in a different order — but digest for
-        # digest the encoded blobs must match byte for byte.
-        batch_data = json.loads(batch_file)
-        scalar_data = json.loads(scalar_file)
-        assert batch_data["fingerprint"] == scalar_data["fingerprint"]
-        batch_raw = codec.raw_from_columns(batch_data["columns"])
-        scalar_raw = codec.raw_from_columns(scalar_data["columns"])
-        assert batch_raw == scalar_raw
+        assert batch_rows == scalar_rows
         assert batch_stats.misses == scalar_stats.misses
         assert batch_stats.hits == scalar_stats.hits
 
@@ -186,26 +183,20 @@ class TestEngineBatchPath:
     def test_parallel_backends_match_scalar(self, tmp_path, backend):
         """--jobs 4 over either worker backend must be indistinguishable
         from the sequential scalar route: same payload floats, and the
-        persisted cache files must carry byte-identical blobs."""
-        parallel_payload, parallel_file, parallel_stats = (
+        persisted caches must carry byte-identical blobs."""
+        parallel_payload, parallel_rows, parallel_stats = (
             self._sweep_payload(
                 tmp_path / backend, use_batch=True,
                 jobs=4, backend=backend,
             )
         )
-        scalar_payload, scalar_file, scalar_stats = self._sweep_payload(
+        scalar_payload, scalar_rows, scalar_stats = self._sweep_payload(
             tmp_path / "scalar", use_batch=False
         )
         assert json.dumps(parallel_payload, sort_keys=True) == json.dumps(
             scalar_payload, sort_keys=True
         )
-        parallel_raw = codec.raw_from_columns(
-            json.loads(parallel_file)["columns"]
-        )
-        scalar_raw = codec.raw_from_columns(
-            json.loads(scalar_file)["columns"]
-        )
-        assert parallel_raw == scalar_raw
+        assert parallel_rows == scalar_rows
         assert parallel_stats.misses == scalar_stats.misses
 
     def test_interrupt_mid_batch_keeps_completed_chunks(
@@ -215,9 +206,7 @@ class TestEngineBatchPath:
         chunk recorded in the persistent cache — the chunk bound is the
         interrupt-durability granularity."""
         estimator = Estimator()
-        cache = PersistentCache.for_estimator(
-            tmp_path, estimator, backend="json"
-        )
+        cache = PersistentCache.for_estimator(tmp_path, estimator)
         engine = SweepEngine(estimator, cache=cache, use_batch=True)
         engine.batch_chunk_rows = 4
         workloads = [
@@ -240,9 +229,7 @@ class TestEngineBatchPath:
         assert calls == [4, 4, 4]
         # The failure path flushed; a fresh cache must see exactly the
         # first two chunks' entries (plan order = submission order).
-        fresh = PersistentCache.for_estimator(
-            tmp_path, estimator, backend="json"
-        )
+        fresh = PersistentCache.for_estimator(tmp_path, estimator)
         keys = [("HighLight", w.key()) for w in workloads]
         probed = fresh.get_many(keys)
         assert [entry is not MISS for entry in probed] == (

@@ -1,6 +1,6 @@
 """Tests for the persistent (design, workload) evaluation cache."""
 
-import json
+import sqlite3
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.energy import Estimator
 from repro.energy.tables import EnergyAreaTable
 from repro.errors import CacheError
 from repro.eval.cache import (
-    COLUMNS_SCHEMA_VERSION,
+    CACHE_SCHEMA_VERSION,
     MISS,
     PersistentCache,
     cache_stats,
@@ -83,6 +83,8 @@ class TestPersistentCache:
         first.flush()
         second.put("STC", workload.key(), None)
         second.flush()
+        first.close()
+        second.close()
         reloaded = PersistentCache.for_estimator(tmp_path, estimator)
         assert reloaded.get("TC", workload.key()) is None
         assert reloaded.get("STC", workload.key()) is None
@@ -90,21 +92,23 @@ class TestPersistentCache:
     def test_corrupt_file_treated_as_empty(self, tmp_path, estimator):
         cache = PersistentCache.for_estimator(tmp_path, estimator)
         cache.path.parent.mkdir(parents=True, exist_ok=True)
-        cache.path.write_text("{not json")
+        cache.path.write_text("not a database")
         assert len(PersistentCache.for_estimator(tmp_path,
                                                  estimator)) == 0
 
     def test_malformed_entries_treated_as_empty(self, tmp_path,
                                                 estimator):
-        """Valid JSON with a broken entry must not crash every
+        """A valid database with a broken entry must not crash every
         subsequent run — the cache is best-effort."""
         cache = PersistentCache.for_estimator(tmp_path, estimator)
-        cache.path.parent.mkdir(parents=True, exist_ok=True)
-        cache.path.write_text(json.dumps({
-            "schema_version": 1,
-            "fingerprint": cache.fingerprint,
-            "entries": {"a" * 64: {"kind": "metrics"}},  # missing keys
-        }))
+        cache.put("TC", ("key",), None)
+        cache.close()
+        with sqlite3.connect(cache.path) as conn:
+            conn.execute(
+                "INSERT INTO entries VALUES (?, ?)",
+                ("a" * 64, b"\x02truncated"),
+            )
+        conn.close()
         assert len(PersistentCache.for_estimator(tmp_path,
                                                  estimator)) == 0
 
@@ -148,16 +152,22 @@ class TestEngineIntegration:
                 theirs = warm_sweep.cells[cell][design]
                 assert ours.edp == pytest.approx(theirs.edp)
 
-    def test_cache_file_is_valid_json(self, tmp_path, workload):
+    def test_cache_file_is_a_valid_database(self, tmp_path, workload):
         estimator = Estimator()
         cache = PersistentCache.for_estimator(tmp_path, estimator)
         engine = SweepEngine(estimator, cache=cache)
         engine.evaluate_workloads([("HighLight", workload)])
-        engine.flush()
-        data = json.loads(cache.path.read_text())
-        assert data["fingerprint"] == cache.fingerprint
-        assert data["schema_version"] == COLUMNS_SCHEMA_VERSION
-        assert len(data["columns"]["lengths"]) == 1
+        engine.close()
+        assert cache.path.name == f"{cache.fingerprint}.db"
+        with sqlite3.connect(cache.path) as conn:
+            meta = dict(conn.execute("SELECT key, value FROM meta"))
+            rows = conn.execute("SELECT metrics FROM entries").fetchall()
+        conn.close()
+        assert meta == {
+            "fingerprint": cache.fingerprint,
+            "schema_version": str(CACHE_SCHEMA_VERSION),
+        }
+        assert len(rows) == 1 and isinstance(rows[0][0], bytes)
 
 
 class TestMaintenance:
@@ -173,7 +183,7 @@ class TestMaintenance:
 
     def test_clear_leaves_foreign_json_alone(self, tmp_path, estimator,
                                              workload):
-        """Only <fingerprint>.json files are cache files; run records
+        """Only <fingerprint>.db files are cache files; run records
         or other JSON sharing the directory must survive a clear."""
         cache = PersistentCache.for_estimator(tmp_path, estimator)
         cache.put("TC", workload.key(), None)
@@ -249,7 +259,7 @@ class TestMergeCacheDirs:
     def test_corrupt_source_is_loud(self, tmp_path, estimator):
         shard = tmp_path / "s1"
         shard.mkdir()
-        path = shard / f"{estimator_fingerprint(estimator)}.json"
-        path.write_text("{not json")
+        path = shard / f"{estimator_fingerprint(estimator)}.db"
+        path.write_text("not a database")
         with pytest.raises(CacheError, match="cannot read"):
             merge_cache_dirs([shard], tmp_path / "out")

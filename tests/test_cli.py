@@ -7,6 +7,7 @@ import pytest
 from repro.cli import ARTIFACTS, ORDER, main, run_artifacts
 from repro.energy import Estimator
 from repro.eval import experiments as E
+from repro.eval.cache import _sqlite_connect_rw, estimator_fingerprint
 from repro.eval.report import build_report
 
 
@@ -414,16 +415,28 @@ class TestCacheMergeSubcommand:
         shard = tmp_path / "s1"
         self._fill_shard(shard, "0.0")
         foreign = tmp_path / "foreign"
-        foreign.mkdir()
-        (foreign / ("deadbeef" * 2 + ".json")).write_text(json.dumps({
-            "schema_version": 1, "fingerprint": "deadbeef" * 2,
-            "entries": {},
-        }))
+        _sqlite_connect_rw(
+            foreign / ("deadbeef" * 2 + ".db"), "deadbeef" * 2
+        ).close()
         capsys.readouterr()
         with pytest.raises(SystemExit):
             main(["cache", "merge", str(shard), str(foreign),
                   "--cache-dir", str(tmp_path / "out")])
         assert "mismatched" in capsys.readouterr().err
+
+    def test_leftover_json_source_refused(self, tmp_path, capsys):
+        shard = tmp_path / "s1"
+        self._fill_shard(shard, "0.0")
+        (db,) = shard.glob("*.db")
+        leftover = db.with_suffix(".json")
+        leftover.write_text("{}")
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["cache", "merge", str(shard),
+                  "--cache-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert str(leftover) in err
+        assert "older version" in err
 
     def test_merge_without_sources_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -448,13 +461,28 @@ class TestCacheSubcommand:
                      str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "total entries" in out
-        assert ".json" in out
+        assert ".db" in out
+        assert "sqlite" in out
         assert main(["cache", "clear", "--cache-dir",
                      str(cache_dir)]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir",
                      str(cache_dir)]) == 0
         assert "(empty)" in capsys.readouterr().out
+
+    def test_stats_show_backend_column(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        assert main([
+            "sweep", "--designs", "TC", "--a-degrees", "0.0",
+            "--b-degrees", "0.0", "--size", "128",
+            "--cache-dir", str(cache_dir),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir",
+                     str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert ".db" in out
+        assert "sqlite" in out
 
     def test_stats_json_is_the_serve_stats_cache_payload(
         self, tmp_path, capsys
@@ -473,7 +501,26 @@ class TestCacheSubcommand:
         # Exactly the document GET /v1/stats serves under "cache".
         assert payload == cache_stats(cache_dir)
         assert payload["total_entries"] > 0
-        assert payload["files"][0]["backend"] == "json"
+        assert payload["files"][0]["backend"] == "sqlite"
+
+    def test_fresh_cache_dir_holds_only_the_database(self, tmp_path,
+                                                     capsys):
+        """`repro all` on a fresh --cache-dir leaves exactly one
+        <fingerprint>.db behind (no JSON, no WAL sidecars), and a warm
+        rerun evaluates nothing."""
+        cache_dir = tmp_path / "cache"
+        argv = ["all", "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        fingerprint = estimator_fingerprint(Estimator())
+        assert [p.name for p in cache_dir.iterdir()] == [
+            f"{fingerprint}.db"
+        ]
+        record_path = tmp_path / "warm.json"
+        assert main(argv + ["--record", str(record_path)]) == 0
+        capsys.readouterr()
+        record = json.loads(record_path.read_text())
+        assert record["cache"]["evaluations"] == 0
+        assert record["cache"]["disk_hits"] > 0
 
     def test_json_format_only_applies_to_stats(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -497,102 +544,25 @@ class TestCacheSubcommand:
         assert str(cache_dir) in capsys.readouterr().out
 
 
-class TestCacheBackendOption:
-    def test_sqlite_backend_end_to_end(self, tmp_path, capsys):
-        """`--cache-backend sqlite` writes a .db and a warm rerun (via
-        auto detection) performs zero evaluations."""
-        cache_dir = tmp_path / "cache"
-        argv = [
-            "sweep", "--designs", "TC,HighLight",
-            "--a-degrees", "0.5", "--b-degrees", "0.0",
-            "--size", "128", "--cache-dir", str(cache_dir),
-        ]
-        assert main(argv + ["--cache-backend", "sqlite"]) == 0
-        assert list(cache_dir.glob("*.db"))
-        assert not list(cache_dir.glob("*.json"))
-        record_path = tmp_path / "warm.json"
-        assert main(argv + ["--record", str(record_path)]) == 0
-        capsys.readouterr()
-        record = json.loads(record_path.read_text())
-        assert record["cache"]["evaluations"] == 0
-        assert record["cache"]["disk_hits"] > 0
-
-    def test_stats_show_backend_column(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert main([
-            "sweep", "--designs", "TC", "--a-degrees", "0.0",
-            "--b-degrees", "0.0", "--size", "128",
-            "--cache-dir", str(cache_dir),
-            "--cache-backend", "sqlite",
-        ]) == 0
-        capsys.readouterr()
-        assert main(["cache", "stats", "--cache-dir",
-                     str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert ".db" in out
-        assert "sqlite" in out
-
-    def test_migrate_converts_json_to_sqlite(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        fill = [
-            "sweep", "--designs", "TC,HighLight",
-            "--a-degrees", "0.5", "--b-degrees", "0.0",
-            "--size", "128", "--cache-dir", str(cache_dir),
-        ]
-        assert main(fill + ["--cache-backend", "json"]) == 0
-        capsys.readouterr()
-        assert main(["cache", "migrate", "--cache-dir",
-                     str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 1 file(s)" in out
-        assert not list(cache_dir.glob("*.json"))
-        assert list(cache_dir.glob("*.db"))
-        # The migrated cache serves a warm run untouched.
-        record_path = tmp_path / "warm.json"
-        assert main(fill + ["--record", str(record_path)]) == 0
-        record = json.loads(record_path.read_text())
-        assert record["cache"]["evaluations"] == 0
-
-    def test_migrate_on_empty_directory(self, tmp_path, capsys):
-        (tmp_path / "empty").mkdir()
-        assert main(["cache", "migrate", "--cache-dir",
-                     str(tmp_path / "empty")]) == 0
-        assert "no cache files to migrate" in capsys.readouterr().out
-
-    def test_merge_backend_controls_dest_format(self, tmp_path, capsys):
-        shard = tmp_path / "s1"
-        assert main([
-            "sweep", "--designs", "TC", "--a-degrees", "0.0",
-            "--b-degrees", "0.0", "--size", "128",
-            "--cache-dir", str(shard),
-        ]) == 0
-        merged = tmp_path / "merged"
-        capsys.readouterr()
-        assert main([
-            "cache", "merge", str(shard), "--cache-dir", str(merged),
-            "--cache-backend", "sqlite",
-        ]) == 0
-        assert "(sqlite)" in capsys.readouterr().out
-        assert list(merged.glob("*.db"))
-
-    def test_bad_backend_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main([
-                "sweep", "--designs", "TC", "--cache-dir",
-                str(tmp_path), "--cache-backend", "shelve",
-            ])
-
-    def test_cache_backend_rejected_outside_merge(self, tmp_path,
-                                                  capsys):
-        """'cache migrate --cache-backend json' must not exit 0 while
-        converting to sqlite anyway."""
-        for action in ("stats", "clear", "migrate"):
-            with pytest.raises(SystemExit):
-                main([
-                    "cache", action, "--cache-dir", str(tmp_path),
-                    "--cache-backend", "json",
-                ])
-            assert "cache merge" in capsys.readouterr().err
+class TestCacheDirValidation:
+    @pytest.mark.parametrize("argv", (
+        ["sweep", "--designs", "TC", "--size", "64"],
+        ["serve", "--port", "0"],
+    ), ids=("sweep", "serve"))
+    def test_cache_dir_naming_a_file_is_a_usage_error(
+        self, tmp_path, capsys, argv
+    ):
+        """Refused when the cache opens — before any evaluation is
+        printed or any request is accepted — not as a traceback from
+        the final flush."""
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--cache-dir", str(not_a_dir)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not a directory" in captured.err
 
 
 class TestListSubcommand:

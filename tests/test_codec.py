@@ -2,16 +2,14 @@
 
 The codec's contract is *exactness*: a decode returns the same floats
 that were encoded (raw IEEE-754, no text round-trip) and preserves
-energy-breakdown key order, so every equality here is ``==``. The
-legacy forms — v1 tagged dicts (JSON store schema 1, SQLite TEXT
-rows) — must keep decoding next to v2 blobs, and structural corruption
+energy-breakdown key order, so every equality here is ``==``.
+Structural corruption — and the retired v1 form, a JSON TEXT row —
 must surface as :class:`~repro.errors.CacheError`, never a silent
 wrong answer.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
 
@@ -138,102 +136,7 @@ class TestBlobCorruption:
         with pytest.raises(CacheError, match="names"):
             codec.decode_blob(bytes(blob))
 
-
-class TestLegacyForms:
-    def test_v1_sqlite_text_row_decodes(self, metrics):
-        text = json.dumps(metrics_to_dict(metrics))
-        _assert_exact(codec.decode_sqlite_value(text), metrics)
-
-    def test_v1_json_dict_entry_decodes(self, metrics):
-        _assert_exact(
-            codec.decode_json_entry(metrics_to_dict(metrics)), metrics
-        )
-
-    def test_base64_json_entry_decodes(self, metrics):
-        _assert_exact(
-            codec.decode_json_entry(codec.json_entry_from_metrics(metrics)),
-            metrics,
-        )
-
-    def test_none_passes_through_every_decoder(self):
-        assert codec.decode_sqlite_value(None) is None
-        assert codec.decode_json_entry(None) is None
-        assert codec.raw_from_sqlite_value(None) is None
-        assert codec.raw_from_json_entry(None) is None
-        assert codec.json_entry_from_blob(None) is None
-
-    def test_raw_bridges_agree_across_forms(self, metrics):
-        """Whatever stored form an entry arrives in, the canonical raw
-        blob is the same bytes."""
-        blob = codec.encode_metrics(metrics)
-        v1_dict = metrics_to_dict(metrics)
-        assert codec.raw_from_sqlite_value(blob) == blob
-        assert codec.raw_from_sqlite_value(json.dumps(v1_dict)) == blob
-        assert codec.raw_from_json_entry(v1_dict) == blob
-        entry = codec.json_entry_from_blob(blob)
-        assert codec.raw_from_json_entry(entry) == blob
-
-
-class TestColumnarBlock:
-    def _raw(self, metrics):
-        blob = codec.encode_metrics(metrics)
-        other = codec.encode_metrics(
-            dataclasses.replace(metrics, workload="other 64x64x64")
-        )
-        return {"aa" * 8: blob, "bb" * 8: None, "cc" * 8: other}
-
-    def test_round_trip_preserves_entries_and_order(self, metrics):
-        raw = self._raw(metrics)
-        columns = codec.columns_from_raw(raw)
-        decoded = codec.raw_from_columns(columns)
-        assert decoded == raw
-        assert list(decoded) == list(raw)
-
-    def test_empty_mapping_round_trips(self):
-        assert codec.raw_from_columns(codec.columns_from_raw({})) == {}
-
-    def test_none_only_mapping_round_trips(self):
-        raw = {"aa" * 8: None}
-        assert codec.raw_from_columns(codec.columns_from_raw(raw)) == raw
-
-    def test_missing_key_refused(self):
-        with pytest.raises(CacheError, match="corrupt columnar"):
-            codec.raw_from_columns({"digests": "", "lengths": []})
-
-    def test_invalid_base64_refused(self, metrics):
-        columns = codec.columns_from_raw(self._raw(metrics))
-        columns["blob"] = "!!not base64!!"
-        with pytest.raises(CacheError, match="corrupt columnar"):
-            codec.raw_from_columns(columns)
-
-    def test_count_mismatch_refused(self, metrics):
-        columns = codec.columns_from_raw(self._raw(metrics))
-        columns["digests"] += " dd" + "dd" * 7
-        with pytest.raises(CacheError, match="digests"):
-            codec.raw_from_columns(columns)
-
-    def test_bad_length_refused(self, metrics):
-        columns = codec.columns_from_raw(self._raw(metrics))
-        columns["lengths"][0] = -4
-        with pytest.raises(CacheError, match="bad length"):
-            codec.raw_from_columns(columns)
-
-    def test_trailing_bytes_refused(self, metrics):
-        columns = codec.columns_from_raw(self._raw(metrics))
-        blob = base64.b64decode(columns["blob"])
-        columns["blob"] = base64.b64encode(blob + b"xx").decode()
-        with pytest.raises(CacheError, match="lengths cover"):
-            codec.raw_from_columns(columns)
-
-    def test_short_blob_refused(self, metrics):
-        columns = codec.columns_from_raw(self._raw(metrics))
-        blob = base64.b64decode(columns["blob"])
-        columns["blob"] = base64.b64encode(blob[:-8]).decode()
-        with pytest.raises(CacheError, match="lengths cover"):
-            codec.raw_from_columns(columns)
-
-
-class TestHumanExport:
-    def test_raw_dict_matches_v1_serialization(self, metrics):
-        blob = codec.encode_metrics(metrics)
-        assert codec.raw_dict_from_blob(blob) == metrics_to_dict(metrics)
+    def test_v1_text_row_refused(self, metrics):
+        """Older versions stored JSON TEXT rows; they are not read."""
+        with pytest.raises(CacheError, match="corrupt metrics blob"):
+            codec.decode_blob(json.dumps(metrics_to_dict(metrics)))

@@ -392,22 +392,17 @@ class TestContextClose:
     blocks — both may fire for the same context, in any order, from
     different threads, and none of that may raise or lose entries."""
 
-    @pytest.mark.parametrize("backend", ("json", "sqlite"))
-    def test_double_close_flushes_once_and_never_raises(
-        self, tmp_path, backend
-    ):
+    def test_double_close_flushes_once_and_never_raises(self, tmp_path):
         from repro.eval.engine import EngineContext
 
-        ctx = EngineContext.create(
-            cache_dir=str(tmp_path), cache_backend=backend
-        )
+        ctx = EngineContext.create(cache_dir=str(tmp_path))
         workload = synthetic_workload(0.5, 0.25, size=128)
         (metrics,) = ctx.engine.evaluate_workloads([("TC", workload)])
         assert metrics is not None
         ctx.close()
         ctx.close()  # the signal path racing the finally: path
         reloaded = PersistentCache.for_estimator(
-            tmp_path, ctx.engine.estimator, backend=backend
+            tmp_path, ctx.engine.estimator
         )
         assert reloaded.get("TC", workload.key()) is not MISS
         reloaded.close()

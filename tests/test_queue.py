@@ -11,6 +11,7 @@ single-process fill.
 import json
 import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 
@@ -90,9 +91,7 @@ class TestFill:
     def test_fill_skips_cached_cells(self, tmp_path, queue_path,
                                      estimator):
         # Warm the cache first: a fill against it queues nothing.
-        cache = PersistentCache.for_estimator(
-            tmp_path, estimator, backend="sqlite"
-        )
+        cache = PersistentCache.for_estimator(tmp_path, estimator)
         engine = SweepEngine(estimator, cache=cache)
         engine.sweep(DESIGNS, A_DEGREES, B_DEGREES,
                      m=SIZE, k=SIZE, n=SIZE)
@@ -270,9 +269,7 @@ class TestRunQueue:
         with JobStore(queue_path) as store:
             store.fill(small_grid())
             cells = store.stats().pending
-            cache = PersistentCache.for_estimator(
-                tmp_path, estimator, backend="sqlite"
-            )
+            cache = PersistentCache.for_estimator(tmp_path, estimator)
             engine = SweepEngine(estimator, cache=cache)
             batches = list(engine.run_queue(
                 store, worker_id="w", batch_size=3, poll_s=0.01
@@ -296,9 +293,7 @@ class TestRunQueue:
         engines = [
             SweepEngine(
                 estimator,
-                cache=PersistentCache.for_estimator(
-                    tmp_path, estimator, backend="sqlite"
-                ),
+                cache=PersistentCache.for_estimator(tmp_path, estimator),
             )
             for _ in stores
         ]
@@ -332,9 +327,7 @@ class TestRunQueue:
             # before complete() (simulated by just not calling it).
             dead_jobs = store.claim_batch("w-dead", limit=2,
                                           lease_s=30.0)
-            cache1 = PersistentCache.for_estimator(
-                tmp_path, estimator, backend="sqlite"
-            )
+            cache1 = PersistentCache.for_estimator(tmp_path, estimator)
             engine1 = SweepEngine(estimator, cache=cache1)
             engine1.evaluate_workloads([j.pair for j in dead_jobs])
             assert engine1.stats.evaluations == len(dead_jobs)
@@ -342,9 +335,7 @@ class TestRunQueue:
 
             clock.advance(31.0)  # the lease lapses
 
-            cache2 = PersistentCache.for_estimator(
-                tmp_path, estimator, backend="sqlite"
-            )
+            cache2 = PersistentCache.for_estimator(tmp_path, estimator)
             engine2 = SweepEngine(estimator, cache=cache2)
             batches = list(engine2.run_queue(
                 store, worker_id="w-live", batch_size=3, poll_s=0.01
@@ -377,9 +368,7 @@ class TestRunQueue:
         with JobStore(queue_path) as store:
             workload = synthetic_workload(0.5, 0.25, size=SIZE)
             store.fill([("NoSuchDesign", workload)])
-            cache = PersistentCache.for_estimator(
-                tmp_path, estimator, backend="sqlite"
-            )
+            cache = PersistentCache.for_estimator(tmp_path, estimator)
             engine = SweepEngine(estimator, cache=cache)
             with pytest.raises(Exception):
                 list(engine.run_queue(store, worker_id="w",
@@ -403,9 +392,7 @@ class TestRunQueue:
             store.fill(small_grid())
             engine = SweepEngine(
                 estimator,
-                cache=PersistentCache.for_estimator(
-                    queue_dir, estimator, backend="sqlite"
-                ),
+                cache=PersistentCache.for_estimator(queue_dir, estimator),
             )
             list(engine.run_queue(store, worker_id="w",
                                   batch_size=3, poll_s=0.01))
@@ -413,30 +400,27 @@ class TestRunQueue:
 
         local = SweepEngine(
             estimator,
-            cache=PersistentCache.for_estimator(
-                local_dir, estimator, backend="sqlite"
-            ),
+            cache=PersistentCache.for_estimator(local_dir, estimator),
         )
         local.sweep(DESIGNS, A_DEGREES, B_DEGREES,
                     m=SIZE, k=SIZE, n=SIZE)
         local.close()
 
-        # Canonical byte comparison: consolidate each fill into the
-        # digest-sorted JSON format and compare the files directly.
-        out_a = tmp_path / "merged-queued"
-        out_b = tmp_path / "merged-local"
-        cache_mod.merge_cache_dirs([queue_dir], out_a, backend="json")
-        cache_mod.merge_cache_dirs([local_dir], out_b, backend="json")
-        file_a = out_a / f"{fingerprint}.json"
-        file_b = out_b / f"{fingerprint}.json"
-        assert file_a.read_bytes() == file_b.read_bytes()
+        # Entry for entry, in digest order: the fills evaluated the
+        # grid in different orders but must store identical blobs.
+        def rows(directory):
+            path = directory / f"{fingerprint}.db"
+            with closing(sqlite3.connect(path)) as conn:
+                return conn.execute(
+                    "SELECT digest, metrics FROM entries ORDER BY digest"
+                ).fetchall()
+
+        assert rows(queue_dir) == rows(local_dir)
 
 
 class TestQueueCounts:
     def test_plain_cache_file_has_no_queue(self, tmp_path, estimator):
-        cache = PersistentCache.for_estimator(
-            tmp_path, estimator, backend="sqlite"
-        )
+        cache = PersistentCache.for_estimator(tmp_path, estimator)
         workload = synthetic_workload(0.5, 0.25, size=SIZE)
         cache.put("TC", workload.key(), None)
         cache.close()
@@ -505,9 +489,7 @@ class TestWorkerRecord:
             store.fill(small_grid())
             engine = SweepEngine(
                 estimator,
-                cache=PersistentCache.for_estimator(
-                    tmp_path, estimator, backend="sqlite"
-                ),
+                cache=PersistentCache.for_estimator(tmp_path, estimator),
             )
             batches = list(engine.run_queue(
                 store, worker_id="w", batch_size=3, poll_s=0.01

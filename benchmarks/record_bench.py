@@ -1,14 +1,11 @@
-"""Record the batch-path baselines into ``BENCH_sweep.json``.
+"""Record the in-process sweep baselines into ``BENCH_sweep.json``.
 
-Measures, in-process, the wall times the vectorized batch path is
-accountable for:
+Measures, in-process, the wall times of the evaluation stack:
 
 * the Fig. 15-style deit_small network sweep (`bench_network_sweep.py`
-  shape) — cold through the scalar reference path, cold through the
-  batch path, and warm from a populated persistent cache;
-* the Fig. 13 synthetic grid (`bench_fig13.py` shape) — cold, both
-  paths, plus a warm run from a populated cache;
-* cold ``repro all --jobs 1`` end to end, both paths, plus a warm run;
+  shape) — cold (empty persistent cache) and warm (populated cache);
+* the Fig. 13 synthetic grid (`bench_fig13.py` shape) — cold and warm;
+* ``repro all --jobs 1`` end to end — cold and warm;
 * the job queue (`repro queue` / `repro worker`) on a small grid —
   fill time, bookkeeping-only claim+complete drain, and the 1-vs-2
   worker drain wall times (recorded for the trajectory, not gated:
@@ -22,15 +19,15 @@ far above its min means the rounds were noisy and the record is worth
 re-taking).
 
 Writes a JSON record (default ``BENCH_sweep.json`` at the repo root;
-CI uploads it as an artifact, fails the smoke job if the cold batch
-path is slower than the scalar path, and gates with ``--compare``
-against the committed baseline). Run from the repo root::
+CI uploads it as an artifact and gates with ``--compare`` against the
+committed baseline). Run from the repo root::
 
     PYTHONPATH=src python benchmarks/record_bench.py
 
-``--compare BASELINE`` fails (exit 1) if any cold-batch or warm
-measurement regressed more than ``--tolerance`` (default 0.25 = 25%)
-over the baseline record's value. ``--profile OUT`` additionally
+``--compare BASELINE`` fails (exit 1) if any cold or warm measurement
+regressed more than ``--tolerance`` (default 0.25 = 25%) over the
+baseline record's value, or if the baseline lacks a gated measurement
+the new record has (a renamed field must not switch the gate off). ``--profile OUT`` additionally
 writes a cProfile dump of one cold ``repro all --jobs 1`` run — open
 it with ``python -m pstats OUT``.
 """
@@ -57,28 +54,9 @@ from repro.eval import experiments as E
 from repro.eval.cache import PersistentCache
 from repro.eval.engine import SweepEngine
 
-#: The (section key, measurement key) pairs ``--compare`` gates on:
-#: the batch-path cold times and the warm (cache-served) times. Cold
-#: *scalar* times are recorded for the speedup ratio but not gated —
-#: the scalar reference path is the fixed yardstick, not the product.
-GATED_MEASUREMENTS = ("cold_batch_ms", "warm_ms")
-
-
-@contextlib.contextmanager
-def scalar_only():
-    """Force every engine constructed in the block onto the scalar
-    reference path (the pre-batch behavior, for before/after runs)."""
-    original = SweepEngine.__init__
-
-    def patched(self, *args, **kwargs):
-        kwargs["use_batch"] = False
-        original(self, *args, **kwargs)
-
-    SweepEngine.__init__ = patched
-    try:
-        yield
-    finally:
-        SweepEngine.__init__ = original
+#: The measurement keys ``--compare`` gates on in every section: the
+#: cold (empty cache) and warm (cache-served) times.
+GATED_MEASUREMENTS = ("cold_ms", "warm_ms")
 
 
 def _measure_ms(fn, rounds: int):
@@ -263,49 +241,36 @@ def record(rounds: int) -> dict:
         fig13 = lambda: _fig13(fig13_dir)  # noqa: E731
         repro_all = lambda: _repro_all(all_dir)  # noqa: E731
 
-        with scalar_only():
-            sweep_scalar = _cold(sweep, sweep_dir, rounds)
-            fig13_scalar = _cold(fig13, fig13_dir, rounds)
-            all_scalar = _cold(repro_all, all_dir, rounds)
-        sweep_batch = _cold(sweep, sweep_dir, rounds)
+        sweep_cold = _cold(sweep, sweep_dir, rounds)
         sweep_warm = _measure_ms(sweep, rounds)  # cache left populated
-        fig13_batch = _cold(fig13, fig13_dir, rounds)
+        fig13_cold = _cold(fig13, fig13_dir, rounds)
         fig13_warm = _measure_ms(fig13, rounds)
-        all_batch = _cold(repro_all, all_dir, rounds)
+        all_cold = _cold(repro_all, all_dir, rounds)
         all_warm = _measure_ms(repro_all, rounds)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    def section(scalar, batch, warm=None):
-        scalar_ms, scalar_mean = scalar
-        batch_ms, batch_mean = batch
-        record = {
-            "cold_scalar_ms": round(scalar_ms, 3),
-            "cold_scalar_mean_ms": round(scalar_mean, 3),
-            "cold_batch_ms": round(batch_ms, 3),
-            "cold_batch_mean_ms": round(batch_mean, 3),
-            "cold_speedup": round(scalar_ms / batch_ms, 2),
+    def section(cold, warm):
+        (cold_ms, cold_mean), (warm_ms, warm_mean) = cold, warm
+        return {
+            "cold_ms": round(cold_ms, 3),
+            "cold_mean_ms": round(cold_mean, 3),
+            "warm_ms": round(warm_ms, 3),
+            "warm_mean_ms": round(warm_mean, 3),
         }
-        if warm is not None:
-            warm_ms, warm_mean = warm
-            record["warm_ms"] = round(warm_ms, 3)
-            record["warm_mean_ms"] = round(warm_mean, 3)
-        return record
 
     return {
-        # v3: + the queue_small_grid section (job-queue bookkeeping
-        # and worker drain timings; informational, not gated).
-        "schema_version": 3,
+        # v4: one cold time per section (cold_ms/cold_mean_ms) in
+        # place of v3's scalar/batch pair and speedup ratio.
+        "schema_version": 4,
         "recorded_at": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         ),
         "python": platform.python_version(),
         "rounds": rounds,
-        "network_sweep_deit_small": section(
-            sweep_scalar, sweep_batch, sweep_warm
-        ),
-        "fig13_grid": section(fig13_scalar, fig13_batch, fig13_warm),
-        "repro_all_jobs1": section(all_scalar, all_batch, all_warm),
+        "network_sweep_deit_small": section(sweep_cold, sweep_warm),
+        "fig13_grid": section(fig13_cold, fig13_warm),
+        "repro_all_jobs1": section(all_cold, all_warm),
         "queue_small_grid": _queue_section(rounds),
     }
 
@@ -326,24 +291,25 @@ def profile_cold_all(out: Path) -> None:
 
 
 def compare(payload: dict, baseline: dict, tolerance: float):
-    """Regressions of the gated measurements beyond ``tolerance``,
-    as (path, old_ms, new_ms) rows. Sections or keys absent from the
-    baseline are skipped, so a schema-1 baseline still gates what it
-    recorded."""
-    regressions = []
+    """Failures of the gated measurements, as (path, old_ms, new_ms)
+    rows: a regression beyond ``tolerance``, or ``old_ms`` None when
+    the new record has a gated key the baseline lacks (silently
+    skipping it would let a renamed field switch the gate off)."""
+    failures = []
     for section, record in payload.items():
         if not isinstance(record, dict):
             continue
         base = baseline.get(section)
         if not isinstance(base, dict):
-            continue
+            base = {}
         for key in GATED_MEASUREMENTS:
-            if key not in record or key not in base:
+            if key not in record:
                 continue
-            old, new = base[key], record[key]
-            if new > old * (1.0 + tolerance):
-                regressions.append((f"{section}.{key}", old, new))
-    return regressions
+            new = record[key]
+            old = base.get(key)
+            if old is None or new > old * (1.0 + tolerance):
+                failures.append((f"{section}.{key}", old, new))
+    return failures
 
 
 def main(argv=None) -> int:
@@ -358,14 +324,10 @@ def main(argv=None) -> int:
         "number, the mean is recorded alongside (default: %(default)s)",
     )
     parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero if the cold batch path is slower than the "
-        "cold scalar path on the end-to-end run (CI smoke gate)",
-    )
-    parser.add_argument(
         "--compare", metavar="BASELINE",
-        help="exit non-zero if a cold-batch or warm measurement "
-        "regressed more than --tolerance over this baseline record",
+        help="exit non-zero if a cold or warm measurement regressed "
+        "more than --tolerance over this baseline record, or is "
+        "missing from it",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.25,
@@ -385,31 +347,23 @@ def main(argv=None) -> int:
         profile_cold_all(Path(args.profile))
         print(f"profile written to {args.profile}")
     status = 0
-    if args.check:
-        gate = payload["repro_all_jobs1"]
-        if gate["cold_batch_ms"] > gate["cold_scalar_ms"]:
-            print(
-                "FAIL: cold batch path is slower than the scalar "
-                f"path ({gate['cold_batch_ms']}ms vs "
-                f"{gate['cold_scalar_ms']}ms)",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print(
-                "OK: cold batch path is at least as fast as scalar "
-                f"({gate['cold_speedup']}x on repro all --jobs 1)"
-            )
     if args.compare:
         baseline = json.loads(Path(args.compare).read_text())
-        regressions = compare(payload, baseline, args.tolerance)
-        if regressions:
-            for path, old, new in regressions:
-                print(
-                    f"FAIL: {path} regressed {old}ms -> {new}ms "
-                    f"(> {args.tolerance:.0%} over baseline)",
-                    file=sys.stderr,
-                )
+        failures = compare(payload, baseline, args.tolerance)
+        if failures:
+            for path, old, new in failures:
+                if old is None:
+                    print(
+                        f"FAIL: {path} ({new}ms) is missing from the "
+                        f"baseline {args.compare}",
+                        file=sys.stderr,
+                    )
+                else:
+                    print(
+                        f"FAIL: {path} regressed {old}ms -> {new}ms "
+                        f"(> {args.tolerance:.0%} over baseline)",
+                        file=sys.stderr,
+                    )
             status = 1
         else:
             print(

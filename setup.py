@@ -1,8 +1,9 @@
-"""Legacy setup shim so editable installs work without network access.
+"""Legacy setup shim for environments without the ``wheel`` package.
 
-The environment has no ``wheel`` package, so PEP 517 editable builds are
-unavailable; ``pip install -e . --no-build-isolation`` falls back to this
-``setup.py``-based path. All metadata lives in ``pyproject.toml``.
+All metadata lives in ``pyproject.toml``. With ``wheel`` installed,
+``pip install -e . --no-build-isolation`` builds the editable install
+through the PEP 517 backend; without it, ``python setup.py develop``
+still works through this file.
 """
 
 from setuptools import setup

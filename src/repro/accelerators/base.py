@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional, Sequence
 
 from repro.arch.designs import DesignResources
 from repro.energy.estimator import Estimator
 from repro.errors import UnsupportedWorkloadError
-from repro.model.batch import WorkloadBatch
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload
 
@@ -18,11 +16,6 @@ class AcceleratorDesign(abc.ABC):
 
     #: Short name used in tables/figures.
     name: str
-
-    #: Whether :meth:`evaluate_batch` is implemented. The engine routes
-    #: cache-miss batches through the vectorized path only for designs
-    #: that declare it; everything else keeps the scalar path.
-    batch_capable: bool = False
 
     def __init__(self, resources: DesignResources) -> None:
         self.resources = resources
@@ -39,20 +32,6 @@ class AcceleratorDesign(abc.ABC):
     ) -> Metrics:
         """Cost the workload as given (no operand swap)."""
 
-    def evaluate_batch(
-        self, batch: WorkloadBatch, estimator: Estimator
-    ) -> List[Metrics]:
-        """Cost a batch of *supported* workloads as given, one Metrics
-        per workload, bit-identical to :meth:`evaluate` on each.
-
-        Callers must pre-filter with :meth:`supports` (see
-        :func:`evaluate_workloads_batch`); designs with
-        ``batch_capable = False`` raise.
-        """
-        raise NotImplementedError(
-            f"{self.name} has no batch evaluation path"
-        )
-
     @property
     def supported_patterns(self) -> str:
         """Human-readable Table 3 row: patterns per operand."""
@@ -60,47 +39,6 @@ class AcceleratorDesign(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def evaluate_workloads_batch(
-    design: AcceleratorDesign,
-    workloads: Sequence[MatmulWorkload],
-    estimator: Estimator,
-    batch_source: Optional[
-        Callable[[List[MatmulWorkload]], WorkloadBatch]
-    ] = None,
-) -> List[Optional[Metrics]]:
-    """Batch counterpart of the engine's per-pair evaluation unit:
-    Metrics per workload as given, ``None`` where unsupported.
-
-    Unsupported workloads are filtered out before stacking (exactly the
-    scalar :func:`~repro.eval.harness.evaluate_workload` rule) and the
-    supported remainder is costed in one :meth:`~AcceleratorDesign
-    .evaluate_batch` call. ``batch_source`` overrides how the supported
-    workloads are stacked — the engine's shared-batch planner passes
-    :meth:`~repro.model.batch.SharedWorkloadStack.batch_for` so design
-    groups of one miss set slice one shared stack instead of each
-    rebuilding its own (the views are value-identical to a fresh
-    stack, so results stay bit-identical).
-    """
-    results: List[Optional[Metrics]] = [None] * len(workloads)
-    supported = [
-        i for i, workload in enumerate(workloads)
-        if design.supports(workload)
-    ]
-    if not supported:
-        return results
-    picked = [workloads[i] for i in supported]
-    batch = (
-        WorkloadBatch.from_workloads(picked)
-        if batch_source is None
-        else batch_source(picked)
-    )
-    for i, metrics in zip(
-        supported, design.evaluate_batch(batch, estimator)
-    ):
-        results[i] = metrics
-    return results
 
 
 def best_orientation(

@@ -11,23 +11,13 @@ gates on B). The trade-off: fewer supported operand-B degrees.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.registry import register_design
 from repro.arch.designs import highlight_resources
 from repro.compression.formats import offset_bits
 from repro.energy.estimator import Estimator
 from repro.errors import UnsupportedWorkloadError
-from repro.model.batch import WorkloadBatch
-from repro.model.perf import (
-    build_metrics,
-    build_metrics_batch,
-    compute_cycles,
-    compute_cycles_array,
-)
+from repro.model.perf import build_metrics, compute_cycles
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload, Structure
 from repro.sparsity.pattern import GHRange
@@ -46,7 +36,6 @@ class DSSO(AcceleratorDesign):
     """The dual-side HSS design of Fig. 17."""
 
     name = "DSSO"
-    batch_capable = True
 
     def __init__(self) -> None:
         # Same hardware resources as HighLight (the study isolates the
@@ -138,59 +127,4 @@ class DSSO(AcceleratorDesign):
             b_fetch_words=b_fetch,
             saf_events=saf_events,
             compress_values=b_words if not workload.b.is_dense else 0.0,
-        )
-
-    def evaluate_batch(
-        self, batch: WorkloadBatch, estimator: Estimator
-    ) -> List[Metrics]:
-        for workload in batch.workloads:
-            if not self.supports(workload):
-                raise UnsupportedWorkloadError(
-                    f"DSSO cannot process {workload.describe()}"
-                )
-        resources = self.resources
-        density_a = batch.a_density
-        density_b = batch.b_density
-        scheduled = batch.dense_products * density_a * density_b
-
-        a_words = batch.mk * density_a
-        a_meta_words = np.where(
-            batch.a_is_dense,
-            0.0,
-            a_words * offset_bits(DSSO_A_RANK0.h_max) / WORD_BITS,
-        )
-        b_words = batch.kn * density_b
-        b_blocks = b_words / max(1, DSSO_A_RANK0.h_max)
-        b_meta_words = np.where(
-            batch.b_is_dense,
-            0.0,
-            b_blocks * offset_bits(DSSO_B_RANK1.h_max) / WORD_BITS,
-        )
-
-        reuse = resources.operand_reuse
-        b_fetch = scheduled / reuse
-        cycles = compute_cycles_array(
-            scheduled, resources.arch.num_macs, 1.0
-        )
-        saf_events = [
-            ("rank0_mux", "select", scheduled),
-            ("rank1_addr_mux", "select", scheduled / DSSO_A_RANK0.g),
-            ("vfmu", "write_word", b_fetch),
-            ("vfmu", "block_read", cycles * 4),
-            ("vfmu", "shift", cycles * 4),
-        ]
-        return build_metrics_batch(
-            batch=batch,
-            resources=resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=scheduled,
-            a_stored_words=a_words,
-            a_meta_words=a_meta_words,
-            b_stored_words=b_words,
-            b_meta_words=b_meta_words,
-            b_fetch_words=b_fetch,
-            saf_events=saf_events,
-            compress_values=np.where(batch.b_is_dense, 0.0, b_words),
         )

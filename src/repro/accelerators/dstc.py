@@ -11,18 +11,12 @@ of the 32-lane compute columns.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.registry import register_design
 from repro.arch.designs import dstc_resources
 from repro.energy.estimator import Estimator
-from repro.model.batch import WorkloadBatch
-from repro.model.density import (
-    random_balance_utilization,
-    random_balance_utilization_array,
-)
-from repro.model.perf import build_metrics, build_metrics_batch
+from repro.model.density import random_balance_utilization
+from repro.model.perf import build_metrics
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload
 
@@ -43,7 +37,6 @@ class DSTC(AcceleratorDesign):
     """Dual-side sparse tensor core (Table 3: dense or unstructured)."""
 
     name = "DSTC"
-    batch_capable = True
 
     def __init__(self) -> None:
         super().__init__(dstc_resources())
@@ -101,42 +94,4 @@ class DSTC(AcceleratorDesign):
             psum_updates=scheduled / 2.0,
             saf_events=saf_events,
             compress_values=compress,
-        )
-
-    def evaluate_batch(
-        self, batch: WorkloadBatch, estimator: Estimator
-    ) -> List[Metrics]:
-        density_a = batch.a_density
-        density_b = batch.b_density
-        scheduled = batch.dense_products * density_a * density_b
-        utilization = (
-            random_balance_utilization_array(density_a)
-            * random_balance_utilization_array(density_b)
-            * PIPELINE_EFFICIENCY
-        )
-
-        a_words = batch.mk * density_a
-        b_words = batch.kn * density_b
-        a_meta = batch.mk / WORD_BITS  # bitmask
-        b_meta = batch.kn / WORD_BITS
-        reuse = self.resources.operand_reuse
-        operand_fetches = 2.0 * scheduled / reuse
-
-        return build_metrics_batch(
-            batch=batch,
-            resources=self.resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=utilization,
-            full_macs=scheduled,
-            a_stored_words=a_words,
-            a_meta_words=a_meta,
-            b_stored_words=b_words,
-            b_meta_words=b_meta,
-            b_fetch_words=operand_fetches,
-            a_fetch_words=0.0,  # folded into operand_fetches
-            psum_component="accum_buffer",
-            psum_updates=scheduled / 2.0,
-            saf_events=[("intersection", "intersect", scheduled)],
-            compress_values=a_words + b_words,
         )

@@ -10,27 +10,17 @@ affecting cycles (Sec. 6.4).
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.registry import register_design
 from repro.arch.designs import highlight_resources
 from repro.compression.formats import offset_bits
 from repro.energy.estimator import Estimator
-from repro.model.batch import WorkloadBatch
 from repro.model.density import (
     HIGHLIGHT_RANK0,
     HIGHLIGHT_RANK1,
     highlight_supported_density,
 )
-from repro.model.perf import (
-    build_metrics,
-    build_metrics_batch,
-    compute_cycles,
-    compute_cycles_array,
-)
+from repro.model.perf import build_metrics, compute_cycles
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload, Structure
 
@@ -48,7 +38,6 @@ class HighLight(AcceleratorDesign):
     """The HSS accelerator (Table 3 row "HighLight")."""
 
     name = "HighLight"
-    batch_capable = True
 
     def __init__(self) -> None:
         super().__init__(highlight_resources())
@@ -80,27 +69,6 @@ class HighLight(AcceleratorDesign):
         if not workload.b.is_dense:
             variants.append(self._evaluate(workload, estimator, True))
         return min(variants, key=lambda metrics: metrics.edp)
-
-    def evaluate_batch(
-        self, batch: WorkloadBatch, estimator: Estimator
-    ) -> List[Metrics]:
-        """Batched :meth:`evaluate`: both operand-B modes, lower EDP
-        wins per workload (the uncompressed variant on ties, exactly
-        like the scalar ``min``)."""
-        results = self._evaluate_batch(batch, estimator, False)
-        sparse_b = [
-            i for i, workload in enumerate(batch.workloads)
-            if not workload.b.is_dense
-        ]
-        if not sparse_b:
-            return results
-        compressed = self._evaluate_batch(
-            batch.subset(sparse_b), estimator, True
-        )
-        for i, candidate in zip(sparse_b, compressed):
-            if candidate.edp < results[i].edp:
-                results[i] = candidate
-        return results
 
     def _evaluate(
         self,
@@ -173,96 +141,6 @@ class HighLight(AcceleratorDesign):
             b_fetch_words=b_fetch,
             saf_events=saf_events,
             compress_values=compress,
-        )
-
-    def _evaluate_batch(
-        self,
-        batch: WorkloadBatch,
-        estimator: Estimator,
-        compress_b: bool,
-    ) -> List[Metrics]:
-        """Vectorized :meth:`_evaluate` (same expressions, same
-        operation order, over stacked arrays). With ``compress_b`` the
-        caller passes only sparse-B workloads, mirroring the scalar
-        variant construction."""
-        resources = self.resources
-        scheduled_density = np.array(
-            batch.map_a(highlight_supported_density), dtype=np.float64
-        )
-        scheduled = batch.dense_products * scheduled_density
-
-        # --- operand B gating ---------------------------------------
-        b_sparsity = 1.0 - batch.b_density
-        exploitable_b_sparsity = np.where(
-            batch.b_is_dense,
-            0.0,
-            np.where(
-                batch.b_is_hss,
-                b_sparsity,
-                np.maximum(0.0, b_sparsity - B_SPARSITY_HAIRCUT),
-            ),
-        )
-        gated = scheduled * exploitable_b_sparsity
-        full = scheduled - gated
-
-        # --- operand A storage (hierarchical CP, Fig. 9) -------------
-        a_nnz = batch.mk * batch.a_density
-        a_meta_bits = a_nnz * offset_bits(HIGHLIGHT_RANK0.h_max)
-        nonempty_blocks = a_nnz / max(1, HIGHLIGHT_RANK0.g)
-        a_meta_bits = np.where(
-            batch.a_is_hss,
-            a_meta_bits
-            + nonempty_blocks * offset_bits(HIGHLIGHT_RANK1.h_max),
-            a_meta_bits,
-        )
-        a_meta_words = np.where(
-            batch.a_is_dense, 0.0, a_meta_bits / WORD_BITS
-        )
-        a_words = a_nnz
-
-        # --- operand B storage (three-level metadata, Fig. 12) -------
-        b_slots = batch.kn
-        b_density_stored = (
-            1.0 - exploitable_b_sparsity if compress_b else 1.0
-        )
-        b_words = b_slots * b_density_stored
-        b_meta_words = (
-            self._b_meta_words(b_slots, b_words) if compress_b else 0.0
-        )
-
-        # --- fetch + VFMU activity ------------------------------------
-        reuse = resources.operand_reuse
-        b_fetch = scheduled * b_density_stored / reuse
-        cycles = compute_cycles_array(
-            scheduled, resources.arch.num_macs, 1.0
-        )
-        num_pe_arrays = 4
-        saf_events = [
-            ("rank0_mux", "select", scheduled),
-            (
-                "rank1_addr_mux",
-                "select",
-                scheduled / HIGHLIGHT_RANK0.g,
-            ),
-            ("vfmu", "write_word", b_fetch),
-            ("vfmu", "block_read", cycles * num_pe_arrays),
-            ("vfmu", "shift", cycles * num_pe_arrays),
-        ]
-        return build_metrics_batch(
-            batch=batch,
-            resources=resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=full,
-            gated_macs=gated,
-            a_stored_words=a_words,
-            a_meta_words=a_meta_words,
-            b_stored_words=b_words,
-            b_meta_words=b_meta_words,
-            b_fetch_words=b_fetch,
-            saf_events=saf_events,
-            compress_values=b_words if compress_b else 0.0,
         )
 
     @staticmethod

@@ -10,20 +10,12 @@ purely dense layers (paper Sec. 7.3).
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.registry import register_design
 from repro.arch.designs import s2ta_resources
 from repro.energy.estimator import Estimator
-from repro.model.batch import WorkloadBatch
-from repro.model.density import (
-    s2ta_quantized_density,
-    s2ta_quantized_density_array,
-)
-from repro.model.perf import build_metrics, build_metrics_batch
+from repro.model.density import s2ta_quantized_density
+from repro.model.perf import build_metrics
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload
 
@@ -49,7 +41,6 @@ class S2TA(AcceleratorDesign):
     """S2TA-like design (Table 3: A C0({G<=4}:8); B C0({G<=8}:8))."""
 
     name = "S2TA"
-    batch_capable = True
 
     def __init__(self) -> None:
         super().__init__(s2ta_resources())
@@ -87,43 +78,6 @@ class S2TA(AcceleratorDesign):
         ]
         return build_metrics(
             workload=workload,
-            resources=self.resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=scheduled,
-            a_stored_words=a_words,
-            a_meta_words=a_meta,
-            b_stored_words=b_words,
-            b_meta_words=b_meta,
-            b_fetch_words=scheduled / self.resources.operand_reuse,
-            saf_events=saf_events,
-            compress_values=b_words,
-            supported=True,
-        )
-
-    def evaluate_batch(
-        self, batch: WorkloadBatch, estimator: Estimator
-    ) -> List[Metrics]:
-        q_a = s2ta_quantized_density_array(batch.a_density)
-        q_b = s2ta_quantized_density_array(batch.b_density)
-        scheduled_b = np.maximum(q_b, MIN_B_SCHEDULED_DENSITY)
-        scheduled = batch.dense_products * q_a * scheduled_b
-
-        a_words = batch.mk * q_a
-        b_words = batch.kn * q_b
-        a_meta = a_words * META_BITS_PER_VALUE / WORD_BITS
-        b_meta = b_words * META_BITS_PER_VALUE / WORD_BITS
-
-        spill = scheduled / SPILL_INTERVAL
-        saf_events = [
-            ("a_select_mux", "select", scheduled),
-            ("b_select_mux", "select", scheduled),
-            ("glb_data", "read", spill),
-            ("glb_data", "write", spill),
-        ]
-        return build_metrics_batch(
-            batch=batch,
             resources=self.resources,
             estimator=estimator,
             scheduled_products=scheduled,

@@ -8,17 +8,12 @@ always processed dense (no compression unit in the design).
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.registry import register_design
 from repro.arch.designs import stc_resources
 from repro.energy.estimator import Estimator
-from repro.model.batch import WorkloadBatch
 from repro.model.density import stc_effective_density
-from repro.model.perf import build_metrics, build_metrics_batch
+from repro.model.perf import build_metrics
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload
 
@@ -33,7 +28,6 @@ class STC(AcceleratorDesign):
     """Sparse-tensor-core-like design (Table 3: A dense or C0({G<=2}:4))."""
 
     name = "STC"
-    batch_capable = True
 
     def __init__(self) -> None:
         super().__init__(stc_resources())
@@ -71,44 +65,6 @@ class STC(AcceleratorDesign):
             a_stored_words=a_words,
             a_meta_words=a_meta,
             b_stored_words=float(workload.k * workload.n),
-            b_fetch_words=scheduled / self.resources.operand_reuse,
-            saf_events=saf_events,
-        )
-
-    def evaluate_batch(
-        self, batch: WorkloadBatch, estimator: Estimator
-    ) -> List[Metrics]:
-        derived = batch.map_a(stc_effective_density)
-        scheduled_density = np.array(
-            [density for density, _ in derived], dtype=np.float64
-        )
-        sparse_mode = np.array(
-            [mode for _, mode in derived], dtype=bool
-        )
-        scheduled = batch.dense_products * scheduled_density
-        a_words = batch.mk * scheduled_density
-        a_meta = np.where(
-            sparse_mode,
-            a_words * META_BITS_PER_VALUE / WORD_BITS,
-            0.0,
-        )
-        saf_events = [
-            (
-                "b_select_mux",
-                "select",
-                np.where(sparse_mode, scheduled, 0.0),
-            ),
-        ]
-        return build_metrics_batch(
-            batch=batch,
-            resources=self.resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=scheduled,
-            a_stored_words=a_words,
-            a_meta_words=a_meta,
-            b_stored_words=batch.kn,
             b_fetch_words=scheduled / self.resources.operand_reuse,
             saf_events=saf_events,
         )

@@ -7,14 +7,11 @@ stored and moved uncompressed. Zero sparsity tax, zero sparsity benefit
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.registry import register_design
 from repro.arch.designs import tc_resources
 from repro.energy.estimator import Estimator
-from repro.model.batch import WorkloadBatch
-from repro.model.perf import build_metrics, build_metrics_batch
+from repro.model.perf import build_metrics
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload
 
@@ -25,7 +22,6 @@ class TC(AcceleratorDesign):
     """Dense accelerator: 320 KB GLB, 4 x 2 KB RF, 1024 MACs."""
 
     name = "TC"
-    batch_capable = True
 
     def __init__(self) -> None:
         super().__init__(tc_resources())
@@ -53,21 +49,5 @@ class TC(AcceleratorDesign):
             full_macs=scheduled,
             a_stored_words=a_words,
             b_stored_words=b_words,
-            b_fetch_words=scheduled / self.resources.operand_reuse,
-        )
-
-    def evaluate_batch(
-        self, batch: WorkloadBatch, estimator: Estimator
-    ) -> List[Metrics]:
-        scheduled = batch.dense_products
-        return build_metrics_batch(
-            batch=batch,
-            resources=self.resources,
-            estimator=estimator,
-            scheduled_products=scheduled,
-            utilization=1.0,
-            full_macs=scheduled,
-            a_stored_words=batch.mk,
-            b_stored_words=batch.kn,
             b_fetch_words=scheduled / self.resources.operand_reuse,
         )

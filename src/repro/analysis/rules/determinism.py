@@ -1,16 +1,18 @@
 """REP003 float-determinism: no reductions over unordered iteration.
 
-The golden tests lock batch and scalar evaluation to *bit-identical*
-results, which makes IEEE-754 addition order part of the contract:
-``sum`` over a ``set`` (or anything whose iteration order is
-implementation-defined) can legally produce a different
-last-ulp result between runs or Python versions.  In the hot-path
-modules (``model/batch.py``, ``model/metrics.py``, ``energy/``) this
-rule flags ``sum``/``functools.reduce``/``np.sum``-family reductions
-whose operand is a set literal/comprehension, a ``set()``/
-``frozenset()`` call, a set-algebra expression over ``dict.keys()``
-views, a ``.keys()`` view itself, or a comprehension drawing from any
-of those.  Fold over an explicitly ordered sequence (a list, a sorted
+Cached metrics are replayed verbatim: a cache hit returns the exact
+floats an earlier run computed, and the golden tests compare them with
+fresh evaluations bit for bit.  That makes IEEE-754 addition order
+part of the cache contract: ``sum`` over a ``set`` (or anything whose
+iteration order is implementation-defined) can legally produce a
+different last-ulp result between runs or Python versions.  In the
+modules that fold activity counts into energy (``model/activity.py``,
+``model/perf.py``, ``model/metrics.py``, ``energy/``) this rule flags
+``sum``/``functools.reduce``/``np.sum``-family reductions whose
+operand is a set literal/comprehension, a ``set()``/``frozenset()``
+call, a set-algebra expression over ``dict.keys()`` views, a
+``.keys()`` view itself, or a comprehension drawing from any of
+those.  Fold over an explicitly ordered sequence (a list, a sorted
 view, ``.values()`` in insertion order) instead.
 """
 
@@ -87,7 +89,12 @@ def _reduction_operand(node: ast.Call) -> Optional[ast.expr]:
     id="REP003",
     category="bit-exactness",
     severity="error",
-    paths=("*model/batch.py", "*model/metrics.py", "*energy/*.py"),
+    paths=(
+        "*model/activity.py",
+        "*model/perf.py",
+        "*model/metrics.py",
+        "*energy/*.py",
+    ),
 )
 def check_float_determinism(ctx: FileContext) -> Iterator[Finding]:
     """Hot-path reductions must fold in a pinned, reproducible

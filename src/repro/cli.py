@@ -207,7 +207,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", choices=BACKENDS, default="thread",
         help="worker backend for --jobs > 1 (default thread; the "
-        "analytical models are pure, so processes are safe)",
+        "cost models are pure Python, so threads share the GIL and "
+        "processes run them in parallel at a spawn and pickling cost)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",

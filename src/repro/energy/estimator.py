@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.arch.components import Component, ComponentClass
 from repro.arch.spec import ArchitectureSpec
 from repro.energy.plugins import EstimationPlugin, default_plugins
@@ -66,12 +64,6 @@ class Estimator:
         self._energy_by_identity: Dict[
             Tuple[int, str], Tuple[Component, float]
         ] = {}
-        # Priced event-schema vectors for the batch path, keyed by
-        # architecture identity + event tuple (see energy_vector_for).
-        self._vector_cache: Dict[
-            Tuple[int, Tuple[Tuple[str, str], ...]],
-            Tuple[ArchitectureSpec, np.ndarray],
-        ] = {}
 
     @staticmethod
     def _key(component: Component) -> Tuple:
@@ -116,55 +108,6 @@ class Estimator:
         energy = self._energy_cache[key]
         self._energy_by_identity[ident] = (component, energy)
         return energy
-
-    def energy_vector(
-        self,
-        components_actions: Sequence[Tuple[Component, str]],
-    ) -> np.ndarray:
-        """Per-pair action energies as one float64 vector.
-
-        The bulk query of the batched pricing layer: one call resolves
-        every (component, action) of an activity matrix, and each
-        energy is the exact value :meth:`energy_pj` returns (same
-        cache), so batch pricing cannot drift from scalar pricing.
-        """
-        return np.array(
-            [
-                self.energy_pj(component, action)
-                for component, action in components_actions
-            ],
-            dtype=np.float64,
-        )
-
-    def energy_vector_for(
-        self,
-        arch: ArchitectureSpec,
-        events: Tuple[Tuple[str, str], ...],
-    ) -> np.ndarray:
-        """The priced vector of an architecture's (component name,
-        action) event schema, memoized by arch identity + event tuple.
-
-        A design's batch evaluations emit the same few event schemas
-        over and over (one per metadata/compression variant), so the
-        component lookups and per-event pricing calls collapse to one
-        dict hit per batch. Values come from the same ``energy_pj``
-        cache as the scalar path, so batch pricing cannot drift from
-        scalar pricing; the memo pins the arch so its id stays valid,
-        and the vector is marked read-only because it is shared.
-        """
-        key = (id(arch), events)
-        hit = self._vector_cache.get(key)
-        if hit is not None and hit[0] is arch:
-            return hit[1]
-        vector = self.energy_vector(
-            [
-                (arch.component(component), action)
-                for component, action in events
-            ]
-        )
-        vector.setflags(write=False)
-        self._vector_cache[key] = (arch, vector)
-        return vector
 
     def area_um2(self, component: Component) -> float:
         """Total area of the component group (per-instance area x count)."""

@@ -549,9 +549,7 @@ class PersistentCache:
     ) -> None:
         """Record a batch of entries under one lock acquisition.
 
-        Equivalent to :meth:`put` per entry; the batch form keeps the
-        engine's per-design-group recording off the per-entry lock
-        treadmill."""
+        Equivalent to :meth:`put` per entry."""
         staged = [
             (pair_digest(design, workload_key), metrics)
             for design, workload_key, metrics in entries

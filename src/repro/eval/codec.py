@@ -1,10 +1,10 @@
 """Packed wire codec for cached :class:`~repro.model.metrics.Metrics`.
 
-Cache profiling after the batch-evaluation work showed the residual
-cold/warm cost of a sweep is not model math but metrics serialization:
-every flush paid one ``json.dumps(metrics_to_dict(...))`` per entry and
-every warm load paid the matching parse + dict walk. This module packs
-one Metrics into one little-endian binary blob instead::
+Cache profiling showed that much of the cold/warm cost of a sweep is
+not model math but metrics serialization: every flush paid one
+``json.dumps(metrics_to_dict(...))`` per entry and every warm load paid
+the matching parse + dict walk. This module packs one Metrics into one
+little-endian binary blob instead::
 
     byte 0          codec version (2)
     byte 1          flags: bit0 = supported, bit1 = swapped
@@ -15,8 +15,8 @@ one Metrics into one little-endian binary blob instead::
 
 Numeric fields are stored as raw IEEE-754 doubles, so a decode returns
 the *exact* floats that were encoded (no text round-trip), and the
-component name block preserves breakdown key order — the equivalence
-suite asserts ``==`` on decoded metrics including dict order.
+component name block preserves breakdown key order — the codec tests
+assert ``==`` on decoded metrics including dict order.
 
 Versioning is per entry: the version byte leads every blob. The v1
 form (a JSON dict, as written by older versions) is not read — it
@@ -52,67 +52,8 @@ def _values_struct(n: int) -> struct.Struct:
     return packer
 
 
-#: ``Metrics.__dict__`` key under which trusted batch assembly (see
-#: ``repro.model.perf.build_metrics_batch``) stashes the precomputed
-#: v2 blob of a freshly built Metrics. :func:`encode_metrics` returns
-#: the stash verbatim; Metrics are frozen, so a stash can never go
-#: stale, and ``dataclasses.replace`` drops it with the rest of the
-#: non-field state.
-BLOB_STASH = "_codec_blob"
-
-#: Bounded utf-8 memo for the strings the encoders see repeatedly
-#: (design names, workload descriptions shared across designs).
-_UTF8_MEMO: Dict[str, bytes] = {}
-
-
-def utf8(text: str) -> bytes:
-    """Memoized ``text.encode("utf-8")``."""
-    data = _UTF8_MEMO.get(text)
-    if data is None:
-        if len(_UTF8_MEMO) >= 8192:
-            _UTF8_MEMO.clear()
-        data = _UTF8_MEMO[text] = text.encode("utf-8")
-    return data
-
-
-def pack_blob(
-    flags: int,
-    cycles: float,
-    utilization: float,
-    design: bytes,
-    workload: bytes,
-    names: bytes,
-    values: bytes,
-    n: int,
-) -> bytes:
-    """Assemble a v2 blob from pre-encoded columns (the batch
-    assembler's entry point — ``values`` must be ``n`` little-endian
-    float64s, ``names`` the NUL-joined component block)."""
-    return b"".join(
-        (
-            _HEAD_LENS.pack(
-                METRICS_CODEC_VERSION,
-                flags,
-                cycles,
-                utilization,
-                len(design),
-                len(workload),
-                len(names),
-                n,
-            ),
-            design,
-            workload,
-            names,
-            values,
-        )
-    )
-
-
 def encode_metrics(metrics: Metrics) -> bytes:
     """One Metrics as a v2 packed blob (see the module layout)."""
-    blob = metrics.__dict__.get(BLOB_STASH)
-    if blob is not None:
-        return blob
     breakdown = metrics.energy_breakdown_pj
     design = metrics.design.encode("utf-8")
     workload = metrics.workload.encode("utf-8")

@@ -13,12 +13,17 @@ repeated shapes deduplicate *across* cells, degrees, and labels (every
 dense layer of a network sweep is evaluated once, not once per
 weight-sparsity point).
 
-Engines are shared per estimator (see :meth:`SweepEngine.shared`), the
+Every cache miss is costed by its design's
+:meth:`~repro.accelerators.base.AcceleratorDesign.evaluate` (through
+the harness's support/orientation rule), one pair at a time. Engines
+are shared per estimator (see :meth:`SweepEngine.shared`), the
 in-memory cache is thread-safe with exactly-once evaluation even under
 concurrent batches, and a :class:`~repro.eval.cache.PersistentCache`
 extends memoization across runs. Workers can be threads (default) or
 processes (``backend="process"`` — the cost models are pure and
-pickleable).
+pickleable). The models are pure Python, so threads overlap little of
+the model work (they hold the GIL); processes run it in parallel but
+pay spawn and pickling costs.
 """
 
 from __future__ import annotations
@@ -40,10 +45,7 @@ from typing import (
 )
 
 from repro.accelerators import REGISTRY, main_design_names
-from repro.accelerators.base import (
-    AcceleratorDesign,
-    evaluate_workloads_batch,
-)
+from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.registry import DesignRegistry
 from repro.energy.estimator import Estimator
 from repro.errors import EvaluationError
@@ -53,7 +55,6 @@ from repro.eval.harness import (
     evaluate_workload,
     realize_workloads,
 )
-from repro.model.batch import SharedWorkloadStack
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload, WorkloadKey
 from repro.utils import geomean
@@ -77,6 +78,10 @@ Pair = Tuple[str, MatmulWorkload]
 
 #: Supported worker backends.
 BACKENDS = ("thread", "process")
+
+#: Pairs per task the process backend pickles to a worker, so a large
+#: miss set does not pay one round trip per pair.
+PROCESS_CHUNKSIZE = 256
 
 
 @dataclass(frozen=True)
@@ -348,22 +353,6 @@ def _evaluate_pair_in_worker(pair: Pair) -> Optional[Metrics]:
     )
 
 
-def _evaluate_group_in_worker(
-    item: "Tuple[str, List[MatmulWorkload]]",
-) -> List[Optional[Metrics]]:
-    """One batch-path chunk in a process worker: the worker stacks its
-    own WorkloadBatch (cheaper than shipping shared numpy state across
-    the pickle boundary) — the batch path is bit-identical to scalar
-    regardless of where or how the stack was built."""
-    design_name, workloads = item
-    designs: Dict[str, AcceleratorDesign] = _WORKER_STATE["designs"]
-    if design_name not in designs:
-        designs[design_name] = REGISTRY.create(design_name)
-    return evaluate_workloads_batch(
-        designs[design_name], workloads, _WORKER_STATE["estimator"]
-    )
-
-
 class SweepEngine:
     """Memoizing, optionally parallel executor for (design, workload)
     pairs.
@@ -402,7 +391,6 @@ class SweepEngine:
         registry: Optional[DesignRegistry] = None,
         backend: str = "thread",
         cache: Optional[cache_mod.PersistentCache] = None,
-        use_batch: bool = True,
     ) -> None:
         if jobs < 1:
             raise EvaluationError(f"jobs must be >= 1, got {jobs}")
@@ -421,21 +409,10 @@ class SweepEngine:
             )
         self.backend = backend
         self.persistent = cache
-        #: Route cache-miss batches through the designs' vectorized
-        #: ``evaluate_batch`` path (``False`` forces the scalar
-        #: reference path — benchmarks use it for before/after timing).
-        self.use_batch = use_batch
         #: Minimum seconds between end-of-batch persistent-cache
         #: flushes (``close()`` and the failure path always flush).
         #: 0 restores the old flush-every-batch behavior.
         self.flush_interval = 5.0
-        #: Upper bound on rows per batch-path completion chunk. Large
-        #: design groups are split so (a) an interrupt mid-grid loses
-        #: at most this many evaluations of in-progress work (each
-        #: completed chunk is recorded — and flush-eligible — before
-        #: the next), matching the scalar path's durability story, and
-        #: (b) ``jobs > 1`` has units to parallelize over.
-        self.batch_chunk_rows = 256
         self.stats = EngineStats()
         self._cache: Dict[PairKey, Optional[Metrics]] = {}
         # A claimed-but-unfinished key maps to None until some
@@ -589,145 +566,19 @@ class SweepEngine:
         """Results for ``pending``, yielded lazily in order as they
         complete (``Executor.map`` streams in submission order), so the
         caller can record and persist each one before the next — an
-        interrupt mid-batch keeps everything already evaluated."""
+        interrupt mid-batch keeps everything already evaluated (on the
+        process backend, every completed chunk of
+        :data:`PROCESS_CHUNKSIZE` pairs)."""
         if self.jobs > 1 and len(pending) > 1:
             if self.backend == "process":
                 return self._worker_pool().map(
-                    _evaluate_pair_in_worker, pending
+                    _evaluate_pair_in_worker, pending,
+                    chunksize=PROCESS_CHUNKSIZE,
                 )
             return self._thread_worker_pool().map(
                 self._evaluate_pair, pending
             )
         return (self._evaluate_pair(pair) for pair in pending)
-
-    def _run_misses(self, own: Dict[PairKey, Pair]):
-        """Chunks of ``(key, metrics)`` results for every owned miss,
-        yielded as they complete.
-
-        Misses on batch-capable designs are grouped per design,
-        chunked to at most :attr:`batch_chunk_rows` rows, and
-        evaluated through the vectorized ``evaluate_batch`` path (one
-        numpy pass instead of one Python model walk per pair) — in
-        parallel across chunks when ``jobs > 1``, over one shared
-        workload stack when the miss set spans several designs (see
-        :meth:`_run_batch_groups`). The rest — non-batch designs, or
-        everything when ``use_batch`` is off — streams through the
-        scalar worker path. Both paths produce bit-identical Metrics,
-        so the caller records results the same way regardless of
-        route. Each yielded chunk is the unit of completion — at most
-        ``batch_chunk_rows`` pairs on the batch path, a single pair on
-        the scalar path — which is also the interrupt-durability
-        granularity.
-        """
-        scalar: Dict[PairKey, Pair] = {}
-        grouped: Dict[str, List[Tuple[PairKey, MatmulWorkload]]] = {}
-        designs: Dict[str, AcceleratorDesign] = {}
-        if self.use_batch:
-            for key, (design_name, workload) in own.items():
-                design = designs.get(design_name)
-                if design is None:
-                    design = designs[design_name] = self.design(
-                        design_name
-                    )
-                if design.batch_capable:
-                    grouped.setdefault(design_name, []).append(
-                        (key, workload)
-                    )
-                else:
-                    scalar[key] = (design_name, workload)
-        else:
-            scalar = dict(own)
-        if grouped:
-            yield from self._run_batch_groups(grouped, designs)
-        for key, metrics in zip(
-            scalar, self._run_batch(list(scalar.values()))
-        ):
-            yield [(key, metrics)]
-
-    def _run_batch_groups(
-        self,
-        grouped: Dict[str, List[Tuple[PairKey, MatmulWorkload]]],
-        designs: Dict[str, AcceleratorDesign],
-    ):
-        """Batch-path chunks of ``(key, metrics)``, yielded in plan
-        order as they complete.
-
-        When the miss set spans more than one design group, the union
-        of their workloads is stacked *once* into a
-        :class:`~repro.model.batch.SharedWorkloadStack` (fully
-        materialized: dimension products, structure masks, operand
-        keys, descriptions) and each group evaluates against a sliced
-        view — the per-design restacking this replaces was the
-        cross-design headroom left by the original batch path. With
-        ``jobs > 1`` the chunks are dispatched to the worker pools
-        (``Executor.map`` streams results back in submission order, so
-        recording stays incremental); results are bit-identical to the
-        sequential and scalar paths either way.
-        """
-        chunk_rows = max(1, self.batch_chunk_rows)
-        chunks: List[Tuple[str, List[Tuple[PairKey, MatmulWorkload]]]] = []
-        for design_name, group in grouped.items():
-            for start in range(0, len(group), chunk_rows):
-                chunks.append(
-                    (design_name, group[start:start + chunk_rows])
-                )
-        # One stack even for a single design group: the stack layer
-        # memoizes materialized batches by workload identity, so a
-        # repeated miss set (benchmark rounds, re-sweeps against a
-        # fresh cache) reuses the arrays instead of restacking.
-        stack = SharedWorkloadStack(
-            workload
-            for group in grouped.values()
-            for _, workload in group
-        )
-        if self.jobs > 1 and len(chunks) > 1:
-            if self.backend == "process":
-                # Workers restack locally; shipping the shared numpy
-                # stack through pickle would cost more than it saves.
-                results = self._worker_pool().map(
-                    _evaluate_group_in_worker,
-                    [
-                        (name, [w for _, w in chunk])
-                        for name, chunk in chunks
-                    ],
-                )
-            else:
-                # The shared stack is safe to slice concurrently: it
-                # is fully materialized before dispatch and views only
-                # read it.
-                results = self._thread_worker_pool().map(
-                    lambda item: self._evaluate_batch_chunk(
-                        designs[item[0]], item[1], stack
-                    ),
-                    chunks,
-                )
-            for (_, chunk), metrics_list in zip(chunks, results):
-                yield [
-                    (key, metrics)
-                    for (key, _), metrics in zip(chunk, metrics_list)
-                ]
-            return
-        for design_name, chunk in chunks:
-            metrics_list = self._evaluate_batch_chunk(
-                designs[design_name], chunk, stack
-            )
-            yield [
-                (key, metrics)
-                for (key, _), metrics in zip(chunk, metrics_list)
-            ]
-
-    def _evaluate_batch_chunk(
-        self,
-        design: AcceleratorDesign,
-        chunk: List[Tuple[PairKey, MatmulWorkload]],
-        stack: Optional[SharedWorkloadStack],
-    ) -> List[Optional[Metrics]]:
-        return evaluate_workloads_batch(
-            design,
-            [workload for _, workload in chunk],
-            self.estimator,
-            batch_source=None if stack is None else stack.batch_for,
-        )
 
     def _wait_event_locked(self, key: "PairKey") -> threading.Event:
         """The Event a caller must wait on for an in-flight key,
@@ -810,26 +661,21 @@ class SweepEngine:
                 self._claim_unknown_locked(unknown, probed, own, waits)
         if own:
             try:
-                # Record each chunk as it completes rather than after
+                # Record each pair as it completes rather than after
                 # the whole batch: a Ctrl-C at 90% of a grid must keep
-                # the 90%, and a whole grid is typically one batch. A
-                # chunk is one completion unit (see _run_misses), so
-                # recording it under a single lock round loses nothing.
-                for chunk in self._run_misses(own):
+                # the 90%, and a whole grid is typically one batch.
+                for key, metrics in zip(
+                    own, self._run_batch(list(own.values()))
+                ):
                     with self._lock:
-                        for key, metrics in chunk:
-                            self._cache[key] = metrics
+                        self._cache[key] = metrics
                         if self.persistent is not None:
                             self.persistent.put_many(
-                                [
-                                    (key[0], key[1], metrics)
-                                    for key, metrics in chunk
-                                ]
+                                [(key[0], key[1], metrics)]
                             )
-                        for key, _ in chunk:
-                            event = self._inflight.pop(key)
-                            if event is not None:
-                                event.set()
+                        event = self._inflight.pop(key)
+                        if event is not None:
+                            event.set()
             except BaseException:
                 with self._lock:
                     for key in own:
@@ -935,7 +781,7 @@ class SweepEngine:
         The claim-driven sibling of :meth:`evaluate_workloads` — instead
         of being handed pairs, the engine claims batches of cells from
         ``store`` until the queue drains, routing each batch through the
-        normal memoized/vectorized evaluation path and yielding a
+        normal memoized evaluation path and yielding a
         :class:`WorkerBatch` (with per-batch stats) as each completes.
 
         Per batch: claim → start lease heartbeat → evaluate → stop

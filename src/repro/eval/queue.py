@@ -1,7 +1,7 @@
 """A claim-based job queue for distributed grid fills.
 
-The design-space evaluation is a (design, workload) grid; after the
-batch/caching work a single process fills one quickly, but one grid
+The design-space evaluation is a (design, workload) grid; with the
+persistent cache a single process fills one quickly, but one grid
 still lives on one machine. This module turns a grid fill into a fleet
 problem, modeled on py_experimenter's experiments-as-DB-rows pattern:
 a :class:`JobStore` holds the grid's pending cells as rows *inside the
@@ -9,8 +9,9 @@ existing SQLite cache database* (the ``<fingerprint>.db`` file of
 :mod:`repro.eval.cache`, reusing its WAL setup and fingerprint guard),
 and N ``repro worker`` processes on N machines claim batches
 transactionally, evaluate them through the shared
-:class:`~repro.eval.engine.SweepEngine` batch path, write results into
-the co-located cache ``entries`` table, and mark the rows done.
+:class:`~repro.eval.engine.SweepEngine` (memoized, one model
+evaluation per missed pair), write results into the co-located cache
+``entries`` table, and mark the rows done.
 
 Semantics:
 

@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ModelError
 from repro.model.workload import OperandSparsity, Structure
 from repro.sparsity.hss import HSSPattern
@@ -115,13 +113,6 @@ def s2ta_quantized_density(operand: OperandSparsity) -> float:
     return math.ceil(operand.density * 8 - 1e-9) / 8.0
 
 
-def s2ta_quantized_density_array(densities: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`s2ta_quantized_density` over stacked densities
-    (same expression per element, so results match bit for bit)."""
-    d = np.asarray(densities, dtype=np.float64)
-    return np.ceil(d * 8 - 1e-9) / 8.0
-
-
 #: Imbalance coefficient for random (unstructured) nonzero locations.
 RANDOM_IMBALANCE_BETA = 0.47
 
@@ -146,20 +137,6 @@ def random_balance_utilization(
     if not 0.0 < density <= 1.0:
         raise ModelError(f"density must be in (0, 1], got {density}")
     return 1.0 / (1.0 + beta * math.sqrt((1.0 - density) / density))
-
-
-def random_balance_utilization_array(
-    densities: np.ndarray, beta: float = RANDOM_IMBALANCE_BETA
-) -> np.ndarray:
-    """Vectorized :func:`random_balance_utilization`.
-
-    Same formula, same operation order, IEEE sqrt — each element is
-    bit-identical to the scalar helper's result.
-    """
-    d = np.asarray(densities, dtype=np.float64)
-    if np.any((d <= 0.0) | (d > 1.0)):
-        raise ModelError("densities must be in (0, 1]")
-    return 1.0 / (1.0 + beta * np.sqrt((1.0 - d) / d))
 
 
 def balance_efficiency(nonzeros_per_slice: float, lanes: int) -> float:

@@ -589,29 +589,19 @@ class TestSingleEvaluationRegression:
     def test_repro_all_evaluates_each_pair_once(self, monkeypatch):
         """`repro all` regenerates Fig. 14 (and Fig. 16's breakdown
         cell) from the Fig. 13 sweep without re-evaluating anything:
-        the counting spies (covering both the scalar and the batch
-        evaluation route) must see each unique (design, workload) pair
+        the counting spy must see each unique (design, workload) pair
         exactly once — and nothing outside the grid's realizations."""
         import repro.eval.engine as engine_mod
         from repro.eval.harness import realize_workloads
 
         calls = []
         real = engine_mod.evaluate_workload
-        real_batch = engine_mod.evaluate_workloads_batch
 
         def counting(design, workload, estimator):
             calls.append((design.name, workload.key()))
             return real(design, workload, estimator)
 
-        def counting_batch(design, workloads, estimator, **kwargs):
-            for workload in workloads:
-                calls.append((design.name, workload.key()))
-            return real_batch(design, workloads, estimator, **kwargs)
-
         monkeypatch.setattr(engine_mod, "evaluate_workload", counting)
-        monkeypatch.setattr(
-            engine_mod, "evaluate_workloads_batch", counting_batch
-        )
         estimator = Estimator()
         # The exact shape of `repro all`'s sweep reuse: fig13, then
         # fig14 re-running fig13, then fig16 revisiting a grid cell.

@@ -16,7 +16,6 @@ import json
 import pytest
 
 import repro.accelerators  # noqa: F401 - populates the registry
-from repro.accelerators.base import evaluate_workloads_batch
 from repro.accelerators.registry import REGISTRY
 from repro.energy.estimator import Estimator
 from repro.errors import CacheError
@@ -69,49 +68,6 @@ class TestBlobRoundTrip:
         decoded = codec.decode_blob(codec.encode_metrics(variant))
         assert decoded.design == variant.design
         assert decoded.workload == variant.workload
-
-    def test_pack_blob_matches_encode_metrics(self, metrics):
-        """The batch assembler's column entry point and the scalar
-        encoder must produce identical bytes for the same Metrics."""
-        breakdown = metrics.energy_breakdown_pj
-        values = codec._values_struct(len(breakdown)).pack(
-            *breakdown.values()
-        )
-        packed = codec.pack_blob(
-            (1 if metrics.supported else 0)
-            | (2 if metrics.swapped else 0),
-            metrics.cycles,
-            metrics.utilization,
-            codec.utf8(metrics.design),
-            codec.utf8(metrics.workload),
-            codec.utf8("\0".join(breakdown)),
-            values,
-            len(breakdown),
-        )
-        assert packed == codec.encode_metrics(metrics)
-
-    def test_batch_stash_matches_fresh_encode(self, estimator):
-        """Metrics built by the vectorized path carry a pre-packed
-        blob; encode_metrics must return exactly what a from-scratch
-        encode of the same (stash-free) Metrics would."""
-        design = REGISTRY.shared("HighLight")
-        workloads = [
-            synthetic_workload(0.5, 0.25, size=size)
-            for size in (64, 128, 256)
-        ]
-        batch = [
-            m for m in evaluate_workloads_batch(
-                design, workloads, estimator
-            )
-            if m is not None
-        ]
-        assert batch
-        for m in batch:
-            assert codec.BLOB_STASH in m.__dict__
-            bare = dataclasses.replace(m)  # drops the stash
-            assert codec.BLOB_STASH not in bare.__dict__
-            assert codec.encode_metrics(m) == codec.encode_metrics(bare)
-            _assert_exact(codec.decode_blob(codec.encode_metrics(m)), m)
 
 
 class TestBlobCorruption:

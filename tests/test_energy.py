@@ -134,3 +134,9 @@ class TestEstimatorPlumbing:
         estimator = Estimator(plugins=[])
         with pytest.raises(ArchitectureError):
             estimator.energy_pj(mac("m", 1), "mac")
+
+    def test_default_estimators_share_setup(self):
+        """Default-constructed estimators share one table and plugin
+        set, so identity-keyed caches hit across instances."""
+        first, second = Estimator(), Estimator()
+        assert first.table is second.table

@@ -1,6 +1,9 @@
 """Tests for the memoizing/parallel sweep engine."""
 
+import json
+import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -99,6 +102,15 @@ class TestMemoization:
         assert engine.stats.misses == 1
         assert engine.stats.hits == len(cells) - 1
 
+    def test_repeated_pair_hits_the_same_metrics(self):
+        engine = SweepEngine(Estimator())
+        workload = synthetic_workload(0.5, 0.5, size=64)
+        first = engine.evaluate_workloads([("HighLight", workload)])
+        second = engine.evaluate_workloads([("HighLight", workload)])
+        assert first[0] is second[0]
+        assert engine.stats.misses == 1
+        assert engine.stats.hits == 1
+
     def test_shared_engine_per_estimator(self):
         estimator = Estimator()
         assert SweepEngine.shared(estimator) is SweepEngine.shared(
@@ -142,7 +154,7 @@ class TestParallelism:
             designs=("TC", "HighLight"),
             a_degrees=(0.0, 0.5), b_degrees=(0.0,), **small,
         )
-        engine = SweepEngine(jobs=2, backend="process", use_batch=False)
+        engine = SweepEngine(jobs=2, backend="process")
         try:
             procs = engine.sweep(
                 designs=("TC", "HighLight"),
@@ -157,12 +169,64 @@ class TestParallelism:
                 assert ours.edp == pytest.approx(theirs.edp)
                 assert ours.cycles == pytest.approx(theirs.cycles)
 
+    @staticmethod
+    def _sweep_payload(tmp_path, jobs=1, backend="thread"):
+        """A small cached sweep's payload floats and its persisted
+        ``(digest, blob)`` rows."""
+        estimator = Estimator()
+        cache = PersistentCache.for_estimator(tmp_path, estimator)
+        engine = SweepEngine(
+            estimator, cache=cache, jobs=jobs, backend=backend
+        )
+        try:
+            sweep = engine.sweep(
+                designs=("TC", "STC", "HighLight"),
+                a_degrees=(0.0, 0.5, 0.75),
+                b_degrees=(0.0, 0.5),
+                m=64, k=64, n=64,
+            )
+        finally:
+            engine.close()
+        payload = {
+            str(key): {
+                design: None if m is None else (
+                    m.cycles, m.energy_pj, m.workload,
+                    list(m.energy_breakdown_pj.items()),
+                )
+                for design, m in cell.items()
+            }
+            for key, cell in sweep.cells.items()
+        }
+        # Digest order: workers may record entries in any order, but
+        # digest for digest the blobs must match.
+        with closing(sqlite3.connect(cache.path)) as conn:
+            rows = conn.execute(
+                "SELECT digest, metrics FROM entries ORDER BY digest"
+            ).fetchall()
+        return payload, rows, engine.stats
+
+    @pytest.mark.parametrize("backend", ("thread", "process"))
+    def test_parallel_backends_match_sequential(self, tmp_path, backend):
+        """--jobs 4 over either worker backend gives the --jobs 1
+        payload floats, and the persisted caches carry byte-identical
+        blobs."""
+        parallel_payload, parallel_rows, parallel_stats = (
+            self._sweep_payload(tmp_path / backend, jobs=4,
+                                backend=backend)
+        )
+        serial_payload, serial_rows, serial_stats = self._sweep_payload(
+            tmp_path / "serial"
+        )
+        assert json.dumps(parallel_payload, sort_keys=True) == json.dumps(
+            serial_payload, sort_keys=True
+        )
+        assert parallel_rows == serial_rows
+        assert parallel_stats.misses == serial_stats.misses
+
     def test_process_pool_reused_across_batches(self):
         # Each sweep is one batch with >1 unique pair (STC/DSTC realize
         # several orientations), so both go through the pool.
-        # use_batch=False: pools serve the scalar path; the batch path
-        # would evaluate these misses without ever touching a pool.
-        engine = SweepEngine(jobs=2, backend="process", use_batch=False)
+        engine = SweepEngine(jobs=2, backend="process")
         try:
             engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
                          b_degrees=(0.0,), m=64, k=64, n=64)
@@ -179,7 +243,7 @@ class TestParallelism:
         """The thread backend keeps one executor alive across batches
         (mirroring the cached process pool) instead of paying pool
         construction per ``_run_batch``."""
-        engine = SweepEngine(jobs=2, backend="thread", use_batch=False)
+        engine = SweepEngine(jobs=2, backend="thread")
         try:
             engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
                          b_degrees=(0.0,), m=64, k=64, n=64)
@@ -193,7 +257,7 @@ class TestParallelism:
         assert engine._thread_pool is None
 
     def test_thread_pool_rebuilt_when_jobs_change(self):
-        engine = SweepEngine(jobs=2, backend="thread", use_batch=False)
+        engine = SweepEngine(jobs=2, backend="thread")
         try:
             engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
                          b_degrees=(0.0,), m=64, k=64, n=64)
@@ -317,12 +381,7 @@ class TestClose:
         failure path flushes before propagating)."""
         estimator = Estimator()
         cache = PersistentCache.for_estimator(tmp_path, estimator)
-        # use_batch=False: the interrupt is injected through the scalar
-        # _evaluate_pair hook, and per-*pair* durability is the scalar
-        # path's guarantee (the batch path records per design group).
-        engine = SweepEngine(
-            estimator, jobs=jobs, cache=cache, use_batch=False
-        )
+        engine = SweepEngine(estimator, jobs=jobs, cache=cache)
         workloads = [
             synthetic_workload(0.5, degree, size=128)
             for degree in (0.0, 0.25, 0.5, 0.75)
@@ -368,10 +427,7 @@ class TestClose:
         worker pools lingering, and the original error propagates."""
         estimator = Estimator()
         cache = PersistentCache.for_estimator(tmp_path, estimator)
-        # use_batch=False so the sweep actually spins up a thread pool.
-        engine = SweepEngine(
-            estimator, jobs=2, cache=cache, use_batch=False
-        )
+        engine = SweepEngine(estimator, jobs=2, cache=cache)
         engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
                      b_degrees=(0.0,), m=64, k=64, n=64)
         assert engine._thread_pool is not None

@@ -221,6 +221,15 @@ FLOAT_GOOD_VALUES = """
 """
 
 
+#: The modules that fold activity counts into energy.
+FLOAT_SCOPED_PATHS = (
+    "model/activity.py",
+    "model/perf.py",
+    "model/metrics.py",
+    "energy/estimator.py",
+)
+
+
 class TestFloatDeterminism:
     @pytest.mark.parametrize(
         "source",
@@ -228,10 +237,9 @@ class TestFloatDeterminism:
         ids=["set-fold", "keys-fold"],
     )
     def test_unordered_reductions_flagged(self, tmp_path, source):
-        findings = run_rule(
-            tmp_path, source, "REP003", relpath="model/batch.py"
-        )
-        assert findings and all(f.rule == "REP003" for f in findings)
+        for relpath in FLOAT_SCOPED_PATHS:
+            findings = run_rule(tmp_path, source, "REP003", relpath=relpath)
+            assert findings and all(f.rule == "REP003" for f in findings)
 
     @pytest.mark.parametrize(
         "source",
@@ -241,7 +249,7 @@ class TestFloatDeterminism:
     def test_ordered_reductions_pass(self, tmp_path, source):
         assert (
             run_rule(
-                tmp_path, source, "REP003", relpath="model/batch.py"
+                tmp_path, source, "REP003", relpath="model/perf.py"
             )
             == ()
         )

@@ -195,3 +195,18 @@ class TestSyntheticWorkload:
 
     def test_size_parameter(self):
         assert synthetic_workload(0.0, 0.0, size=64).dense_products == 64**3
+
+
+class TestStrippedWorkload:
+    def test_stripped_drops_name_keeps_key(self):
+        named = synthetic_workload(0.5, 0.25, size=64)
+        assert named.name
+        bare = named.stripped
+        assert bare.name == ""
+        assert bare.key() == named.key()
+        assert bare.stripped is bare
+
+    def test_nameless_workload_is_its_own_stripped(self):
+        w = synthetic_workload(0.5, 0.25, size=64)
+        bare = MatmulWorkload(m=w.m, k=w.k, n=w.n, a=w.a, b=w.b)
+        assert bare.stripped is bare

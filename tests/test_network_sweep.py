@@ -59,21 +59,12 @@ class TestExactlyOnceAcrossDegrees:
 
         calls = []
         real = engine_mod.evaluate_workload
-        real_batch = engine_mod.evaluate_workloads_batch
 
         def counting(design, workload, estimator):
             calls.append((design.name, workload.key()))
             return real(design, workload, estimator)
 
-        def counting_batch(design, workloads, estimator, **kwargs):
-            for workload in workloads:
-                calls.append((design.name, workload.key()))
-            return real_batch(design, workloads, estimator, **kwargs)
-
         monkeypatch.setattr(engine_mod, "evaluate_workload", counting)
-        monkeypatch.setattr(
-            engine_mod, "evaluate_workloads_batch", counting_batch
-        )
         engine = SweepEngine(Estimator())
         sweep = E.sweep_model(
             deit_small(),

@@ -92,3 +92,10 @@ class TestRegistryMechanics:
         registry.register("A", object)
         assert [info.name for info in registry] == ["B", "A"]
         assert registry.names() == ("B", "A")
+
+
+class TestSharedRegistryInstances:
+    def test_shared_is_memoized_create_is_not(self):
+        assert REGISTRY.shared("TC") is REGISTRY.shared("TC")
+        assert REGISTRY.create("TC") is not REGISTRY.create("TC")
+        assert type(REGISTRY.create("TC")) is type(REGISTRY.shared("TC"))

@@ -20,6 +20,7 @@ from repro.energy.estimator import Estimator
 from repro.errors import UnsupportedWorkloadError
 from repro.model.metrics import Metrics
 from repro.model.workload import (
+    MEMO_SIZE,
     MatmulWorkload,
     OperandSparsity,
     dense_operand,
@@ -48,6 +49,7 @@ def canonical_hss(sparsity: float) -> Optional[HSSPattern]:
     return CANONICAL_HSS[quantize_degree(sparsity)]
 
 
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _hss_or_unstructured(sparsity: float) -> OperandSparsity:
     """An HSS operand when a canonical pattern exists, else
     unstructured."""
@@ -58,6 +60,7 @@ def _hss_or_unstructured(sparsity: float) -> OperandSparsity:
     return unstructured_operand(sparsity)
 
 
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def _g8_operand(sparsity: float) -> OperandSparsity:
     """A one-rank G:8 structured operand at (or just above) a density."""
     density = 1.0 - sparsity
@@ -85,16 +88,16 @@ def realize_workloads(
     Realizations are memoized (workloads are frozen, so sharing
     instances is safe): sweeps re-realize the same (design, degrees,
     shape) points constantly — every degree ladder revisits its dense
-    layers, every grid its repeated shapes — and operand construction
-    validates HSS pattern densities with exact Fraction arithmetic,
-    which is too slow to repeat per request.
+    layers, every grid its repeated shapes, every served request its
+    predecessors' cells. The operands inside are interned by their
+    constructors, so a cell that misses this memo still shares them.
     """
     return list(
         _realize_workloads(design_name, sparsity_a, sparsity_b, m, k, n)
     )
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=MEMO_SIZE)
 def _realize_workloads(
     design_name: str,
     sparsity_a: float,
@@ -113,17 +116,17 @@ def _realize_workloads(
         )
 
     if name == "tc":
-        return [wl(dense_operand(), dense_operand(), m, n)]
+        return (wl(dense_operand(), dense_operand(), m, n),)
     if name == "dstc":
-        return [
+        return (
             wl(
                 unstructured_operand(sparsity_a),
                 unstructured_operand(sparsity_b),
                 m, n,
-            )
-        ]
+            ),
+        )
     if name == "stc":
-        return [
+        return (
             wl(
                 _hss_or_unstructured(sparsity_a),
                 unstructured_operand(sparsity_b),
@@ -134,32 +137,31 @@ def _realize_workloads(
                 unstructured_operand(sparsity_a),
                 n, m, suffix="^T",
             ),
-        ]
+        )
     if name == "s2ta":
-        return [
+        return (
             wl(_g8_operand(sparsity_a), _g8_operand(sparsity_b), m, n),
             wl(_g8_operand(sparsity_b), _g8_operand(sparsity_a), n, m,
                suffix="^T"),
-        ]
+        )
     if name in ("highlight", "dsso"):
-        candidates = [
-            wl(
-                _hss_or_unstructured(sparsity_a),
-                unstructured_operand(sparsity_b),
-                m, n,
-            )
-        ]
+        direct = wl(
+            _hss_or_unstructured(sparsity_a),
+            unstructured_operand(sparsity_b),
+            m, n,
+        )
         # Swapping is only useful when the other operand's degree has a
         # canonical HSS realization.
-        if quantize_degree(sparsity_b) in CANONICAL_HSS:
-            candidates.append(
-                wl(
-                    _hss_or_unstructured(sparsity_b),
-                    unstructured_operand(sparsity_a),
-                    n, m, suffix="^T",
-                )
-            )
-        return candidates
+        if quantize_degree(sparsity_b) not in CANONICAL_HSS:
+            return (direct,)
+        return (
+            direct,
+            wl(
+                _hss_or_unstructured(sparsity_b),
+                unstructured_operand(sparsity_a),
+                n, m, suffix="^T",
+            ),
+        )
     raise UnsupportedWorkloadError(f"unknown design {design_name!r}")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 from repro.errors import WorkloadError
@@ -22,6 +22,11 @@ from repro.sparsity.hss import HSSPattern
 #: float noise well below 1e-9; distinct degrees in any realistic sweep
 #: differ by far more.
 DEGREE_DECIMALS = 9
+
+#: Entries each realization memo keeps: the harness's per-cell memo and
+#: the interned operand constructors below. Bounded so a long-lived
+#: ``repro serve`` cannot grow them without limit.
+MEMO_SIZE = 4096
 
 
 def quantize_degree(degree: float) -> float:
@@ -81,6 +86,15 @@ class OperandSparsity:
                 raise WorkloadError(
                     f"pattern density {expected} != declared {self.density}"
                 )
+        ranks: Tuple[Tuple[int, int], ...] = ()
+        if self.pattern is not None:
+            ranks = tuple((rank.g, rank.h) for rank in self.pattern.ranks)
+        # Set once, at construction: sweeps ask for keys constantly, and
+        # a lazy cached_property takes a class-wide lock on first access.
+        object.__setattr__(
+            self, "_content_key",
+            (self.structure.value, quantize_degree(self.density), ranks),
+        )
 
     @property
     def sparsity(self) -> float:
@@ -94,16 +108,8 @@ class OperandSparsity:
         """Canonical content key: structure, quantized density, and —
         for HSS operands — the concrete per-rank G:H rules (lowest rank
         first), so patterns with equal density but different block
-        hierarchies stay distinct. Computed once per operand (the
-        dataclass is frozen; sweeps ask for keys constantly)."""
+        hierarchies stay distinct. Computed once, at construction."""
         return self._content_key
-
-    @cached_property
-    def _content_key(self) -> OperandKey:
-        ranks: Tuple[Tuple[int, int], ...] = ()
-        if self.pattern is not None:
-            ranks = tuple((rank.g, rank.h) for rank in self.pattern.ranks)
-        return (self.structure.value, quantize_degree(self.density), ranks)
 
     def describe(self) -> str:
         """Display form, computed once per (frozen) instance — pattern
@@ -120,21 +126,33 @@ class OperandSparsity:
         return f"unstructured({self.sparsity:.0%})"
 
 
+# The operand constructors are interned: operands are frozen, so equal
+# arguments can share one instance. A sweep grid names only a few dozen
+# distinct operands per flavor, and building one validates its HSS
+# pattern density with exact Fraction arithmetic, which is too slow to
+# repeat for every cell. Memos key on the exact (typed) arguments, so
+# every caller sees the bit-identical density it passed in.
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def dense_operand() -> OperandSparsity:
     """A fully dense operand."""
     return OperandSparsity(1.0, Structure.DENSE)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def hss_operand(pattern: HSSPattern) -> OperandSparsity:
     """An operand carrying a concrete HSS pattern."""
     return OperandSparsity(pattern.density, Structure.HSS, pattern)
 
 
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def structured_operand(g: int, h: int) -> OperandSparsity:
     """Shorthand for a one-rank G:H structured operand."""
     return hss_operand(HSSPattern.from_ratios((g, h)))
 
 
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def unstructured_operand(sparsity: float) -> OperandSparsity:
     """An unstructured-sparse operand with the given sparsity degree."""
     if not 0.0 <= sparsity < 1.0:
@@ -162,11 +180,16 @@ class MatmulWorkload:
     name: str = ""
 
     def __post_init__(self) -> None:
-        for dim_name, value in (("m", self.m), ("k", self.k), ("n", self.n)):
-            if value <= 0:
-                raise WorkloadError(
-                    f"{dim_name} must be positive, got {value}"
-                )
+        m, k, n = self.m, self.k, self.n
+        if m <= 0 or k <= 0 or n <= 0:
+            for dim_name, value in (("m", m), ("k", k), ("n", n)):
+                if value <= 0:
+                    raise WorkloadError(
+                        f"{dim_name} must be positive, got {value}"
+                    )
+        object.__setattr__(
+            self, "_content_key", (m, k, n, self.a.key(), self.b.key())
+        )
 
     @property
     def dense_products(self) -> int:
@@ -185,13 +208,9 @@ class MatmulWorkload:
         and memoization must treat identically shaped/sparse workloads
         as one unit of work no matter how a caller labeled them (the
         same dense layer appears under many labels across a network
-        sweep's degrees and designs). Computed once per instance.
+        sweep's degrees and designs). Computed once, at construction.
         """
         return self._content_key
-
-    @cached_property
-    def _content_key(self) -> WorkloadKey:
-        return (self.m, self.k, self.n, self.a.key(), self.b.key())
 
     @cached_property
     def stripped(self) -> "MatmulWorkload":
@@ -202,11 +221,8 @@ class MatmulWorkload:
         """
         if not self.name:
             return self
-        bare = MatmulWorkload(m=self.m, k=self.k, n=self.n,
+        return MatmulWorkload(m=self.m, k=self.k, n=self.n,
                               a=self.a, b=self.b)
-        # Same numerics, same key: share the computed content key.
-        bare.__dict__["_content_key"] = self._content_key
-        return bare
 
     def swapped(self) -> "MatmulWorkload":
         """The transposed-operand workload (Z^T = B^T A^T)."""
@@ -233,6 +249,16 @@ class MatmulWorkload:
         )
 
 
+#: The HighLight-supported HSS pattern :func:`synthetic_workload` gives
+#: operand A, per quantized sparsity degree (``None`` means dense).
+SYNTHETIC_HSS = {
+    0.0: None,
+    0.5: HSSPattern.from_ratios((2, 4), (4, 4)),
+    0.75: HSSPattern.from_ratios((2, 4), (4, 8)),
+    0.875: HSSPattern.from_ratios((2, 4), (2, 8)),
+}
+
+
 def synthetic_workload(
     a_sparsity: float,
     b_sparsity: float,
@@ -256,15 +282,10 @@ def synthetic_workload(
 def _hss_for_sparsity(sparsity: float) -> Optional[HSSPattern]:
     """An HSS pattern (within HighLight's supported family) for common
     sparsity degrees; ``None`` means dense."""
-    table = {
-        0.0: None,
-        0.5: HSSPattern.from_ratios((2, 4), (4, 4)),
-        0.75: HSSPattern.from_ratios((2, 4), (4, 8)),
-        0.875: HSSPattern.from_ratios((2, 4), (2, 8)),
-    }
-    if sparsity not in table:
+    key = quantize_degree(sparsity)
+    if key not in SYNTHETIC_HSS:
         raise WorkloadError(
             f"no canonical HSS pattern for sparsity {sparsity}; "
-            f"supported: {sorted(table)}"
+            f"supported: {sorted(SYNTHETIC_HSS)}"
         )
-    return table[sparsity]
+    return SYNTHETIC_HSS[key]

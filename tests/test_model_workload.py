@@ -5,6 +5,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.model.workload import (
     MatmulWorkload,
+    OperandSparsity,
     Structure,
     dense_operand,
     hss_operand,
@@ -193,8 +194,54 @@ class TestSyntheticWorkload:
         with pytest.raises(WorkloadError):
             synthetic_workload(0.33, 0.0)
 
+    @pytest.mark.parametrize("degree", [0.5, 0.875])
+    def test_degree_float_noise_is_absorbed(self, degree):
+        noisy = synthetic_workload(degree + 1e-12, 0.0)
+        assert noisy.a.pattern == synthetic_workload(degree, 0.0).a.pattern
+        assert noisy.a.sparsity == pytest.approx(degree)
+
     def test_size_parameter(self):
         assert synthetic_workload(0.0, 0.0, size=64).dense_products == 64**3
+
+
+class TestInterning:
+    def test_equal_arguments_share_one_operand(self):
+        assert unstructured_operand(0.3) is unstructured_operand(0.3)
+        assert structured_operand(4, 8) is structured_operand(4, 8)
+        assert dense_operand() is dense_operand()
+        pattern = HSSPattern.from_ratios((2, 4), (3, 4))
+        assert hss_operand(pattern) is hss_operand(
+            HSSPattern.from_ratios((2, 4), (3, 4))
+        )
+
+    def test_memo_keys_on_the_exact_argument(self):
+        """Interning never hands one caller another caller's float:
+        degrees equal only after quantization stay separate operands
+        with their own bit-exact densities."""
+        noisy = unstructured_operand(0.3 + 1e-12)
+        assert noisy is not unstructured_operand(0.3)
+        assert noisy.density == 1.0 - (0.3 + 1e-12)
+        assert noisy.key() == unstructured_operand(0.3).key()
+
+    def test_direct_construction_still_validates(self):
+        pattern = HSSPattern.from_ratios((2, 4), (2, 4))
+        hss_operand(pattern)  # interned: must not bypass the check
+        with pytest.raises(WorkloadError):
+            OperandSparsity(0.5, Structure.HSS, pattern)
+
+    def test_key_is_the_content_tuple(self):
+        workload = MatmulWorkload(
+            m=64, k=128, n=256,
+            a=hss_operand(HSSPattern.from_ratios((2, 4), (3, 4))),
+            b=unstructured_operand(0.3),
+            name="label",
+        )
+        assert workload.key() == (
+            64, 128, 256,
+            ("hss", 0.375, ((2, 4), (3, 4))),
+            ("unstructured", 0.7, ()),
+        )
+        assert dense_operand().key() == ("dense", 1.0, ())
 
 
 class TestStrippedWorkload:

@@ -4,13 +4,24 @@ Every recorded run captures what was asked (the resolved grid), what
 came out (per-cell metrics and per-design geomeans), and how the run
 behaved (wall time, cache hits/misses) — a trend-trackable snapshot to
 set next to the ``BENCH_*.json`` pytest-benchmark files.
+
+Layout on disk: the envelope (every field but ``cells``) is indented
+two spaces; ``cells`` holds one compact JSON object per line, so a
+record stays line-diffable per cell while the bulk of it goes through
+the stdlib's C encoder (the pure-Python one runs whenever ``indent`` is
+set). Layout is not schema: any JSON reader sees the same object, key
+order and float reprs as a fully indented dump. Records are written
+atomically — encoded in full, written to a temporary file beside the
+target, then renamed over it — so a failed write never leaves a torn
+record or clobbers an earlier one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -33,6 +44,8 @@ if TYPE_CHECKING:  # typing-only, avoids a cycle with experiments
 #: v4: artifact records embed per-artifact engine-stats deltas under
 #: ``artifact_stats`` (scoped counters + wall time per figure), so
 #: warm-vs-cold cache behaviour is auditable per artifact.
+#: Whitespace is layout, not schema: writing ``cells`` one compact cell
+#: per line left v4 unchanged.
 SCHEMA_VERSION = 4
 
 
@@ -72,11 +85,41 @@ class RunRecord:
     )
     schema_version: int = SCHEMA_VERSION
 
+    def _to_json(self) -> str:
+        """The record as JSON text: an indented envelope around
+        ``cells`` written one compact cell per line.
+
+        Fields are taken shallowly — they hold only JSON-ready values,
+        and a stray non-JSON value still raises ``TypeError`` here.
+        """
+        encode = json.JSONEncoder().encode
+        members = []
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name == "cells" and value:
+                cells = ",\n    ".join(map(encode, value))
+                body = f"[\n    {cells}\n  ]"
+            else:
+                body = json.dumps(value, indent=2).replace("\n", "\n  ")
+            members.append(f"  {encode(spec.name)}: {body}")
+        return "{\n" + ",\n".join(members) + "\n}\n"
+
     def write(self, path: "str | Path") -> Path:
-        """Serialize to ``path`` (parent directories are created)."""
+        """Serialize to ``path`` atomically (parent directories are
+        created; an earlier record there survives a failed write)."""
         target = Path(path)
+        text = self._to_json()
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(asdict(self), indent=2) + "\n")
+        temp = target.with_name(
+            f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+        )
+        try:
+            with open(temp, "x", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(temp, target)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         return target
 
 

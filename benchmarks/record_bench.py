@@ -5,7 +5,9 @@ Measures, in-process, the wall times of the evaluation stack:
 * the Fig. 15-style deit_small network sweep (`bench_network_sweep.py`
   shape) — cold (empty persistent cache) and warm (populated cache);
 * the Fig. 13 synthetic grid (`bench_fig13.py` shape) — cold and warm;
-* ``repro all --jobs 1`` end to end — cold and warm;
+* ``repro all`` end to end — cold and warm (recorded under the
+  ``repro_all_jobs1`` key, its name from when ``repro all`` took a
+  worker count, so existing baselines still gate it);
 * the job queue (`repro queue` / `repro worker`) on a small grid —
   fill time, bookkeeping-only claim+complete drain, and the 1-vs-2
   worker drain wall times (recorded for the trajectory, not gated:
@@ -28,7 +30,7 @@ committed baseline). Run from the repo root::
 regressed more than ``--tolerance`` (default 0.25 = 25%) over the
 baseline record's value, or if the baseline lacks a gated measurement
 the new record has (a renamed field must not switch the gate off). ``--profile OUT`` additionally
-writes a cProfile dump of one cold ``repro all --jobs 1`` run — open
+writes a cProfile dump of one cold ``repro all`` run — open
 it with ``python -m pstats OUT``.
 """
 
@@ -109,7 +111,7 @@ def _repro_all(cache_dir: Path) -> None:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         status = cli.main(
-            ["all", "--jobs", "1", "--cache-dir", str(cache_dir)]
+            ["all", "--cache-dir", str(cache_dir)]
         )
     if status not in (0, None):
         raise SystemExit(f"repro all failed with status {status}")
@@ -276,7 +278,7 @@ def record(rounds: int) -> dict:
 
 
 def profile_cold_all(out: Path) -> None:
-    """cProfile one cold ``repro all --jobs 1`` into ``out``."""
+    """cProfile one cold ``repro all`` into ``out``."""
     scratch = Path(tempfile.mkdtemp(prefix="repro-bench-prof-"))
     try:
         _repro_all(scratch / "cache")  # warm imports outside the profile
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile", metavar="OUT",
         help="also write a cProfile dump of one cold "
-        "'repro all --jobs 1' run to OUT",
+        "'repro all' run to OUT",
     )
     args = parser.parse_args(argv)
     payload = record(args.rounds)

@@ -1,7 +1,7 @@
 """REP004 close-discipline: constructed engines/stores must close.
 
-``SweepEngine.close()`` flushes the persistent cache and tears down
-worker pools; ``JobStore.close()`` releases the SQLite connection;
+``SweepEngine.close()`` flushes the persistent cache and releases its
+connection; ``JobStore.close()`` releases the SQLite connection;
 ``EvaluationService.close()`` (the ``repro serve`` layer) closes the
 engine the whole service shares.  The PR 4 durability guarantee — an
 interrupted grid keeps every completed evaluation — holds only if
@@ -19,8 +19,8 @@ provably never reaches one:
   ``closing(name)`` / ``closing(name.engine)``), or ``.close()`` /
   ``.shutdown()`` on it appears inside a ``finally:`` block — OK;
 * handed to ``attach_cache(...)`` — the engine owns it now — OK;
-* anything else leaks pools or buffered cache entries on the first
-  exception — flagged.
+* anything else leaks connections or buffered cache entries on the
+  first exception — flagged.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def check_close_discipline(ctx: FileContext) -> Iterator[Finding]:
                 f"{cls} constructed in {node.name}() but never "
                 f"closed — use 'with closing(...)', close it in a "
                 f"finally: block, or return it to transfer "
-                f"ownership (leaked pools/connections lose "
+                f"ownership (leaked connections lose "
                 f"interrupted-run durability)",
             )
             if finding is not None:

@@ -28,11 +28,10 @@ historical output), ``json``, ``csv``, or ``md`` (composable markdown
 sections — ``repro report --format md`` stacks them into an
 EXPERIMENTS.md). One invocation builds a single
 :class:`~repro.eval.engine.EngineContext` — estimator, memoizing
-:class:`~repro.eval.engine.SweepEngine`, ``--jobs``/``--backend``
-execution policy, optional ``--cache-dir`` persistent cache — and runs
-a :class:`~repro.eval.artifacts.RunPlan` over it, so ``repro all``
-evaluates each unique (design, workload) pair exactly once, in
-parallel if asked, and resumes from disk across runs. ``--stream``
+:class:`~repro.eval.engine.SweepEngine`, optional ``--cache-dir``
+persistent cache — and runs a :class:`~repro.eval.artifacts.RunPlan`
+over it, so ``repro all`` evaluates each unique (design, workload)
+pair exactly once, and resumes from disk across runs. ``--stream``
 consumes the plan's event stream instead of the batch view: each
 artifact prints the moment its compute returns, with its own scoped
 cache-hit/evaluation counts.
@@ -78,11 +77,7 @@ from repro.eval.artifacts import (
     finished_event_line,
     stats_by_artifact,
 )
-from repro.eval.engine import (
-    BACKENDS,
-    GEOMEAN_METRICS,
-    EngineContext,
-)
+from repro.eval.engine import GEOMEAN_METRICS, EngineContext
 from repro.eval.runs import (
     record_from_artifacts,
     record_from_model_sweep,
@@ -123,7 +118,6 @@ def _render_outputs(results: Dict[str, Any], fmt: str) -> str:
 def run_artifacts(
     names: List[str],
     ctx: "EngineContext | None | object" = None,
-    jobs: int = 1,
     fmt: str = "text",
 ) -> str:
     """Render the named artifacts off one shared context.
@@ -133,7 +127,6 @@ def run_artifacts(
     estimator, an engine, a context).
     """
     ctx = EngineContext.coerce(ctx)
-    ctx.engine.jobs = max(ctx.engine.jobs, jobs)
     return _render_outputs(compute_artifacts(names, ctx), fmt)
 
 
@@ -200,16 +193,6 @@ def _coerce_metadata_value(text: str) -> object:
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """The shared EngineContext knobs (artifact + sweep subcommands)."""
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="parallel evaluation workers (default 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="worker backend for --jobs > 1 (default thread; the "
-        "cost models are pure Python, so threads share the GIL and "
-        "processes run them in parallel at a spawn and pickling cost)",
-    )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist (design, workload) evaluations under DIR and "
@@ -303,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="operand-B sparsity degrees (default: the Fig. 13 grid)",
     )
     sweep.add_argument(
-        "--size", type=int, default=None, metavar="N",
+        "--size", type=_positive_int, default=None, metavar="N",
         help="cubic GEMM side M=K=N (default 1024)",
     )
     sweep.add_argument(
@@ -363,14 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "never occupy a slot)",
     )
     serve.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="parallel evaluation workers within each run (default 1)",
-    )
-    serve.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="worker backend for --jobs > 1 (default thread)",
-    )
-    serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist evaluations under DIR — the service's shared "
         "warm cache across requests and restarts (also: "
@@ -424,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "grid)",
     )
     queue.add_argument(
-        "--size", type=int, default=None, metavar="N",
+        "--size", type=_positive_int, default=None, metavar="N",
         help="(fill) cubic GEMM side M=K=N (default 1024)",
     )
     queue.add_argument(
@@ -489,14 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batches", type=_positive_int, default=None, metavar="N",
         help="exit after N batches even if cells remain (bounded "
         "shifts; default: run until drained)",
-    )
-    worker.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="parallel evaluation workers within each batch (default 1)",
-    )
-    worker.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="worker backend for --jobs > 1 (default thread)",
     )
     worker.add_argument(
         "--record", default=None, metavar="PATH",
@@ -604,8 +571,6 @@ def _build_context(args: argparse.Namespace,
     """The invocation's single EngineContext, from the CLI knobs."""
     return _open_context(
         parser,
-        jobs=args.jobs,
-        backend=args.backend,
         cache_dir=_resolve_cache_dir(args.cache_dir),
         record=args.record,
     )
@@ -728,7 +693,6 @@ def _cmd_sweep_model(args: argparse.Namespace,
         stats = ctx.engine.stats
         print(
             f"\n{len(design_names)} designs on {model.name}, "
-            f"jobs={args.jobs} ({args.backend}): "
             f"{stats.evaluations} workloads evaluated, "
             f"{stats.hits} memory hits, {stats.disk_hits} disk hits "
             f"in {wall_time_s:.2f}s"
@@ -826,7 +790,6 @@ def _cmd_sweep(args: argparse.Namespace,
         print(
             f"\n{len(design_names)} designs x {len(a_degrees)}x"
             f"{len(b_degrees)} degree grid @ {size}^3, "
-            f"jobs={args.jobs} ({args.backend}): "
             f"{stats.evaluations} workloads evaluated, "
             f"{stats.hits} memory hits, {stats.disk_hits} disk hits "
             f"in {wall_time_s:.2f}s"
@@ -913,8 +876,6 @@ def _cmd_serve(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     ctx = _open_context(
         parser,
-        jobs=args.jobs,
-        backend=args.backend,
         cache_dir=_resolve_cache_dir(args.cache_dir),
     )
     # closing(): the service closes the engine on its own shutdown
@@ -1089,8 +1050,6 @@ def _cmd_worker(args: argparse.Namespace,
     # file the queue rows live in.
     ctx = _open_context(
         parser,
-        jobs=args.jobs,
-        backend=args.backend,
         cache_dir=str(path.parent),
         record=args.record,
     )

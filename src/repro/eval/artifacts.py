@@ -12,8 +12,8 @@ or ``csv`` (the payload's ``rows``).
 Because every ``compute`` takes one
 :class:`~repro.eval.engine.EngineContext`, a whole ``repro all``
 invocation shares a single memoizing engine — and therefore inherits
-parallel workers, the persistent cache, and run recording without any
-artifact-specific wiring.
+the persistent cache and run recording without any artifact-specific
+wiring.
 
 Execution is event-driven: a :class:`RunPlan` built from the registry
 yields typed :data:`RunEvent` s — :class:`ArtifactStarted`, then

@@ -1,5 +1,5 @@
 """The batched sweep engine: declarative work, memoized workloads,
-optional parallel execution, optional persistent caching.
+optional persistent caching.
 
 Experiments declare *what* to evaluate and the :class:`SweepEngine`
 decides *how*. The unit of memoization is a **(design, workload) pair**
@@ -15,22 +15,20 @@ weight-sparsity point).
 
 Every cache miss is costed by its design's
 :meth:`~repro.accelerators.base.AcceleratorDesign.evaluate` (through
-the harness's support/orientation rule), one pair at a time. Engines
-are shared per estimator (see :meth:`SweepEngine.shared`), the
+the harness's support/orientation rule), one pair at a time, serially
+in the calling thread: an analytical evaluation is a pure-Python call
+of tens of microseconds, cheaper than handing it to a worker pool.
+Engines are shared per estimator (see :meth:`SweepEngine.shared`), the
 in-memory cache is thread-safe with exactly-once evaluation even under
-concurrent batches, and a :class:`~repro.eval.cache.PersistentCache`
-extends memoization across runs. Workers can be threads (default) or
-processes (``backend="process"`` — the cost models are pure and
-pickleable). The models are pure Python, so threads overlap little of
-the model work (they hold the GIL); processes run it in parallel but
-pay spawn and pickling costs.
+concurrent callers (``repro serve`` calls one engine from several
+executor threads), and a :class:`~repro.eval.cache.PersistentCache`
+extends memoization across runs.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -75,13 +73,6 @@ PairKey = Tuple[str, WorkloadKey]
 
 #: One unit of engine work: a design name on one concrete workload.
 Pair = Tuple[str, MatmulWorkload]
-
-#: Supported worker backends.
-BACKENDS = ("thread", "process")
-
-#: Pairs per task the process backend pickles to a worker, so a large
-#: miss set does not pay one round trip per pair.
-PROCESS_CHUNKSIZE = 256
 
 
 @dataclass(frozen=True)
@@ -326,44 +317,16 @@ def grid_cells(
     ]
 
 
-# --- process-backend worker side ---------------------------------------
-#
-# Workers receive (design name, workload) pairs; designs are
-# instantiated per process from the global registry. The estimator is
-# *rebuilt* in each worker from its table + plug-ins (plain, picklable
-# data) rather than pickled whole — a used estimator carries the shared
-# engine (locks, events) as an attribute, which spawn-based platforms
-# cannot pickle.
-
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _init_worker(table, plugins) -> None:
-    _WORKER_STATE["estimator"] = Estimator(table=table, plugins=plugins)
-    _WORKER_STATE["designs"] = {}
-
-
-def _evaluate_pair_in_worker(pair: Pair) -> Optional[Metrics]:
-    design_name, workload = pair
-    designs: Dict[str, AcceleratorDesign] = _WORKER_STATE["designs"]
-    if design_name not in designs:
-        designs[design_name] = REGISTRY.create(design_name)
-    return evaluate_workload(
-        designs[design_name], workload, _WORKER_STATE["estimator"]
-    )
-
-
 class SweepEngine:
-    """Memoizing, optionally parallel executor for (design, workload)
-    pairs.
+    """Memoizing executor for (design, workload) pairs.
 
     One engine owns one :class:`Estimator` (so every workload is costed
     from identical technology assumptions), one in-memory pair cache,
     and optionally one persistent on-disk cache. Results are
-    deterministic and independent of ``jobs``/``backend``: pairs are
-    evaluated by pure analytical models and returned in request order.
-    All shared state is lock-guarded; a pair requested by several
-    threads concurrently is still evaluated exactly once.
+    deterministic: pairs are evaluated serially by pure analytical
+    models and returned in request order. All shared state is
+    lock-guarded; a pair requested by several threads concurrently is
+    still evaluated exactly once.
     """
 
     #: Attribute under which the shared engine rides on its estimator,
@@ -379,35 +342,16 @@ class SweepEngine:
         "_cache",
         "_inflight",
         "_instances",
-        "_process_pool",
-        "_thread_pool",
-        "_thread_pool_jobs",
     })
 
     def __init__(
         self,
         estimator: Optional[Estimator] = None,
-        jobs: int = 1,
         registry: Optional[DesignRegistry] = None,
-        backend: str = "thread",
         cache: Optional[cache_mod.PersistentCache] = None,
     ) -> None:
-        if jobs < 1:
-            raise EvaluationError(f"jobs must be >= 1, got {jobs}")
-        if backend not in BACKENDS:
-            raise EvaluationError(
-                f"unknown backend {backend!r}; supported: "
-                f"{', '.join(BACKENDS)}"
-            )
         self.estimator = estimator if estimator is not None else Estimator()
-        self.jobs = jobs
         self.registry = registry if registry is not None else REGISTRY
-        if backend == "process" and self.registry is not REGISTRY:
-            raise EvaluationError(
-                "the process backend reconstructs designs from the "
-                "global registry; custom registries need backend='thread'"
-            )
-        self.backend = backend
         self.persistent = cache
         #: Minimum seconds between end-of-batch persistent-cache
         #: flushes (``close()`` and the failure path always flush).
@@ -422,9 +366,6 @@ class SweepEngine:
         self._inflight: Dict[PairKey, Optional[threading.Event]] = {}
         self._lock = threading.Lock()
         self._instances: Dict[str, AcceleratorDesign] = {}
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._thread_pool_jobs = 0
 
     @classmethod
     def shared(cls, estimator: Optional[Estimator] = None) -> "SweepEngine":
@@ -476,85 +417,32 @@ class SweepEngine:
             self.design(design_name), workload, self.estimator
         )
 
-    def _worker_pool(self) -> ProcessPoolExecutor:
-        """The engine's lazily created process pool, reused across
-        batches so worker spawn + estimator transfer are paid once.
-        Creation is lock-guarded: concurrent cold callers must share
-        one pool, not leak one."""
-        with self._lock:
-            if self._process_pool is None:
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_init_worker,
-                    initargs=(
-                        self.estimator.table, self.estimator._plugins
-                    ),
-                )
-            return self._process_pool
-
-    def _thread_worker_pool(self) -> ThreadPoolExecutor:
-        """The engine's lazily created thread pool, reused across
-        batches (mirroring the cached process pool) and rebuilt only
-        when ``jobs`` changes. A stale pool is shut down without
-        waiting, outside the lock: its already-submitted work still
-        runs to completion (so a concurrent caller iterating its map
-        is unaffected), and waiting under the lock could deadlock
-        against workers calling :meth:`design`."""
-        stale: Optional[ThreadPoolExecutor] = None
-        with self._lock:
-            if (
-                self._thread_pool is not None
-                and self._thread_pool_jobs != self.jobs
-            ):
-                stale, self._thread_pool = self._thread_pool, None
-            if self._thread_pool is None:
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=self.jobs
-                )
-                self._thread_pool_jobs = self.jobs
-            pool = self._thread_pool
-        if stale is not None:
-            stale.shutdown(wait=False)
-        return pool
-
     def flush(self) -> None:
         """Flush the persistent cache (if any) unconditionally.
 
         In-batch flushes are debounced (:attr:`flush_interval`);
         callers that just finished a logical unit of work — an
         artifact run, a CLI command — call this to make it durable
-        without tearing down worker pools like :meth:`close` does.
+        without releasing the cache's connection like :meth:`close`
+        does.
         """
         if self.persistent is not None:
             self.persistent.flush()
 
     def close(self) -> None:
-        """Flush the persistent cache and release worker pools.
+        """Flush the persistent cache and release its connection.
 
         Safe to call repeatedly, and the engine stays usable afterwards
-        (pools and the cache's backing store reopen lazily). The CLI
-        calls this on every exit path so an interrupt mid-grid still
-        persists every completed evaluation (results are recorded
-        incrementally in :meth:`evaluate_workloads` and flushed there
-        at most every :attr:`flush_interval` seconds; this close — and
-        the in-batch failure path — flush unconditionally; queued
-        work that never started is cancelled, not drained).
+        (the cache's backing store reopens lazily). The CLI calls this
+        on every exit path so an interrupt mid-grid still persists
+        every completed evaluation (results are recorded incrementally
+        in :meth:`evaluate_workloads` and flushed there at most every
+        :attr:`flush_interval` seconds; this close — and the in-batch
+        failure path — flush unconditionally). A failing flush
+        propagates to the caller.
         """
-        try:
-            if self.persistent is not None:
-                self.persistent.close()
-        finally:
-            # Pools must come down even when the flush fails (disk
-            # full, lock contention) — and on Ctrl-C, a flush error
-            # must not bury the KeyboardInterrupt with lingering
-            # worker processes.
-            with self._lock:
-                process, self._process_pool = self._process_pool, None
-                thread, self._thread_pool = self._thread_pool, None
-            if process is not None:
-                process.shutdown(cancel_futures=True)
-            if thread is not None:
-                thread.shutdown(cancel_futures=True)
+        if self.persistent is not None:
+            self.persistent.close()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter exit
         try:
@@ -562,22 +450,13 @@ class SweepEngine:
         except Exception:
             pass
 
-    def _run_batch(self, pending: List[Pair]):
-        """Results for ``pending``, yielded lazily in order as they
-        complete (``Executor.map`` streams in submission order), so the
-        caller can record and persist each one before the next — an
-        interrupt mid-batch keeps everything already evaluated (on the
-        process backend, every completed chunk of
-        :data:`PROCESS_CHUNKSIZE` pairs)."""
-        if self.jobs > 1 and len(pending) > 1:
-            if self.backend == "process":
-                return self._worker_pool().map(
-                    _evaluate_pair_in_worker, pending,
-                    chunksize=PROCESS_CHUNKSIZE,
-                )
-            return self._thread_worker_pool().map(
-                self._evaluate_pair, pending
-            )
+    def _run_batch(
+        self, pending: List[Pair]
+    ) -> Iterator[Optional[Metrics]]:
+        """Results for ``pending``, yielded lazily in order, so the
+        caller can record and persist each one before evaluating the
+        next — an interrupt mid-batch keeps everything already
+        evaluated."""
         return (self._evaluate_pair(pair) for pair in pending)
 
     def _wait_event_locked(self, key: "PairKey") -> threading.Event:
@@ -875,11 +754,11 @@ class EngineContext:
     """Everything an experiment needs to evaluate workloads.
 
     One context wraps one :class:`SweepEngine` (which owns the
-    estimator, the jobs/backend execution policy, and any attached
-    persistent cache) plus invocation-level settings such as the run
-    record destination. The CLI constructs a context once per
-    invocation and threads it through every experiment, so all
-    artifacts/sweeps of a run share a single memoization domain.
+    estimator and any attached persistent cache) plus invocation-level
+    settings such as the run record destination. The CLI constructs a
+    context once per invocation and threads it through every
+    experiment, so all artifacts/sweeps of a run share a single
+    memoization domain.
 
     Experiments accept looser inputs for convenience — ``None``, a bare
     :class:`~repro.energy.estimator.Estimator`, or a
@@ -895,14 +774,6 @@ class EngineContext:
         return self.engine.estimator
 
     @property
-    def jobs(self) -> int:
-        return self.engine.jobs
-
-    @property
-    def backend(self) -> str:
-        return self.engine.backend
-
-    @property
     def cache_dir(self) -> Optional[str]:
         """The persistent cache directory, when one is attached."""
         if self.engine.persistent is None:
@@ -913,8 +784,6 @@ class EngineContext:
     def create(
         cls,
         estimator: Optional[Estimator] = None,
-        jobs: int = 1,
-        backend: str = "thread",
         cache_dir: "Optional[str]" = None,
         record: Optional[str] = None,
     ) -> "EngineContext":
@@ -923,7 +792,7 @@ class EngineContext:
         A cache that cannot open (``cache_dir`` is a file, or holds a
         leftover cache from an older version) raises
         :class:`~repro.errors.CacheError` before any work."""
-        engine = SweepEngine(estimator, jobs=jobs, backend=backend)
+        engine = SweepEngine(estimator)
         if cache_dir is not None:
             engine.attach_cache(
                 cache_mod.PersistentCache.for_estimator(
@@ -961,8 +830,8 @@ class EngineContext:
         :meth:`SweepEngine.close`: double-close (a ``finally:`` block
         racing a signal-driven shutdown hook both tearing down the same
         context) is a no-op the second time, never an error, and the
-        engine stays usable afterwards (pools and the cache store
-        reopen lazily).
+        engine stays usable afterwards (the cache store reopens
+        lazily).
         """
         self.engine.close()
 

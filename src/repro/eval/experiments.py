@@ -520,7 +520,7 @@ def sweep_model(
     This is the Fig. 15-per-model workhorse generalized to arbitrary
     grids: every layer of every (design, degree) point is realized
     into candidate workloads and the whole sweep is submitted to the
-    engine as **one batch**, so parallelism spans the entire network
+    engine as **one batch**, so deduplication spans the entire network
     sweep and dense layers (identical at every degree) are evaluated
     once. ``degrees`` overrides the default ladders — a sequence
     applies to every design, a mapping picks degrees per design (how
@@ -678,7 +678,7 @@ def fig2(ctx: ContextLike = None) -> Fig2Result:
     The accuracy-matched degrees resolve analytically
     (:func:`accuracy_matched_degrees`), then each model's four points
     run as **one** :func:`sweep_model` batch with a per-design degree
-    mapping: parallelism spans the whole figure, dense layers
+    mapping: one cache probe covers the whole figure, dense layers
     deduplicate across designs, and on a warm persistent cache the
     entire degree search performs zero fresh evaluations.
     """
@@ -831,8 +831,8 @@ def fig15(ctx: ContextLike = None) -> Fig15Result:
     Each network's design x degree-ladder grid is one batched
     :func:`sweep_model` submission: candidate workloads deduplicate
     across designs and degrees (every dense layer is costed once per
-    design), and parallel/persistent-cache contexts accelerate the
-    whole figure transparently.
+    design), and a persistent-cache context serves the whole figure
+    transparently.
     """
     ctx = EngineContext.coerce(ctx)
     out: Dict[str, List[ParetoPoint]] = {}
@@ -965,7 +965,7 @@ def fig17(ctx: ContextLike = None, size: int = 1024) -> Fig17Result:
     B C1(2:{2<=H<=8})->C0(dense) activations.
 
     The fourteen (design, workload) pairs go through the engine as one
-    batch — memoized and parallelizable like every other experiment.
+    batch — memoized like every other experiment.
     """
     engine = EngineContext.coerce(ctx).engine
     pattern_a = HSSPattern.from_ratios((2, 4))

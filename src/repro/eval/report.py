@@ -34,7 +34,7 @@ reproduction targets are the *relative* results.
 def build_report(ctx: ContextLike = None) -> str:
     # One context for the whole report: every figure shares the same
     # memoizing engine, so revisited cells/layers are cache hits. A
-    # caller-supplied context brings its jobs/cache policy along.
+    # caller-supplied context brings its persistent cache along.
     ctx = EngineContext.coerce(ctx if ctx is not None else Estimator())
     estimator = ctx.estimator
     sections: List[str] = [HEADER]

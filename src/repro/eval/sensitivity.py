@@ -92,7 +92,6 @@ def sweep_sensitivity(
     constants: Sequence[str] = PERTURBABLE,
     size: int = 1024,
     parity_tolerance: float = 0.05,
-    jobs: int = 1,
 ) -> List[SensitivityOutcome]:
     """Run Fig. 13 under each (constant, scale) perturbation.
 
@@ -100,18 +99,16 @@ def sweep_sensitivity(
     analytical, so full size costs nothing, and the traffic/compute
     balance (and therefore the orderings) is size-dependent. Each
     perturbation gets its own :class:`SweepEngine` (the cost table
-    differs, so nothing may be shared across perturbations); ``jobs``
-    parallelizes the cells within each perturbed sweep.
+    differs, so nothing may be shared across perturbations).
     """
     outcomes: List[SensitivityOutcome] = []
     base = default_table()
     for constant in constants:
         for scale in scales:
             table = perturb_table(base, constant, scale)
-            engine = SweepEngine(Estimator(table), jobs=jobs)
-            # closing(): each perturbation's engine lazily creates
-            # worker pools under jobs > 1; without a close every loop
-            # iteration leaks one (REP004 close-discipline).
+            engine = SweepEngine(Estimator(table))
+            # closing(): REP004 close-discipline holds for every
+            # constructed engine, cached or not.
             with closing(engine):
                 sweep = fig13(engine, size=size)
                 checks = _check(sweep, parity_tolerance)

@@ -52,18 +52,16 @@ def sweep_shapes(
     estimator: Optional[Estimator] = None,
     parity_tolerance: float = 0.05,
     engine: Optional[SweepEngine] = None,
-    jobs: int = 1,
 ) -> List[ShapeOutcome]:
     """Check the headline orderings at every shape in the grid.
 
     The whole shapes x degrees x designs grid is declared up front and
-    handed to the :class:`SweepEngine` in one batch, so independent
-    cells can run in parallel (``jobs``) and the per-shape headline
-    lookups below are pure cache hits.
+    handed to the :class:`SweepEngine` in one batch, so the per-shape
+    headline lookups below are pure cache hits.
     """
     created = engine is None
     if engine is None:
-        engine = SweepEngine(estimator, jobs=jobs)
+        engine = SweepEngine(estimator)
     try:
         cells: List[Cell] = []
         for shape in shapes:
@@ -122,8 +120,7 @@ def sweep_shapes(
         return outcomes
     finally:
         # Close only an engine this call created (REP004): a borrowed
-        # engine's pools belong to the caller. Without this, every
-        # jobs > 1 invocation leaked a worker pool.
+        # engine, and its cache connection, belong to the caller.
         if created:
             engine.close()
 

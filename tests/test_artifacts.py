@@ -93,11 +93,8 @@ class TestEngineContext:
 
     def test_create_wires_cache_and_policy(self, tmp_path):
         ctx = EngineContext.create(
-            jobs=3, backend="thread",
             cache_dir=str(tmp_path / "cache"), record="run.json",
         )
-        assert ctx.jobs == 3
-        assert ctx.backend == "thread"
         assert ctx.cache_dir == str(tmp_path / "cache")
         assert ctx.record_path == "run.json"
         assert ctx.engine.persistent is not None
@@ -169,15 +166,15 @@ class TestCsvRenderer:
 
 class TestCachedArtifactPipeline:
     def test_repro_all_warm_cache_evaluates_nothing(self, tmp_path):
-        """The acceptance shape: ``repro all --jobs 4 --cache-dir D``
+        """The acceptance shape: ``repro all --cache-dir D``
         run twice performs zero estimator evaluations the second
         time, and the structured payloads are identical."""
         cache_dir = str(tmp_path / "cache")
-        cold = EngineContext.create(jobs=4, cache_dir=cache_dir)
+        cold = EngineContext.create(cache_dir=cache_dir)
         cold_results = compute_artifacts(list(ARTIFACTS), cold)
         assert cold.engine.stats.evaluations > 0
 
-        warm = EngineContext.create(jobs=4, cache_dir=cache_dir)
+        warm = EngineContext.create(cache_dir=cache_dir)
         warm_results = compute_artifacts(list(ARTIFACTS), warm)
         assert warm.engine.stats.evaluations == 0
         assert warm.engine.stats.misses == 0

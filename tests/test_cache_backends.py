@@ -495,12 +495,12 @@ class TestEngineIntegration:
         performs zero evaluations the second time, with identical
         payloads."""
         cache_dir = str(tmp_path / "cache")
-        cold = EngineContext.create(jobs=4, cache_dir=cache_dir)
+        cold = EngineContext.create(cache_dir=cache_dir)
         cold_results = compute_artifacts(list(ARTIFACTS), cold)
         assert cold.engine.stats.evaluations > 0
         cold.engine.close()
 
-        warm = EngineContext.create(jobs=4, cache_dir=cache_dir)
+        warm = EngineContext.create(cache_dir=cache_dir)
         warm_results = compute_artifacts(list(ARTIFACTS), warm)
         assert warm.engine.stats.evaluations == 0
         assert warm.engine.stats.misses == 0

@@ -1,6 +1,11 @@
 """Tests for the CLI and the EXPERIMENTS.md report generator."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,7 +85,7 @@ class TestSweepSubcommand:
         assert main([
             "sweep", "--designs", "TC,HighLight",
             "--a-degrees", "0.0,0.5", "--b-degrees", "0.0,0.25",
-            "--size", "256", "--jobs", "4",
+            "--size", "256",
             "--record", str(record_path),
         ]) == 0
         out = capsys.readouterr().out
@@ -631,3 +636,91 @@ class TestServeParser:
         err = capsys.readouterr().err
         assert "--port" in err
         assert "0-65535" in err or "integer" in err
+
+
+#: perfbench's ``_TRAILER`` pattern (perfbench/cli_workloads.py): the
+#: end-to-end benchmark reads each sweep's evaluation count from it.
+PERFBENCH_TRAILER = re.compile(
+    r"(\d+) workloads evaluated, (\d+) memory hits, (\d+) disk hits"
+)
+
+
+class TestSweepTrailers:
+    """The last stdout line of a sweep is a parsed contract."""
+
+    @staticmethod
+    def _trailer(out):
+        return out.rstrip("\n").rsplit("\n", 1)[-1]
+
+    def test_grid_sweep_trailer(self, capsys):
+        assert main([
+            "sweep", "--designs", "TC,HighLight",
+            "--a-degrees", "0.0,0.5", "--b-degrees", "0.0,0.25",
+            "--size", "256",
+        ]) == 0
+        trailer = self._trailer(capsys.readouterr().out)
+        assert re.fullmatch(
+            r"2 designs x 2x2 degree grid @ 256\^3, 6 workloads "
+            r"evaluated, 4 memory hits, 0 disk hits in \d+\.\d\ds",
+            trailer,
+        ), trailer
+        assert PERFBENCH_TRAILER.search(trailer).groups() == (
+            "6", "4", "0"
+        )
+
+    def test_model_sweep_trailer(self, capsys):
+        assert main([
+            "sweep", "--model", "DeiT-small",
+            "--designs", "TC,HighLight", "--degrees", "0.0,0.5",
+        ]) == 0
+        trailer = self._trailer(capsys.readouterr().out)
+        assert re.fullmatch(
+            r"2 designs on DeiT-small, 15 workloads evaluated, "
+            r"9 memory hits, 0 disk hits in \d+\.\d\ds",
+            trailer,
+        ), trailer
+        assert PERFBENCH_TRAILER.search(trailer).groups() == (
+            "15", "9", "0"
+        )
+
+
+class TestSizeValidation:
+    @pytest.mark.parametrize("value", ("0", "-5"))
+    @pytest.mark.parametrize("command", (
+        ["sweep"], ["queue", "fill"],
+    ), ids=("sweep", "queue-fill"))
+    def test_non_positive_size_is_a_usage_error(
+        self, tmp_path, capsys, command, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + [
+                "--size", value, "--cache-dir", str(tmp_path),
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --size: must be >= 1" in err
+        assert "Traceback" not in err
+
+
+class TestExecutionPath:
+    def test_jobs_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    def test_cli_import_does_not_load_multiprocessing(self):
+        """Evaluation is serial and in-process, so nothing on the CLI's
+        import path may pull in a process pool."""
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert result.stdout.strip() == "[]"

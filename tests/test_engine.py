@@ -1,14 +1,10 @@
-"""Tests for the memoizing/parallel sweep engine."""
+"""Tests for the memoizing sweep engine."""
 
-import json
-import sqlite3
 import threading
-from contextlib import closing
 
 import pytest
 
 from repro.energy import Estimator
-from repro.errors import EvaluationError
 from repro.eval.cache import MISS, PersistentCache
 from repro.eval.engine import (
     Cell,
@@ -124,166 +120,13 @@ class TestMemoization:
         assert SweepEngine.shared() is not SweepEngine.shared()
 
 
-class TestParallelism:
-    def test_jobs_1_and_4_produce_identical_sweeps(self, estimator):
-        serial = SweepEngine(estimator, jobs=1).sweep(**SMALL)
-        parallel = SweepEngine(estimator, jobs=4).sweep(**SMALL)
-        assert serial.design_order == parallel.design_order
-        assert list(serial.cells) == list(parallel.cells)
-        for cell in serial.cells:
-            assert serial.cells[cell] == parallel.cells[cell]
-
+class TestDeterminism:
     def test_deterministic_result_ordering(self, estimator):
         cells = grid_cells(("TC", "HighLight"), (0.0, 0.5), (0.0,),
                            **SMALL)
-        a = SweepEngine(estimator, jobs=4).evaluate_cells(cells)
-        b = SweepEngine(estimator, jobs=4).evaluate_cells(cells)
+        a = SweepEngine(estimator).evaluate_cells(cells)
+        b = SweepEngine(estimator).evaluate_cells(cells)
         assert a == b
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(EvaluationError):
-            SweepEngine(jobs=0)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(EvaluationError, match="backend"):
-            SweepEngine(backend="gpu")
-
-    def test_process_backend_matches_serial(self, estimator):
-        small = dict(m=64, k=64, n=64)
-        serial = SweepEngine(estimator).sweep(
-            designs=("TC", "HighLight"),
-            a_degrees=(0.0, 0.5), b_degrees=(0.0,), **small,
-        )
-        engine = SweepEngine(jobs=2, backend="process")
-        try:
-            procs = engine.sweep(
-                designs=("TC", "HighLight"),
-                a_degrees=(0.0, 0.5), b_degrees=(0.0,), **small,
-            )
-        finally:
-            engine.close()
-        for cell in serial.cells:
-            for design in ("TC", "HighLight"):
-                ours = serial.cells[cell][design]
-                theirs = procs.cells[cell][design]
-                assert ours.edp == pytest.approx(theirs.edp)
-                assert ours.cycles == pytest.approx(theirs.cycles)
-
-    @staticmethod
-    def _sweep_payload(tmp_path, jobs=1, backend="thread"):
-        """A small cached sweep's payload floats and its persisted
-        ``(digest, blob)`` rows."""
-        estimator = Estimator()
-        cache = PersistentCache.for_estimator(tmp_path, estimator)
-        engine = SweepEngine(
-            estimator, cache=cache, jobs=jobs, backend=backend
-        )
-        try:
-            sweep = engine.sweep(
-                designs=("TC", "STC", "HighLight"),
-                a_degrees=(0.0, 0.5, 0.75),
-                b_degrees=(0.0, 0.5),
-                m=64, k=64, n=64,
-            )
-        finally:
-            engine.close()
-        payload = {
-            str(key): {
-                design: None if m is None else (
-                    m.cycles, m.energy_pj, m.workload,
-                    list(m.energy_breakdown_pj.items()),
-                )
-                for design, m in cell.items()
-            }
-            for key, cell in sweep.cells.items()
-        }
-        # Digest order: workers may record entries in any order, but
-        # digest for digest the blobs must match.
-        with closing(sqlite3.connect(cache.path)) as conn:
-            rows = conn.execute(
-                "SELECT digest, metrics FROM entries ORDER BY digest"
-            ).fetchall()
-        return payload, rows, engine.stats
-
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_parallel_backends_match_sequential(self, tmp_path, backend):
-        """--jobs 4 over either worker backend gives the --jobs 1
-        payload floats, and the persisted caches carry byte-identical
-        blobs."""
-        parallel_payload, parallel_rows, parallel_stats = (
-            self._sweep_payload(tmp_path / backend, jobs=4,
-                                backend=backend)
-        )
-        serial_payload, serial_rows, serial_stats = self._sweep_payload(
-            tmp_path / "serial"
-        )
-        assert json.dumps(parallel_payload, sort_keys=True) == json.dumps(
-            serial_payload, sort_keys=True
-        )
-        assert parallel_rows == serial_rows
-        assert parallel_stats.misses == serial_stats.misses
-
-    def test_process_pool_reused_across_batches(self):
-        # Each sweep is one batch with >1 unique pair (STC/DSTC realize
-        # several orientations), so both go through the pool.
-        engine = SweepEngine(jobs=2, backend="process")
-        try:
-            engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            pool = engine._process_pool
-            assert pool is not None
-            engine.sweep(designs=("DSTC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            assert engine._process_pool is pool
-        finally:
-            engine.close()
-        assert engine._process_pool is None
-
-    def test_thread_pool_reused_across_batches(self):
-        """The thread backend keeps one executor alive across batches
-        (mirroring the cached process pool) instead of paying pool
-        construction per ``_run_batch``."""
-        engine = SweepEngine(jobs=2, backend="thread")
-        try:
-            engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            pool = engine._thread_pool
-            assert pool is not None
-            engine.sweep(designs=("DSTC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            assert engine._thread_pool is pool
-        finally:
-            engine.close()
-        assert engine._thread_pool is None
-
-    def test_thread_pool_rebuilt_when_jobs_change(self):
-        engine = SweepEngine(jobs=2, backend="thread")
-        try:
-            engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            pool = engine._thread_pool
-            engine.jobs = 3
-            engine.sweep(designs=("DSTC",), a_degrees=(0.0, 0.5),
-                         b_degrees=(0.0,), m=64, k=64, n=64)
-            assert engine._thread_pool is not pool
-            assert engine._thread_pool_jobs == 3
-        finally:
-            engine.close()
-
-    def test_process_initargs_stay_picklable_after_shared_use(self):
-        """A used estimator carries the shared engine (locks/events)
-        and cannot be pickled — which is why the process backend ships
-        (table, plugins) instead of the estimator object. Guards the
-        spawn/forkserver platforms where initargs really are pickled."""
-        import pickle
-
-        estimator = Estimator()
-        SweepEngine.shared(estimator).evaluate_cells(
-            [Cell("TC", 0.0, 0.0, m=64, k=64, n=64)]
-        )
-        with pytest.raises(TypeError):
-            pickle.dumps(estimator)
-        pickle.dumps((estimator.table, estimator._plugins))
 
 
 class TestThreadSafety:
@@ -291,7 +134,7 @@ class TestThreadSafety:
         """Many threads hammering one engine with the same grid must
         agree on results and evaluate each unique pair exactly once
         (the in-flight registry makes concurrent misses collapse)."""
-        engine = SweepEngine(estimator, jobs=4)
+        engine = SweepEngine(estimator)
         cells = grid_cells(
             ("TC", "STC", "HighLight"), (0.0, 0.5), (0.0, 0.5), **SMALL
         )
@@ -371,9 +214,8 @@ class TestClose:
         reloaded = PersistentCache.for_estimator(tmp_path, estimator)
         assert reloaded.get("TC", workload.key()) is not MISS
 
-    @pytest.mark.parametrize("jobs", (1, 2))
     def test_interrupt_mid_batch_keeps_completed_evaluations(
-        self, tmp_path, jobs
+        self, tmp_path
     ):
         """The headline durability scenario: a whole grid is one batch,
         and Ctrl-C partway through must persist the evaluations that
@@ -381,7 +223,7 @@ class TestClose:
         failure path flushes before propagating)."""
         estimator = Estimator()
         cache = PersistentCache.for_estimator(tmp_path, estimator)
-        engine = SweepEngine(estimator, jobs=jobs, cache=cache)
+        engine = SweepEngine(estimator, cache=cache)
         workloads = [
             synthetic_workload(0.5, degree, size=128)
             for degree in (0.0, 0.25, 0.5, 0.75)
@@ -390,8 +232,6 @@ class TestClose:
         calls = []
 
         def interrupting(pair):
-            # >= so no pair submitted after the first interrupt can
-            # still evaluate (its result would never be consumed).
             if len(calls) >= 2:
                 raise KeyboardInterrupt
             result = real(pair)
@@ -405,9 +245,13 @@ class TestClose:
             )
         engine.close()
         reloaded = PersistentCache.for_estimator(tmp_path, estimator)
-        for _, workload in calls:
-            assert reloaded.get("TC", workload.key()) is not MISS
-        assert len(calls) >= 1
+        # Serial evaluation stops at the interrupt: exactly the two
+        # completed pairs are durable, the rest never ran.
+        assert len(calls) == 2
+        evaluated = {workload.key() for _, workload in calls}
+        for workload in workloads:
+            persisted = reloaded.get("TC", workload.key()) is not MISS
+            assert persisted == (workload.key() in evaluated)
 
     def test_close_is_idempotent_and_engine_stays_usable(self, tmp_path):
         estimator = Estimator()
@@ -422,15 +266,14 @@ class TestClose:
         assert metrics is not None
         engine.close()
 
-    def test_pools_shut_down_even_when_cache_close_fails(self, tmp_path):
-        """A failing flush (disk full, lock contention) must not leave
-        worker pools lingering, and the original error propagates."""
+    def test_cache_close_error_propagates(self, tmp_path):
+        """A failing flush (disk full, lock contention) is not
+        swallowed: the original error reaches the caller of close()."""
         estimator = Estimator()
         cache = PersistentCache.for_estimator(tmp_path, estimator)
-        engine = SweepEngine(estimator, jobs=2, cache=cache)
+        engine = SweepEngine(estimator, cache=cache)
         engine.sweep(designs=("STC",), a_degrees=(0.0, 0.5),
                      b_degrees=(0.0,), m=64, k=64, n=64)
-        assert engine._thread_pool is not None
 
         def failing_close():
             raise OSError("disk full")
@@ -438,8 +281,6 @@ class TestClose:
         cache.close = failing_close
         with pytest.raises(OSError, match="disk full"):
             engine.close()
-        assert engine._thread_pool is None
-        assert engine._process_pool is None
 
 
 class TestContextClose:

@@ -7,12 +7,7 @@ Measures, in-process, the wall times of the evaluation stack:
 * the Fig. 13 synthetic grid (`bench_fig13.py` shape) — cold and warm;
 * ``repro all`` end to end — cold and warm (recorded under the
   ``repro_all_jobs1`` key, its name from when ``repro all`` took a
-  worker count, so existing baselines still gate it);
-* the job queue (`repro queue` / `repro worker`) on a small grid —
-  fill time, bookkeeping-only claim+complete drain, and the 1-vs-2
-  worker drain wall times (recorded for the trajectory, not gated:
-  two in-process workers contend on the GIL, so the honest
-  multi-machine story is the CI queue smoke job's separate processes).
+  worker count, so existing baselines still gate it).
 
 Every measurement reports the *min* across rounds (scheduling noise
 only ever adds time; the ``*_ms`` keys are mins and are the tracked
@@ -117,122 +112,6 @@ def _repro_all(cache_dir: Path) -> None:
         raise SystemExit(f"repro all failed with status {status}")
 
 
-def _queue_section(rounds: int) -> dict:
-    """Queue bookkeeping + worker drain timings on a small grid."""
-    import threading
-
-    from repro.eval.cache import estimator_fingerprint
-    from repro.eval.queue import (
-        JobStore,
-        grid_fill_pairs,
-        queue_db_path,
-    )
-
-    designs = ("TC", "DSTC", "HighLight")
-    degrees = (0.0, 0.25, 0.5, 0.75)
-    pairs = grid_fill_pairs(
-        designs, degrees, degrees, m=128, k=128, n=128
-    )
-    estimator = Estimator()
-    fingerprint = estimator_fingerprint(estimator)
-    cells = 0
-
-    def timed(body):
-        """Best/mean ms of ``body(directory)`` over fresh scratch
-        dirs; ``body`` returns the seconds of just the measured op."""
-        times = []
-        for _ in range(rounds):
-            directory = Path(tempfile.mkdtemp(prefix="repro-bench-q-"))
-            try:
-                times.append(body(directory))
-            finally:
-                shutil.rmtree(directory, ignore_errors=True)
-        return (
-            min(times) * 1000.0,
-            sum(times) / len(times) * 1000.0,
-        )
-
-    def filled_store(directory):
-        store = JobStore(queue_db_path(directory, fingerprint))
-        store.fill(pairs)
-        return store
-
-    def fill_body(directory):
-        nonlocal cells
-        store = JobStore(queue_db_path(directory, fingerprint))
-        start = time.perf_counter()
-        store.fill(pairs)
-        elapsed = time.perf_counter() - start
-        cells = store.stats().pending
-        store.close()
-        return elapsed
-
-    def bookkeeping_body(directory):
-        store = filled_store(directory)
-        start = time.perf_counter()
-        while True:
-            jobs = store.claim_batch("bench", limit=16)
-            if not jobs:
-                break
-            store.complete("bench", [job.digest for job in jobs])
-        elapsed = time.perf_counter() - start
-        store.close()
-        return elapsed
-
-    def drain(directory, store, worker_id):
-        engine = SweepEngine(
-            estimator,
-            cache=PersistentCache.for_estimator(directory, estimator),
-        )
-        list(engine.run_queue(
-            store, worker_id=worker_id, batch_size=16, poll_s=0.01
-        ))
-        engine.close()
-
-    def one_worker_body(directory):
-        store = filled_store(directory)
-        start = time.perf_counter()
-        drain(directory, store, "solo")
-        elapsed = time.perf_counter() - start
-        store.close()
-        return elapsed
-
-    def two_worker_body(directory):
-        filled_store(directory).close()
-
-        def run(worker_id):
-            store = JobStore(queue_db_path(directory, fingerprint))
-            drain(directory, store, worker_id)
-            store.close()
-
-        threads = [
-            threading.Thread(target=run, args=(f"w{i}",))
-            for i in range(2)
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return time.perf_counter() - start
-
-    fill_ms, fill_mean = timed(fill_body)
-    book_ms, book_mean = timed(bookkeeping_body)
-    solo_ms, solo_mean = timed(one_worker_body)
-    duo_ms, duo_mean = timed(two_worker_body)
-    return {
-        "cells": cells,
-        "fill_ms": round(fill_ms, 3),
-        "fill_mean_ms": round(fill_mean, 3),
-        "claim_complete_ms": round(book_ms, 3),
-        "claim_complete_mean_ms": round(book_mean, 3),
-        "one_worker_drain_ms": round(solo_ms, 3),
-        "one_worker_drain_mean_ms": round(solo_mean, 3),
-        "two_worker_drain_ms": round(duo_ms, 3),
-        "two_worker_drain_mean_ms": round(duo_mean, 3),
-    }
-
-
 def record(rounds: int) -> dict:
     scratch = Path(tempfile.mkdtemp(prefix="repro-bench-"))
     sweep_dir = scratch / "sweep-cache"
@@ -273,7 +152,6 @@ def record(rounds: int) -> dict:
         "network_sweep_deit_small": section(sweep_cold, sweep_warm),
         "fig13_grid": section(fig13_cold, fig13_warm),
         "repro_all_jobs1": section(all_cold, all_warm),
-        "queue_small_grid": _queue_section(rounds),
     }
 
 

@@ -1,13 +1,13 @@
 """REP004 close-discipline: constructed engines/stores must close.
 
 ``SweepEngine.close()`` flushes the persistent cache and releases its
-connection; ``JobStore.close()`` releases the SQLite connection;
-``EvaluationService.close()`` (the ``repro serve`` layer) closes the
-engine the whole service shares.  The PR 4 durability guarantee — an
-interrupted grid keeps every completed evaluation — holds only if
-every construction site funnels through ``close()`` on all exit
-paths.  This rule flags a watched constructor call whose result
-provably never reaches one:
+connection; ``PersistentCache.close()`` flushes and releases the
+SQLite connection; ``EvaluationService.close()`` (the ``repro serve``
+layer) closes the engine the whole service shares.  The PR 4
+durability guarantee — an interrupted grid keeps every completed
+evaluation — holds only if every construction site funnels through
+``close()`` on all exit paths.  This rule flags a watched constructor
+call whose result provably never reaches one:
 
 * used directly as (or wrapped in ``closing(...)`` inside) a
   ``with`` item — OK;
@@ -35,7 +35,6 @@ from repro.analysis.registry import rule
 #: Classes whose instances own resources that must be released.
 WATCHED_CLASSES = {
     "SweepEngine",
-    "JobStore",
     "PersistentCache",
     "EngineContext",
     "EvaluationService",

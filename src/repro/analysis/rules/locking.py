@@ -1,11 +1,11 @@
 """REP001 lock-discipline: manifest fields only under ``self._lock``.
 
 Classes that share state across threads (``SweepEngine``,
-``PersistentCache``, ``JobStore``) declare a ``_lock_guarded``
-manifest — a class-level frozenset of attribute names — and this rule
-enforces the convention the docstrings only promise: every lexical
-``self.<field>`` access to a manifest field happens inside a
-``with self._lock:`` block.
+``PersistentCache``, the serve layer's ``RunBroker``) declare a
+``_lock_guarded`` manifest — a class-level frozenset of attribute
+names — and this rule enforces the convention the docstrings only
+promise: every lexical ``self.<field>`` access to a manifest field
+happens inside a ``with self._lock:`` block.
 
 Exemptions encode the repo's own conventions: ``__init__``/``__del__``
 (no concurrent callers exist yet / teardown), methods whose name ends

@@ -1,6 +1,6 @@
 """REP002 sql-transaction: balanced transactions, no built SQL.
 
-Two checks guard the queue/cache durability story:
+Two checks guard the cache durability story:
 
 1. **Transaction balance** — in any function that issues
    ``conn.execute("BEGIN IMMEDIATE")``, the fall-through path must

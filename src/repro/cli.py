@@ -9,9 +9,6 @@ Usage::
     python -m repro cache stats|clear       # persistent-cache upkeep
     python -m repro cache merge DIR...      # fan-in sharded cache fills
     python -m repro serve [--port N]        # long-lived evaluation service
-    python -m repro queue fill [...]        # enqueue a grid for workers
-    python -m repro queue stats|requeue     # job-queue upkeep
-    python -m repro worker [--queue DB]     # claim + evaluate until drained
     python -m repro list [--filter k=v]     # registered designs/artifacts
     python -m repro report [--output PATH]  # EXPERIMENTS.md record
     python -m repro lint [PATHS]            # repo invariant checker
@@ -45,7 +42,6 @@ import os
 import sys
 import time
 from contextlib import closing
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.accelerators import REGISTRY, main_design_names
@@ -55,7 +51,6 @@ from repro.dnn.models import (
     model_names,
     register_model,
 )
-from repro.energy.estimator import Estimator
 from repro.errors import (
     CacheError,
     EvaluationError,
@@ -65,7 +60,6 @@ from repro.errors import (
 )
 from repro.eval import cache as cache_mod
 from repro.eval import experiments as E
-from repro.eval import queue as queue_mod
 from repro.eval import reporting as R
 from repro.eval.artifacts import (
     ARTIFACTS,
@@ -82,7 +76,6 @@ from repro.eval.runs import (
     record_from_artifacts,
     record_from_model_sweep,
     record_from_sweep,
-    record_from_worker,
 )
 from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.serve.server import serve as run_serve
@@ -356,118 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one schema-v4 run record per executed request "
         "under DIR (coalesced joiners share the executing request's "
         "record)",
-    )
-
-    queue = sub.add_parser(
-        "queue",
-        help="fill and inspect the distributed-fill job queue "
-        "(cells that N 'repro worker' processes claim and evaluate)",
-    )
-    queue.add_argument(
-        "action", choices=("fill", "stats", "requeue"),
-        help="'fill' enumerates a sweep grid into the queue (skipping "
-        "already-cached cells); 'stats' prints per-status counts and "
-        "live claims; 'requeue' returns failed (and, with --stale, "
-        "stale-claimed) cells to pending",
-    )
-    queue.add_argument(
-        "--queue", default=None, metavar="DB", dest="queue_db",
-        help="queue database path (default: <cache-dir>/"
-        "<estimator fingerprint>.db — the persistent cache file "
-        "itself, which the queue shares)",
-    )
-    queue.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory holding the queue database (default: "
-        "$REPRO_CACHE_DIR or ~/.cache/repro-highlight)",
-    )
-    queue.add_argument(
-        "--designs", type=_parse_names, default=None, metavar="A,B,...",
-        help="(fill) design names (default: the five main-evaluation "
-        "designs)",
-    )
-    queue.add_argument(
-        "--a-degrees", type=_parse_degrees, default=None,
-        metavar="D,D,...",
-        help="(fill) operand-A sparsity degrees (default: the Fig. 13 "
-        "grid)",
-    )
-    queue.add_argument(
-        "--b-degrees", type=_parse_degrees, default=None,
-        metavar="D,D,...",
-        help="(fill) operand-B sparsity degrees (default: the Fig. 13 "
-        "grid)",
-    )
-    queue.add_argument(
-        "--size", type=_positive_int, default=None, metavar="N",
-        help="(fill) cubic GEMM side M=K=N (default 1024)",
-    )
-    queue.add_argument(
-        "--model", default=None, metavar="NAME",
-        help="(fill) enqueue a registered DNN's sweep cells instead "
-        f"of a synthetic grid (one of: {', '.join(model_names())})",
-    )
-    queue.add_argument(
-        "--degrees", type=_parse_degrees, default=None, metavar="D,D,...",
-        help="(fill --model) weight-sparsity degrees for every design "
-        "(default: each design's Fig. 15 ladder)",
-    )
-    queue.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="(fill --model) per-layer sparsity profile JSON",
-    )
-    queue.add_argument(
-        "--stale", action="store_true",
-        help="(requeue) also return stale-claimed cells (expired "
-        "leases) to pending, not just failed ones",
-    )
-
-    worker = sub.add_parser(
-        "worker",
-        help="claim and evaluate queued cells until the queue drains "
-        "(run N of these, one per machine/core, against one queue DB)",
-    )
-    worker.add_argument(
-        "--queue", default=None, metavar="DB", dest="queue_db",
-        help="queue database path (default: <cache-dir>/"
-        "<estimator fingerprint>.db)",
-    )
-    worker.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory holding the queue database (default: "
-        "$REPRO_CACHE_DIR or ~/.cache/repro-highlight)",
-    )
-    worker.add_argument(
-        "--worker-id", default=None, metavar="ID",
-        help="stable identity for claims and run records "
-        "(default: <hostname>-<pid>)",
-    )
-    worker.add_argument(
-        "--batch-size", type=_positive_int,
-        default=queue_mod.DEFAULT_BATCH_SIZE, metavar="N",
-        help="cells claimed per batch "
-        f"(default {queue_mod.DEFAULT_BATCH_SIZE})",
-    )
-    worker.add_argument(
-        "--lease", type=float, default=queue_mod.DEFAULT_LEASE_S,
-        metavar="S",
-        help="seconds a claim stays valid without a heartbeat renewal "
-        f"(default {queue_mod.DEFAULT_LEASE_S:g}; a crashed worker's "
-        "cells are reclaimed after this long)",
-    )
-    worker.add_argument(
-        "--poll", type=float, default=1.0, metavar="S",
-        help="seconds between claim attempts while other workers hold "
-        "the remaining cells (default 1)",
-    )
-    worker.add_argument(
-        "--max-batches", type=_positive_int, default=None, metavar="N",
-        help="exit after N batches even if cells remain (bounded "
-        "shifts; default: run until drained)",
-    )
-    worker.add_argument(
-        "--record", default=None, metavar="PATH",
-        help="write a JSON run record of this worker's shift",
     )
 
     lister = sub.add_parser(
@@ -841,11 +722,14 @@ def _cmd_cache(args: argparse.Namespace,
             f"DIR arguments only apply to 'cache merge', not "
             f"'cache {args.action}'"
         )
-    if args.action == "clear":
-        removed = cache_mod.clear_cache(directory)
-        print(f"removed {removed} cache file(s) from {directory}")
-        return 0
-    stats = cache_mod.cache_stats(directory)
+    try:
+        if args.action == "clear":
+            removed = cache_mod.clear_cache(directory)
+            print(f"removed {removed} cache file(s) from {directory}")
+            return 0
+        stats = cache_mod.cache_stats(directory)
+    except CacheError as error:
+        parser.error(str(error))
     if args.cache_format == "json":
         # The machine-readable document monitoring scrapes — exactly
         # what the serve API's GET /v1/stats embeds under "cache".
@@ -860,14 +744,6 @@ def _cmd_cache(args: argparse.Namespace,
         for f in stats["files"]
     ]
     print(R.format_table(["file", "backend", "entries", "bytes"], rows))
-    for f in stats["files"]:
-        queue = f.get("queue")
-        if queue:
-            print(
-                f"  queue in {f['file']}: {queue['pending']} pending, "
-                f"{queue['claimed']} claimed ({queue['stale']} stale), "
-                f"{queue['done']} done, {queue['failed']} failed"
-            )
     print(f"total entries: {stats['total_entries']}")
     return 0
 
@@ -889,238 +765,6 @@ def _cmd_serve(args: argparse.Namespace,
             max_concurrent=args.max_concurrent,
             record_dir=args.record,
         )
-
-
-def _queue_location(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
-    require_fingerprint: bool,
-) -> Tuple[Path, Optional[str]]:
-    """Resolve the queue database path and expected fingerprint.
-
-    ``fill`` and ``worker`` enumerate/evaluate cells for *this*
-    build's cost model, so their queue file must be the current
-    estimator fingerprint's (``require_fingerprint``); ``stats`` and
-    ``requeue`` are pure queue upkeep and accept any queue file.
-    """
-    fingerprint = cache_mod.estimator_fingerprint(Estimator())
-    if args.queue_db:
-        path = Path(args.queue_db)
-        if require_fingerprint and path.stem != fingerprint:
-            parser.error(
-                f"queue database {path} is not this build's estimator "
-                f"fingerprint ({fingerprint}); the queue must share "
-                f"the cost model's cache file so results land where "
-                f"workers and sweeps look for them"
-            )
-        return path, (fingerprint if require_fingerprint else None)
-    directory = _resolve_cache_dir(
-        args.cache_dir, fallback_to_default=True
-    )
-    path = queue_mod.queue_db_path(directory, fingerprint)
-    return path, (fingerprint if require_fingerprint else None)
-
-
-def _queue_fill_pairs(args: argparse.Namespace,
-                      parser: argparse.ArgumentParser):
-    designs = (
-        tuple(args.designs) if args.designs else main_design_names()
-    )
-    for name in designs:
-        if name not in REGISTRY:
-            parser.error(
-                f"unknown design {name!r}; run 'repro list' for the "
-                f"registered names"
-            )
-    if args.model is not None:
-        for flag, value in (
-            ("--a-degrees", args.a_degrees),
-            ("--b-degrees", args.b_degrees),
-            ("--size", args.size),
-        ):
-            if value is not None:
-                parser.error(
-                    f"{flag} applies to synthetic grids; a --model "
-                    f"fill takes its shapes from the network's layers"
-                )
-        try:
-            model = get_model(args.model)
-            profile = (
-                E.load_profile(args.profile)
-                if args.profile is not None else None
-            )
-            return queue_mod.model_fill_pairs(
-                model, designs, degrees=args.degrees, profile=profile
-            )
-        except WorkloadError as error:
-            parser.error(str(error))
-    for flag, value in (
-        ("--degrees", args.degrees),
-        ("--profile", args.profile),
-    ):
-        if value is not None:
-            parser.error(f"{flag} applies to 'queue fill --model'")
-    size = args.size if args.size is not None else 1024
-    return queue_mod.grid_fill_pairs(
-        designs,
-        args.a_degrees if args.a_degrees is not None else E.A_DEGREES,
-        args.b_degrees if args.b_degrees is not None else E.B_DEGREES,
-        m=size, k=size, n=size,
-    )
-
-
-def _print_queue_stats(store: queue_mod.JobStore) -> None:
-    stats = store.stats()
-    print(f"queue: {store.path}")
-    print(
-        f"  {stats.pending} pending, {stats.claimed} claimed "
-        f"({stats.stale} stale), {stats.done} done, "
-        f"{stats.failed} failed ({stats.total} total)"
-    )
-    for worker_id, count in sorted(store.workers().items()):
-        print(f"  claimed by {worker_id}: {count}")
-
-
-def _cmd_queue(args: argparse.Namespace,
-               parser: argparse.ArgumentParser) -> int:
-    fill_only = (
-        ("--designs", args.designs),
-        ("--a-degrees", args.a_degrees),
-        ("--b-degrees", args.b_degrees),
-        ("--size", args.size),
-        ("--model", args.model),
-        ("--degrees", args.degrees),
-        ("--profile", args.profile),
-    )
-    if args.action != "fill":
-        for flag, value in fill_only:
-            if value is not None:
-                parser.error(
-                    f"{flag} only applies to 'queue fill', not "
-                    f"'queue {args.action}'"
-                )
-    if args.stale and args.action != "requeue":
-        parser.error(
-            f"--stale only applies to 'queue requeue', not "
-            f"'queue {args.action}'"
-        )
-    path, fingerprint = _queue_location(
-        args, parser, require_fingerprint=args.action == "fill"
-    )
-    if args.action != "fill" and not path.exists():
-        parser.error(
-            f"no queue database at {path}; run 'repro queue fill' first"
-        )
-    if args.action == "fill":
-        pairs = _queue_fill_pairs(args, parser)
-    try:
-        with queue_mod.JobStore(path, fingerprint) as store:
-            if args.action == "fill":
-                summary = store.fill(pairs)
-                print(
-                    f"queued {summary.added} cell(s) into {path} "
-                    f"({summary.skipped_cached} already cached, "
-                    f"{summary.skipped_queued} already queued)"
-                )
-            elif args.action == "requeue":
-                moved = store.requeue(failed=True, stale=args.stale)
-                which = "failed/stale" if args.stale else "failed"
-                print(f"requeued {moved} {which} cell(s)")
-            _print_queue_stats(store)
-    except CacheError as error:
-        parser.error(str(error))
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace,
-                parser: argparse.ArgumentParser) -> int:
-    path, fingerprint = _queue_location(
-        args, parser, require_fingerprint=True
-    )
-    if not path.exists():
-        parser.error(
-            f"no queue database at {path}; run 'repro queue fill' first"
-        )
-    worker_id = (
-        args.worker_id if args.worker_id
-        else queue_mod.default_worker_id()
-    )
-    # The worker's persistent cache IS the queue database (cache dir =
-    # the queue file's directory), so results are durable in the same
-    # file the queue rows live in.
-    ctx = _open_context(
-        parser,
-        cache_dir=str(path.parent),
-        record=args.record,
-    )
-    interrupted = False
-    batches: List[Any] = []
-    start = time.perf_counter()
-    with closing(ctx.engine):
-        try:
-            store = queue_mod.JobStore(path, fingerprint)
-        except CacheError as error:
-            parser.error(str(error))
-        with store:
-            try:
-                for batch in ctx.engine.run_queue(
-                    store,
-                    worker_id=worker_id,
-                    batch_size=args.batch_size,
-                    lease_s=args.lease,
-                    poll_s=args.poll,
-                    max_batches=args.max_batches,
-                ):
-                    batches.append(batch)
-                    stats = batch.stats
-                    print(
-                        f"[{worker_id}] batch {batch.index}: "
-                        f"{batch.completed}/{batch.claimed} completed, "
-                        f"{stats.evaluations} evaluated, "
-                        f"{stats.disk_hits} disk hits",
-                        file=sys.stderr,
-                    )
-            except KeyboardInterrupt:
-                # Hand unfinished claims straight back rather than
-                # making the fleet wait out the lease.
-                released = store.release(worker_id)
-                print(
-                    f"[{worker_id}] interrupted; released {released} "
-                    f"claimed cell(s) back to pending",
-                    file=sys.stderr,
-                )
-                interrupted = True
-            except EvaluationError as error:
-                print(
-                    f"[{worker_id}] batch failed: {error}",
-                    file=sys.stderr,
-                )
-                return 1
-            wall_time_s = time.perf_counter() - start
-            final = store.stats()
-            claimed = sum(batch.claimed for batch in batches)
-            evaluated = sum(
-                batch.stats.evaluations for batch in batches
-            )
-            print(
-                f"[{worker_id}] {len(batches)} batch(es), {claimed} "
-                f"cell(s), {evaluated} evaluated in {wall_time_s:.2f}s; "
-                f"queue: {final.pending} pending, {final.claimed} "
-                f"claimed, {final.done} done, {final.failed} failed"
-            )
-            if ctx.record_path:
-                record = record_from_worker(
-                    command="worker",
-                    queue_path=path,
-                    worker_id=worker_id,
-                    batches=batches,
-                    final_stats=final.as_dict(),
-                    engine=ctx.engine,
-                    wall_time_s=wall_time_s,
-                )
-                print(f"wrote {record.write(ctx.record_path)}",
-                      file=sys.stderr)
-    return 130 if interrupted else 0
 
 
 def _cmd_list(args: argparse.Namespace,
@@ -1295,10 +939,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_cache(args, parser)
     if args.command == "serve":
         return _cmd_serve(args, parser)
-    if args.command == "queue":
-        return _cmd_queue(args, parser)
-    if args.command == "worker":
-        return _cmd_worker(args, parser)
     if args.command == "list":
         return _cmd_list(args, parser)
     if args.command == "lint":

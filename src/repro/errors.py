@@ -86,11 +86,3 @@ class ServeError(ReproError):
     def __init__(self, message: str, status: int = 400) -> None:
         super().__init__(message)
         self.status = status
-
-
-class QueueError(CacheError):
-    """A job-queue operation failed (e.g. a worker attaching to a
-    queue database filled for a different estimator fingerprint).
-    Subclasses :class:`CacheError`: the queue lives inside the cache
-    database, and callers handling cache failures should see queue
-    failures too."""

@@ -4,9 +4,9 @@
 design gets each sparsity *degree* realized in the structure flavor it
 supports, and operands may be swapped — Sec. 7.1);
 :mod:`repro.eval.engine` turns declared (design, workload, sparsity)
-grids into memoized, optionally parallel cell evaluations; the
-experiment functions in :mod:`repro.eval.experiments` regenerate every
-figure and table of the evaluation section on top of it;
+grids into memoized cell evaluations; the experiment functions in
+:mod:`repro.eval.experiments` regenerate every figure and table of the
+evaluation section on top of it;
 :mod:`repro.eval.reporting` prints them in the same rows/series the
 paper reports, and :mod:`repro.eval.runs` snapshots whole sweep
 invocations as JSON run records.
@@ -22,13 +22,11 @@ from repro.eval.harness import (
 from repro.eval.cache import PersistentCache, estimator_fingerprint
 from repro.eval.engine import Cell, SweepEngine, SweepResult, grid_cells
 from repro.eval.pareto import pareto_frontier, is_on_frontier
-from repro.eval.queue import JobStore, LeaseHeartbeat, queue_db_path
 from repro.eval.runs import (
     RunRecord,
     load_record,
     record_from_model_sweep,
     record_from_sweep,
-    record_from_worker,
 )
 from repro.eval import experiments, reporting
 
@@ -46,14 +44,10 @@ __all__ = [
     "grid_cells",
     "pareto_frontier",
     "is_on_frontier",
-    "JobStore",
-    "LeaseHeartbeat",
-    "queue_db_path",
     "RunRecord",
     "load_record",
     "record_from_model_sweep",
     "record_from_sweep",
-    "record_from_worker",
     "experiments",
     "reporting",
 ]

@@ -60,7 +60,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: (an unsupported pair).
 MISS = object()
 
-#: SQLite busy-handler timeout (seconds) for cache/queue connections —
+#: SQLite busy-handler timeout (seconds) for cache connections —
 #: how long SQLite itself blocks on a locked database before raising
 #: ``SQLITE_BUSY``.
 SQLITE_BUSY_TIMEOUT_S = 30.0
@@ -68,8 +68,7 @@ SQLITE_BUSY_TIMEOUT_S = 30.0
 #: Bounded Python-level retries layered on top of the busy timeout.
 #: Under WAL a writer can still see ``SQLITE_BUSY`` without the busy
 #: handler running (e.g. a snapshot-upgrade conflict), so contended
-#: multi-worker writes retry a few times with backoff and only then
-#: fail loudly.
+#: writes retry a few times with backoff and only then fail loudly.
 SQLITE_BUSY_RETRIES = 5
 SQLITE_BUSY_BACKOFF_S = 0.05
 
@@ -84,9 +83,9 @@ def _retry_locked(operation, retries: int = SQLITE_BUSY_RETRIES):
 
     Each retry backs off a little longer (50ms, 100ms, ...). Anything
     but a lock/busy condition — and a lock that persists past the last
-    retry — propagates: contention is expected under multi-worker
-    writes, but a queue or flush that *stays* stuck must fail loudly,
-    not silently drop work.
+    retry — propagates: contention is expected when several processes
+    share a cache, but a flush that *stays* stuck must fail loudly, not
+    silently drop work.
     """
     attempt = 0
     while True:
@@ -391,7 +390,7 @@ class SqliteCacheStore:
             conn.executemany(_UPSERT, rows)
             conn.commit()
 
-        # Contended multi-worker flushes retry a few times before the
+        # Contended multi-process flushes retry a few times before the
         # OperationalError escapes (the flush path treats it as
         # transient and never rotates the file away).
         _retry_locked(upsert)
@@ -660,30 +659,23 @@ def _count_entries(path: Path) -> int:
 
 
 def cache_stats(directory: "str | Path") -> Dict[str, Any]:
-    """Aggregate statistics for ``repro cache stats``.
-
-    Databases doubling as job queues (a ``jobs`` table beside the cache
-    ``entries`` — see :mod:`repro.eval.queue`) additionally report
-    their per-status job counts under ``queue``.
-    """
-    # Deferred: queue imports this module.
-    from repro.eval.queue import queue_counts
-
+    """Aggregate statistics for ``repro cache stats``. A missing
+    directory is an empty cache; a regular file in its place raises
+    :class:`~repro.errors.CacheError`."""
+    _require_directory(Path(directory))
     per_file = []
     total_entries = 0
     for path in cache_files(directory):
         entries = _count_entries(path)
         total_entries += entries
-        info = {
-            "file": path.name,
-            "backend": "sqlite",
-            "entries": entries,
-            "bytes": path.stat().st_size,
-        }
-        queue = queue_counts(path)
-        if queue is not None:
-            info["queue"] = queue
-        per_file.append(info)
+        per_file.append(
+            {
+                "file": path.name,
+                "backend": "sqlite",
+                "entries": entries,
+                "bytes": path.stat().st_size,
+            }
+        )
     for path in _matching_files(directory, _ROTATED_FILE_RE):
         # No usable entries, but their bytes are real and ``clear``
         # reclaims them.
@@ -713,7 +705,10 @@ def _sidecar_files(path: Path) -> Tuple[Path, ...]:
 def clear_cache(directory: "str | Path") -> int:
     """Delete all cache databases under ``directory``; returns the
     count (WAL sidecars, rotated ``.corrupt``/``.stale`` databases and
-    leftover JSON cache files are removed but not counted)."""
+    leftover JSON cache files are removed but not counted). A regular
+    file in the directory's place raises
+    :class:`~repro.errors.CacheError`."""
+    _require_directory(Path(directory))
     files = cache_files(directory)
     for path in files:
         path.unlink()
@@ -785,8 +780,9 @@ def merge_cache_dirs(
     """Merge the cache databases of ``sources`` into ``dest`` (one
     database).
 
-    This is the fan-in step of a sharded grid fill: N workers each run
-    with their own ``--cache-dir`` against the *same* estimator, then
+    This is the fan-in step of a sharded grid fill: N ``repro sweep``
+    processes each run a slice of the grid with their own
+    ``--cache-dir`` against the *same* estimator, then
     their directories are merged into one warm cache. All source
     directories must therefore hold exactly one, identical estimator
     fingerprint — mixing fingerprints would silently interleave

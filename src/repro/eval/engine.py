@@ -28,10 +28,8 @@ extends memoization across runs.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterator,
@@ -56,9 +54,6 @@ from repro.eval.harness import (
 from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload, WorkloadKey
 from repro.utils import geomean
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.eval.queue import JobStore
 
 #: The paper's synthetic Fig. 13 sparsity grid.
 DEFAULT_A_DEGREES: Tuple[float, ...] = (0.0, 0.5, 0.75)
@@ -148,41 +143,6 @@ class EngineStats:
             "misses": self.misses,
             "evaluations": self.evaluations,
             "requests": self.requests,
-        }
-
-
-@dataclass(frozen=True)
-class WorkerBatch:
-    """One completed claim→evaluate→complete cycle of
-    :meth:`SweepEngine.run_queue`.
-
-    ``stats`` is the engine's counter delta scoped to this batch:
-    ``stats.evaluations`` counts the actual model evaluations the batch
-    cost (cells whose results were reclaimed after a crash show up as
-    ``disk_hits`` instead — that sum staying equal to the cell count is
-    the exactly-once property).
-    """
-
-    index: int
-    worker_id: str
-    digests: Tuple[str, ...]
-    #: Rows that transitioned to done; fewer than ``claimed`` means
-    #: another worker stole some leases mid-batch (their results still
-    #: landed in the cache, so the thief completes them as disk hits).
-    completed: int
-    stats: EngineStats
-
-    @property
-    def claimed(self) -> int:
-        return len(self.digests)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "worker_id": self.worker_id,
-            "claimed": self.claimed,
-            "completed": self.completed,
-            "stats": self.stats.as_dict(),
         }
 
 
@@ -644,109 +604,6 @@ class SweepEngine:
         return SweepResult(
             cells=table, design_order=names, baseline=baseline
         )
-
-    def run_queue(
-        self,
-        store: "JobStore",
-        worker_id: Optional[str] = None,
-        batch_size: Optional[int] = None,
-        lease_s: Optional[float] = None,
-        poll_s: float = 1.0,
-        max_batches: Optional[int] = None,
-        heartbeat: bool = True,
-    ) -> Iterator[WorkerBatch]:
-        """Drain a :class:`~repro.eval.queue.JobStore`: the worker loop.
-
-        The claim-driven sibling of :meth:`evaluate_workloads` — instead
-        of being handed pairs, the engine claims batches of cells from
-        ``store`` until the queue drains, routing each batch through the
-        normal memoized evaluation path and yielding a
-        :class:`WorkerBatch` (with per-batch stats) as each completes.
-
-        Per batch: claim → start lease heartbeat → evaluate → stop
-        heartbeat → **flush the persistent cache → mark done**, in that
-        order. The flush-before-complete ordering is the crash-recovery
-        contract: a worker that dies between the two leaves cells
-        claimed-but-durable, and whoever reclaims them after lease
-        expiry gets disk hits, not re-evaluations. On an evaluation
-        error the batch is marked failed (with the error text) and the
-        exception propagates; on ``KeyboardInterrupt`` the exception
-        propagates with the cells still claimed — callers that want an
-        immediate handback (the CLI does) call ``store.release()``,
-        otherwise the lease expires and recovery proceeds as for a
-        crash.
-
-        An empty claim with other workers' live claims outstanding
-        sleeps ``poll_s`` and retries (those cells may yet fail or go
-        stale); the loop exits when nothing is pending or claimed.
-        ``max_batches`` bounds the loop for tests and bounded shifts.
-        """
-        from repro.eval import queue as queue_mod
-
-        if self.persistent is None:
-            raise EvaluationError(
-                "run_queue needs a persistent cache attached to the "
-                "engine: queue results must be durable before cells "
-                "are marked done"
-            )
-        if worker_id is None:
-            worker_id = queue_mod.default_worker_id()
-        if batch_size is None:
-            batch_size = queue_mod.DEFAULT_BATCH_SIZE
-        if lease_s is None:
-            lease_s = queue_mod.DEFAULT_LEASE_S
-        beat = (
-            queue_mod.LeaseHeartbeat(store, worker_id, lease_s)
-            if heartbeat
-            else None
-        )
-        batches = 0
-        try:
-            while max_batches is None or batches < max_batches:
-                jobs = store.claim_batch(
-                    worker_id, limit=batch_size, lease_s=lease_s
-                )
-                if not jobs:
-                    if store.stats().remaining == 0:
-                        break
-                    # Another worker holds live claims; they may still
-                    # fail or go stale, so poll rather than exit.
-                    time.sleep(poll_s)
-                    continue
-                digests = [job.digest for job in jobs]
-                mark = self.checkpoint()
-                if beat is not None:
-                    beat.start(digests)
-                try:
-                    self.evaluate_workloads([job.pair for job in jobs])
-                except Exception as error:
-                    if beat is not None:
-                        beat.stop()
-                    try:
-                        self.flush()
-                    except Exception:
-                        pass
-                    store.fail(
-                        worker_id,
-                        digests,
-                        f"{type(error).__name__}: {error}",
-                    )
-                    raise
-                if beat is not None:
-                    beat.stop()
-                self.flush()
-                completed = store.complete(worker_id, digests)
-                batches += 1
-                yield WorkerBatch(
-                    index=batches,
-                    worker_id=worker_id,
-                    digests=tuple(digests),
-                    completed=completed,
-                    stats=self.stats_since(mark),
-                )
-        finally:
-            if beat is not None:
-                beat.stop()
 
 
 @dataclass

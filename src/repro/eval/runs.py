@@ -291,54 +291,6 @@ def record_from_artifacts(
     )
 
 
-def record_from_worker(
-    command: str,
-    queue_path: "str | Path",
-    worker_id: str,
-    batches: List[Any],
-    final_stats: Optional[Dict[str, int]] = None,
-    engine: Optional[SweepEngine] = None,
-    wall_time_s: float = 0.0,
-    created_at: Optional[str] = None,
-) -> RunRecord:
-    """Build a :class:`RunRecord` from one ``repro worker`` shift.
-
-    ``batches`` are the :class:`~repro.eval.engine.WorkerBatch` values
-    the worker loop yielded; each lands under ``artifact_stats`` keyed
-    ``batch_0001``, ``batch_0002``, ... (the same scoped-counter slot
-    artifact runs use, so existing tooling reading per-span stats reads
-    worker records unchanged). The top-level ``cache`` counters sum the
-    whole shift: across a fleet, the workers' summed ``evaluations``
-    equaling the grid's cell count is the exactly-once property.
-    """
-    if created_at is None:
-        created_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    grid: Dict[str, Any] = {
-        "queue": str(queue_path),
-        "worker_id": worker_id,
-        "batches": len(batches),
-        "claimed": sum(batch.claimed for batch in batches),
-        "completed": sum(batch.completed for batch in batches),
-    }
-    if final_stats is not None:
-        grid["queue_stats"] = dict(final_stats)
-    return RunRecord(
-        command=command,
-        created_at=created_at,
-        grid=grid,
-        artifact_stats={
-            f"batch_{batch.index:04d}": {
-                **batch.stats.as_dict(),
-                "claimed": batch.claimed,
-                "completed": batch.completed,
-            }
-            for batch in batches
-        },
-        wall_time_s=wall_time_s,
-        cache=engine.stats.as_dict() if engine is not None else {},
-    )
-
-
 def load_record(path: "str | Path") -> Dict[str, Any]:
     """Read a previously written record back as plain data."""
     return json.loads(Path(path).read_text())

@@ -152,8 +152,7 @@ def stats_payload(service: "EvaluationService") -> Dict[str, Any]:
     ``engine`` is a consistent snapshot (``checkpoint()`` reads under
     the engine lock); ``cache`` is the exact
     :func:`repro.eval.cache.cache_stats` payload — the same document
-    ``repro cache stats --format json`` prints — including per-file
-    queue counts when a job queue shares the cache database.
+    ``repro cache stats --format json`` prints.
     """
     cache: Optional[Dict[str, Any]] = None
     cache_dir = service.ctx.cache_dir

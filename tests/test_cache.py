@@ -1,6 +1,7 @@
 """Tests for the persistent (design, workload) evaluation cache."""
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.accelerators import REGISTRY
 from repro.energy import Estimator
 from repro.energy.tables import EnergyAreaTable
 from repro.errors import CacheError
+from repro.eval import cache as cache_mod
 from repro.eval.cache import (
     CACHE_SCHEMA_VERSION,
     MISS,
@@ -324,3 +326,88 @@ class TestMergeCacheDirs:
         path.write_text("not a database")
         with pytest.raises(CacheError, match="cannot read"):
             merge_cache_dirs([shard], tmp_path / "out")
+
+
+def _entry_rows(directory, fingerprint):
+    """A cache directory's ``entries`` table, in digest order."""
+    path = directory / f"{fingerprint}.db"
+    with closing(sqlite3.connect(path)) as conn:
+        return conn.execute(
+            "SELECT digest, metrics FROM entries ORDER BY digest"
+        ).fetchall()
+
+
+class TestShardedFill:
+    """Sharded sweeps plus a merge are the multi-process way to fill a
+    grid: the merged cache must be the single-process fill, entry for
+    entry."""
+
+    DESIGNS = ("TC", "DSTC", "HighLight")
+    A_DEGREES = (0.0, 0.25, 0.5, 0.75)
+    B_DEGREES = (0.0, 0.5)
+    SIZE = 64
+
+    def _fill(self, directory, estimator, a_degrees):
+        engine = SweepEngine(
+            estimator,
+            cache=PersistentCache.for_estimator(directory, estimator),
+        )
+        try:
+            engine.sweep(
+                self.DESIGNS, a_degrees, self.B_DEGREES,
+                m=self.SIZE, k=self.SIZE, n=self.SIZE,
+            )
+        finally:
+            engine.close()
+
+    def test_merged_shards_equal_single_process_fill(self, tmp_path,
+                                                     estimator):
+        fingerprint = estimator_fingerprint(estimator)
+        half = len(self.A_DEGREES) // 2
+        self._fill(tmp_path / "s1", estimator, self.A_DEGREES[:half])
+        self._fill(tmp_path / "s2", estimator, self.A_DEGREES[half:])
+        summary = merge_cache_dirs(
+            [tmp_path / "s1", tmp_path / "s2"], tmp_path / "merged"
+        )
+        self._fill(tmp_path / "local", estimator, self.A_DEGREES)
+
+        local = _entry_rows(tmp_path / "local", fingerprint)
+        assert summary["total_entries"] == len(local)
+        # The shards evaluated the grid in a different order but must
+        # store identical blobs under identical digests.
+        assert _entry_rows(tmp_path / "merged", fingerprint) == local
+
+
+class TestBusyRetry:
+    def test_retry_gives_up_after_bounded_attempts(self):
+        attempts = []
+
+        def always_locked():
+            attempts.append(1)
+            raise sqlite3.OperationalError("database is locked")
+
+        with pytest.raises(sqlite3.OperationalError):
+            cache_mod._retry_locked(always_locked)
+        assert len(attempts) == cache_mod.SQLITE_BUSY_RETRIES + 1
+
+    def test_retry_recovers_from_transient_contention(self):
+        state = {"left": 2}
+
+        def flaky():
+            if state["left"]:
+                state["left"] -= 1
+                raise sqlite3.OperationalError("database is locked")
+            return "ok"
+
+        assert cache_mod._retry_locked(flaky) == "ok"
+
+    def test_non_busy_errors_propagate_immediately(self):
+        attempts = []
+
+        def broken():
+            attempts.append(1)
+            raise sqlite3.OperationalError("no such table: meta")
+
+        with pytest.raises(sqlite3.OperationalError):
+            cache_mod._retry_locked(broken)
+        assert len(attempts) == 1

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -553,7 +555,10 @@ class TestCacheDirValidation:
     @pytest.mark.parametrize("argv", (
         ["sweep", "--designs", "TC", "--size", "64"],
         ["serve", "--port", "0"],
-    ), ids=("sweep", "serve"))
+        ["cache", "stats"],
+        ["cache", "stats", "--format", "json"],
+        ["cache", "clear"],
+    ), ids=("sweep", "serve", "stats", "stats-json", "clear"))
     def test_cache_dir_naming_a_file_is_a_usage_error(
         self, tmp_path, capsys, argv
     ):
@@ -568,6 +573,84 @@ class TestCacheDirValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "is not a directory" in captured.err
+        assert "Traceback" not in captured.err
+        assert not_a_dir.exists()
+
+
+#: The ``jobs`` table an older version's job queue created inside the
+#: cache database. Caches filled that way still carry it.
+LEFTOVER_JOBS_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS jobs ("
+    " digest TEXT PRIMARY KEY,"
+    " design TEXT NOT NULL,"
+    " workload TEXT NOT NULL,"
+    " status TEXT NOT NULL DEFAULT 'pending',"
+    " worker TEXT,"
+    " lease_until REAL,"
+    " attempts INTEGER NOT NULL DEFAULT 0,"
+    " error TEXT)",
+    "CREATE INDEX IF NOT EXISTS jobs_status ON jobs (status)",
+)
+
+
+class TestLeftoverJobsTable:
+    """A cache database that still carries an old job-queue ``jobs``
+    table is an ordinary cache: served, counted and merged as one."""
+
+    GRID = [
+        "--designs", "TC,HighLight", "--a-degrees", "0.0,0.5",
+        "--b-degrees", "0.0", "--size", "128",
+    ]
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        assert main(["sweep", *self.GRID,
+                     "--cache-dir", str(cache_dir)]) == 0
+        capsys.readouterr()
+        (db,) = cache_dir.glob("*.db")
+        with closing(sqlite3.connect(db)) as conn:
+            for statement in LEFTOVER_JOBS_SCHEMA:
+                conn.execute(statement)
+            digests = conn.execute("SELECT digest FROM entries").fetchall()
+            conn.executemany(
+                "INSERT INTO jobs (digest, design, workload, status) "
+                "VALUES (?, 'TC', '{}', 'done')",
+                digests,
+            )
+            conn.commit()
+        return cache_dir
+
+    def test_warm_sweep_evaluates_nothing(self, cache_dir, capsys):
+        assert main(["sweep", *self.GRID,
+                     "--cache-dir", str(cache_dir)]) == 0
+        trailer = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)[-1]
+        evaluated, _, disk_hits = PERFBENCH_TRAILER.search(trailer).groups()
+        assert evaluated == "0", trailer
+        assert int(disk_hits) > 0, trailer
+
+    def test_stats_json_has_no_queue_key(self, cache_dir, capsys):
+        assert main(["cache", "stats", "--format", "json",
+                     "--cache-dir", str(cache_dir)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["total_entries"] > 0
+        assert "queue" not in payload
+        assert all("queue" not in f for f in payload["files"])
+
+    def test_stats_text_counts_the_entries(self, cache_dir, capsys):
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "total entries" in out
+        assert "queue" not in out
+
+    def test_merge_copies_the_entries(self, cache_dir, tmp_path, capsys):
+        merged = tmp_path / "merged"
+        assert main(["cache", "merge", str(cache_dir),
+                     "--cache-dir", str(merged)]) == 0
+        assert "merged 1 shard(s)" in capsys.readouterr().out
+        assert main(["sweep", *self.GRID,
+                     "--cache-dir", str(merged)]) == 0
+        assert "0 workloads evaluated" in capsys.readouterr().out
 
 
 class TestListSubcommand:
@@ -686,9 +769,7 @@ class TestSweepTrailers:
 
 class TestSizeValidation:
     @pytest.mark.parametrize("value", ("0", "-5"))
-    @pytest.mark.parametrize("command", (
-        ["sweep"], ["queue", "fill"],
-    ), ids=("sweep", "queue-fill"))
+    @pytest.mark.parametrize("command", (["sweep"],), ids=("sweep",))
     def test_non_positive_size_is_a_usage_error(
         self, tmp_path, capsys, command, value
     ):
@@ -703,6 +784,18 @@ class TestSizeValidation:
 
 
 class TestExecutionPath:
+    @pytest.mark.parametrize("argv", (
+        ["queue", "fill"], ["queue", "stats"], ["worker"],
+    ), ids=("queue-fill", "queue-stats", "worker"))
+    def test_job_queue_commands_are_gone(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_jobs_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "--jobs", "2"])

@@ -21,12 +21,7 @@ from repro.analysis import (
     write_baseline,
 )
 from repro.cli import main
-from repro.errors import (
-    EvaluationError,
-    LintError,
-    LintUsageError,
-    QueueError,
-)
+from repro.errors import EvaluationError, LintError, LintUsageError
 
 
 def run_rule(tmp_path, source, rule_id, relpath="mod.py"):
@@ -268,38 +263,38 @@ class TestFloatDeterminism:
 
 
 CLOSE_BAD_LEAK = """
-    def count(path):
-        store = JobStore(path)
-        return store.stats()
+    def lookup(directory, fingerprint, design, key):
+        cache = PersistentCache(directory, fingerprint)
+        return cache.get(design, key)
 """
 
 CLOSE_GOOD_CLOSING = """
     from contextlib import closing
 
-    def count(path):
-        with closing(JobStore(path)) as store:
-            return store.stats()
+    def lookup(directory, fingerprint, design, key):
+        with closing(PersistentCache(directory, fingerprint)) as cache:
+            return cache.get(design, key)
 """
 
 CLOSE_GOOD_FINALLY = """
-    def count(path):
-        store = JobStore(path)
+    def lookup(directory, fingerprint, design, key):
+        cache = PersistentCache(directory, fingerprint)
         try:
-            return store.stats()
+            return cache.get(design, key)
         finally:
-            store.close()
+            cache.close()
 """
 
 CLOSE_GOOD_RETURN_TRANSFER = """
-    def open_store(path):
-        store = JobStore(path)
-        return store
+    def open_cache(directory, fingerprint):
+        cache = PersistentCache(directory, fingerprint)
+        return cache
 """
 
 CLOSE_GOOD_ATTR_BINDING = """
     class Holder:
-        def __init__(self, path):
-            self._store = JobStore(path)
+        def __init__(self, directory, fingerprint):
+            self._cache = PersistentCache(directory, fingerprint)
 """
 
 CLOSE_BAD_SERVICE_LEAK = """
@@ -322,7 +317,7 @@ class TestCloseDiscipline:
     def test_leaked_construction_flagged(self, tmp_path):
         findings = run_rule(tmp_path, CLOSE_BAD_LEAK, "REP004")
         assert [f.rule for f in findings] == ["REP004"]
-        assert "JobStore" in findings[0].message
+        assert "PersistentCache" in findings[0].message
 
     def test_leaked_service_flagged(self, tmp_path):
         # The serve layer is watched too: a service that never closes
@@ -786,12 +781,6 @@ class TestLintCli:
 
 
 class TestSurfacedViolationFixes:
-    def test_existing_probe_rejects_unknown_table(self):
-        from repro.eval.queue import JobStore
-
-        with pytest.raises(QueueError, match="existence probe"):
-            JobStore._existing(None, "pragma", ["digest"])
-
     def test_run_plan_without_finish_event_raises(self):
         from repro.eval.artifacts import RunPlan
 
@@ -856,8 +845,6 @@ class TestSurfacedViolationFixes:
     def test_lock_guarded_manifests_cover_shared_state(self):
         from repro.eval.cache import PersistentCache
         from repro.eval.engine import SweepEngine
-        from repro.eval.queue import JobStore
 
         assert "_entries" in PersistentCache._lock_guarded
-        assert "_conn" in JobStore._lock_guarded
         assert "_cache" in SweepEngine._lock_guarded

@@ -7,7 +7,7 @@ import pytest
 
 from repro.dnn.models import get_model
 from repro.eval.artifacts import ARTIFACTS, RunPlan
-from repro.eval.engine import EngineStats, SweepEngine, WorkerBatch
+from repro.eval.engine import EngineStats, SweepEngine
 from repro.eval.experiments import sweep_model
 from repro.eval.runs import (
     SCHEMA_VERSION,
@@ -17,7 +17,6 @@ from repro.eval.runs import (
     record_from_artifacts,
     record_from_model_sweep,
     record_from_sweep,
-    record_from_worker,
 )
 
 
@@ -165,21 +164,6 @@ class TestWriterEquivalence:
         )
         loaded = _assert_same_as_reference(record, tmp_path / "all.json")
         assert list(loaded["artifacts"]) == list(ARTIFACTS)
-
-    def test_worker(self, tmp_path):
-        batches = [
-            WorkerBatch(index=index, worker_id="w",
-                        digests=("a", "b", "c"), completed=3,
-                        stats=EngineStats(hits=1, misses=2))
-            for index in (1, 2)
-        ]
-        record = record_from_worker(
-            "worker", tmp_path / "q.db", "w", batches,
-            final_stats={"pending": 0, "done": 6},
-        )
-        loaded = _assert_same_as_reference(record, tmp_path / "w.json")
-        assert list(loaded["artifact_stats"]) == ["batch_0001",
-                                                   "batch_0002"]
 
     def test_empty_cells(self, tmp_path):
         record = RunRecord(command="empty", created_at="t", grid={})

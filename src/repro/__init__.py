@@ -10,16 +10,28 @@ workload tables, a pruning/fine-tuning pipeline, and the experiment
 harness that regenerates every figure and table in the paper.
 """
 
+from typing import TYPE_CHECKING
+
+from repro.lazy import lazy_exports
+
 __version__ = "1.0.0"
 
-from repro.sparsity import (
-    GH,
-    GHRange,
-    HSSPattern,
-    SparsitySpec,
-    parse_spec,
-    sparsify,
-)
+if TYPE_CHECKING:
+    from repro.sparsity import (
+        GH,
+        GHRange,
+        HSSPattern,
+        SparsitySpec,
+        parse_spec,
+        sparsify,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "sparsity": (
+        "GH", "GHRange", "HSSPattern", "SparsitySpec", "parse_spec",
+        "sparsify",
+    ),
+})
 
 __all__ = [
     "GH",

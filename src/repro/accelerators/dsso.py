@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.registry import register_design
 from repro.arch.designs import highlight_resources
-from repro.compression.formats import offset_bits
+from repro.compression.metadata import offset_bits
 from repro.energy.estimator import Estimator
 from repro.errors import UnsupportedWorkloadError
 from repro.model.perf import build_metrics, compute_cycles

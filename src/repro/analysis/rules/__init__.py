@@ -10,6 +10,7 @@ from repro.analysis.rules import (  # noqa: F401
     determinism,
     durability,
     hygiene,
+    imports,
     locking,
     sql,
     taxonomy,

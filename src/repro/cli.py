@@ -42,6 +42,7 @@ import os
 import sys
 import time
 from contextlib import closing
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.accelerators import REGISTRY, main_design_names
@@ -51,6 +52,7 @@ from repro.dnn.models import (
     model_names,
     register_model,
 )
+from repro.endpoint import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.errors import (
     CacheError,
     EvaluationError,
@@ -76,9 +78,8 @@ from repro.eval.runs import (
     record_from_artifacts,
     record_from_model_sweep,
     record_from_sweep,
+    write_text_atomic,
 )
-from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
-from repro.serve.server import serve as run_serve
 
 #: Paper order for `all` and the report (= registry registration order).
 ORDER = list(ARTIFACTS.names())
@@ -447,9 +448,35 @@ def _open_context(parser: argparse.ArgumentParser,
         parser.error(str(error))
 
 
+def _check_output_path(parser: argparse.ArgumentParser, flag: str,
+                       path: str, create_parents: bool) -> None:
+    """Refuse, before any work, an output file the final write could
+    not create: a path naming a directory, or one whose directory is
+    missing (unless the writer creates it) or is not a directory."""
+    target = Path(path)
+    if target.is_dir():
+        parser.error(f"{flag} {path!r} is a directory; name a file")
+    directory = target.parent
+    while create_parents and not directory.exists():
+        directory = directory.parent
+    if not directory.exists():
+        parser.error(
+            f"{flag} {path!r}: directory {str(directory)!r} does not "
+            f"exist"
+        )
+    if not directory.is_dir():
+        parser.error(
+            f"{flag} {path!r}: {str(directory)!r} is not a directory"
+        )
+
+
 def _build_context(args: argparse.Namespace,
                    parser: argparse.ArgumentParser) -> EngineContext:
     """The invocation's single EngineContext, from the CLI knobs."""
+    if args.record:
+        _check_output_path(
+            parser, "--record", args.record, create_parents=True
+        )
     return _open_context(
         parser,
         cache_dir=_resolve_cache_dir(args.cache_dir),
@@ -750,6 +777,8 @@ def _cmd_cache(args: argparse.Namespace,
 
 def _cmd_serve(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
+    from repro.serve.server import serve as run_serve
+
     ctx = _open_context(
         parser,
         cache_dir=_resolve_cache_dir(args.cache_dir),
@@ -778,6 +807,13 @@ def _cmd_list(args: argparse.Namespace,
                 f"(e.g. sparsity_side=dual)"
             )
         filters[key] = _coerce_metadata_value(value)
+    known = sorted({key for info in REGISTRY for key in info.metadata})
+    unknown = sorted(set(filters) - set(known))
+    if unknown:
+        parser.error(
+            f"unknown --filter key {', '.join(map(repr, unknown))}; "
+            f"registered designs carry: {', '.join(known)}"
+        )
     infos = REGISTRY.filter(**filters) if filters else list(REGISTRY)
     rows = [
         [
@@ -815,12 +851,14 @@ def _cmd_report(args: argparse.Namespace,
             "--record applies to 'report --format md' (the full "
             "report has no structured artifact results to record)"
         )
+    _check_output_path(
+        parser, "--output", args.output, create_parents=False
+    )
     ctx = _build_context(args, parser)
     with closing(ctx.engine):
         if args.report_format == "md":
             document, outcome = run_markdown_report(ctx, ORDER)
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(document)
+            write_text_atomic(args.output, document)
             if ctx.record_path:
                 record = record_from_artifacts(
                     command="report",

@@ -10,26 +10,46 @@
   VFMU model/simulator.
 """
 
-from repro.compression.formats import (
-    BitmaskEncoding,
-    CPEncoding,
-    RunLengthEncoding,
-    UncompressedEncoding,
-    encode_bitmask,
-    encode_cp,
-    encode_run_length,
-    encode_uncompressed,
-)
-from repro.compression.hierarchical import (
-    HierarchicalCPRow,
-    decode_hierarchical_cp,
-    encode_hierarchical_cp,
-)
-from repro.compression.operand_b import (
-    CompressedOperandB,
-    decode_operand_b,
-    encode_operand_b,
-)
+from typing import TYPE_CHECKING
+
+from repro.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.compression.formats import (
+        BitmaskEncoding,
+        CPEncoding,
+        RunLengthEncoding,
+        UncompressedEncoding,
+        encode_bitmask,
+        encode_cp,
+        encode_run_length,
+        encode_uncompressed,
+    )
+    from repro.compression.hierarchical import (
+        HierarchicalCPRow,
+        decode_hierarchical_cp,
+        encode_hierarchical_cp,
+    )
+    from repro.compression.operand_b import (
+        CompressedOperandB,
+        decode_operand_b,
+        encode_operand_b,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "formats": (
+        "BitmaskEncoding", "CPEncoding", "RunLengthEncoding",
+        "UncompressedEncoding", "encode_bitmask", "encode_cp",
+        "encode_run_length", "encode_uncompressed",
+    ),
+    "hierarchical": (
+        "HierarchicalCPRow", "decode_hierarchical_cp",
+        "encode_hierarchical_cp",
+    ),
+    "operand_b": (
+        "CompressedOperandB", "decode_operand_b", "encode_operand_b",
+    ),
+})
 
 __all__ = [
     "BitmaskEncoding",

@@ -10,12 +10,12 @@ computed precisely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
+from repro.compression.metadata import offset_bits
 from repro.errors import CompressionError
 
 
@@ -26,13 +26,6 @@ def _as_vector(values: np.ndarray) -> np.ndarray:
             f"formats operate on 1-D vectors, got {array.ndim} dims"
         )
     return array
-
-
-def offset_bits(block_size: int) -> int:
-    """Bits needed to name a position inside a block of ``block_size``."""
-    if block_size <= 0:
-        raise CompressionError(f"bad block size {block_size}")
-    return max(1, math.ceil(math.log2(block_size)))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from repro.energy import Estimator
 from repro.eval import experiments as E
 from repro.eval import reporting as R
 from repro.eval.engine import ContextLike, EngineContext
+from repro.eval.runs import write_text_atomic
 from repro.utils import geomean
 
 HEADER = """\
@@ -208,9 +209,8 @@ def build_report(ctx: ContextLike = None) -> str:
 
 def write_report(path: str = "EXPERIMENTS.md",
                  ctx: ContextLike = None) -> None:
-    """Write the paper-vs-measured record to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(build_report(ctx))
+    """Write the paper-vs-measured record to ``path`` atomically."""
+    write_text_atomic(path, build_report(ctx))
 
 
 MD_HEADER = """\

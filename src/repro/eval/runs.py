@@ -110,17 +110,25 @@ class RunRecord:
         target = Path(path)
         text = self._to_json()
         target.parent.mkdir(parents=True, exist_ok=True)
-        temp = target.with_name(
-            f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-        )
-        try:
-            with open(temp, "x", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(temp, target)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
-        return target
+        return write_text_atomic(target, text)
+
+
+def write_text_atomic(path: "str | Path", text: str) -> Path:
+    """Write ``text`` to a temporary file beside ``path``, then rename
+    it over ``path``: readers see the old file or the whole new one,
+    never a torn write, and a failed write leaves no temporary file."""
+    target = Path(path)
+    temp = target.with_name(
+        f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    )
+    try:
+        with open(temp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return target
 
 
 def record_from_sweep(

@@ -16,22 +16,42 @@ This package provides:
   used for the paper-scale networks (see DESIGN.md substitutions).
 """
 
-from repro.pruning.schemes import (
-    ChannelScheme,
-    HSSScheme,
-    PruningScheme,
-    StructuredGHScheme,
-    UnstructuredScheme,
-)
-from repro.pruning.masks import mask_for, apply_mask
-from repro.pruning.finetune import (
-    MaskedMLP,
-    TrainConfig,
-    make_blobs,
-    prune_and_finetune,
-    train_dense,
-)
-from repro.pruning.accuracy import AccuracyModel, accuracy_loss_pct
+from typing import TYPE_CHECKING
+
+from repro.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.pruning.schemes import (
+        ChannelScheme,
+        HSSScheme,
+        PruningScheme,
+        StructuredGHScheme,
+        UnstructuredScheme,
+    )
+    from repro.pruning.masks import mask_for, apply_mask
+    from repro.pruning.finetune import (
+        MaskedMLP,
+        TrainConfig,
+        make_blobs,
+        prune_and_finetune,
+        train_dense,
+    )
+    from repro.pruning.accuracy import AccuracyModel, accuracy_loss_pct
+
+# accuracy is the numpy-free model the experiments use; schemes,
+# masks and finetune load numpy.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "schemes": (
+        "ChannelScheme", "HSSScheme", "PruningScheme",
+        "StructuredGHScheme", "UnstructuredScheme",
+    ),
+    "masks": ("mask_for", "apply_mask"),
+    "finetune": (
+        "MaskedMLP", "TrainConfig", "make_blobs", "prune_and_finetune",
+        "train_dense",
+    ),
+    "accuracy": ("AccuracyModel", "accuracy_loss_pct"),
+})
 
 __all__ = [
     "PruningScheme",

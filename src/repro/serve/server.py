@@ -41,6 +41,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Optional, Set
 
+from repro.endpoint import DEFAULT_PORT
 from repro.errors import ServeError
 from repro.eval.artifacts import ArtifactRegistry
 from repro.eval.engine import EngineContext
@@ -52,8 +53,6 @@ from repro.serve.handlers import (
     stats_payload,
 )
 
-#: Default TCP port (pass 0 to bind any free port).
-DEFAULT_PORT = 8765
 #: Seconds open response streams get to finish writing after every
 #: execution has drained at shutdown (streams of finished runs flush
 #: in milliseconds; only a stalled client burns the full grace).

@@ -16,23 +16,53 @@ Public surface:
 * :func:`conforms` / :func:`measure_sparsity` — conformance checking.
 """
 
-from repro.sparsity.pattern import GH, GHRange, Unconstrained, Dense
-from repro.sparsity.spec import RankSpec, SparsitySpec, parse_spec
-from repro.sparsity.hss import (
-    HSSPattern,
-    compose_densities,
-    mux_cost,
-    supported_degrees,
+from typing import TYPE_CHECKING
+
+from repro.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sparsity.pattern import GH, GHRange, Unconstrained, Dense
+    from repro.sparsity.spec import RankSpec, SparsitySpec, parse_spec
+    from repro.sparsity.hss import (
+        HSSPattern,
+        compose_densities,
+        mux_cost,
+        supported_degrees,
+    )
+    from repro.sparsity.sparsify import (
+        random_hss_matrix,
+        scaled_l2_norm,
+        sparsify,
+        sparsify_unstructured,
+    )
+    from repro.sparsity.analyze import (
+        conforms,
+        conformance_report,
+        measure_sparsity,
+    )
+    from repro.sparsity.apply import apply_spec
+    from repro.sparsity import library
+
+# numpy loads with spec, sparsify, analyze and apply; the cost models
+# reach pattern and hss without it.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "pattern": ("GH", "GHRange", "Unconstrained", "Dense"),
+        "spec": ("RankSpec", "SparsitySpec", "parse_spec"),
+        "hss": (
+            "HSSPattern", "compose_densities", "mux_cost",
+            "supported_degrees",
+        ),
+        "sparsify": (
+            "random_hss_matrix", "scaled_l2_norm", "sparsify",
+            "sparsify_unstructured",
+        ),
+        "analyze": ("conforms", "conformance_report", "measure_sparsity"),
+        "apply": ("apply_spec",),
+    },
+    submodules=("library",),
 )
-from repro.sparsity.sparsify import (
-    random_hss_matrix,
-    scaled_l2_norm,
-    sparsify,
-    sparsify_unstructured,
-)
-from repro.sparsity.analyze import conforms, conformance_report, measure_sparsity
-from repro.sparsity.apply import apply_spec
-from repro.sparsity import library
 
 __all__ = [
     "GH",

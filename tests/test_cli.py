@@ -577,6 +577,54 @@ class TestCacheDirValidation:
         assert not_a_dir.exists()
 
 
+class TestOutputPathValidation:
+    @pytest.mark.parametrize("argv, target", (
+        (["sweep", "--designs", "TC", "--size", "64", "--record"], "."),
+        (["tables", "--record"], "."),
+        (["report", "--output"], "missing/x.md"),
+        (["report", "--format", "md", "--output"], "missing/x.md"),
+        (["report", "--output"], "."),
+        (["sweep", "--designs", "TC", "--size", "64", "--record"],
+         "file/x.json"),
+    ), ids=(
+        "sweep-record-dir", "artifact-record-dir", "report-missing-dir",
+        "report-md-missing-dir", "report-output-dir",
+        "record-under-a-file",
+    ))
+    def test_unwritable_output_is_a_usage_error(
+        self, tmp_path, capsys, argv, target
+    ):
+        """Refused before any evaluation, not as a traceback from the
+        final write."""
+        (tmp_path / "file").write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [str(tmp_path / target)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize("fmt", ("full", "md"))
+    def test_failed_report_write_keeps_the_old_report(
+        self, tmp_path, monkeypatch, fmt
+    ):
+        """The report is written beside the target and renamed over
+        it, so a write that fails leaves the old file whole."""
+        import repro.eval.runs as runs_mod
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runs_mod.os, "replace", failing_replace)
+        output = tmp_path / "EXPERIMENTS.md"
+        output.write_text("old report\n")
+        with pytest.raises(OSError, match="disk full"):
+            main(["report", "--format", fmt, "--output", str(output)])
+        assert output.read_text() == "old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["EXPERIMENTS.md"]
+
+
 #: The ``jobs`` table an older version's job queue created inside the
 #: cache database. Caches filled that way still carry it.
 LEFTOVER_JOBS_SCHEMA = (
@@ -671,6 +719,22 @@ class TestListSubcommand:
     def test_bad_filter_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["list", "--filter", "nonsense"])
+
+    def test_unknown_filter_key_names_the_known_keys(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["list", "--filter", "nosuch=v"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown --filter key 'nosuch'" in captured.err
+        assert "category" in captured.err
+        assert "sparsity_side" in captured.err
+
+    def test_known_key_without_match_prints_empty_table(self, capsys):
+        assert main(["list", "--filter", "sparsity_side=bogus"]) == 0
+        designs = capsys.readouterr().out.split("\n\nArtifacts")[0]
+        for name in ("TC", "STC", "S2TA", "DSTC", "HighLight", "DSSO"):
+            assert name not in designs
 
 
 class TestSingleEvaluationRegression:
@@ -805,15 +869,57 @@ class TestExecutionPath:
     def test_cli_import_does_not_load_multiprocessing(self):
         """Evaluation is serial and in-process, so nothing on the CLI's
         import path may pull in a process pool."""
-        probe = (
-            "import sys, repro.cli; "
-            "print(sorted(m for m in ('multiprocessing', "
-            "'concurrent.futures.process') if m in sys.modules))"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, check=True, env=env,
-        )
-        assert result.stdout.strip() == "[]"
+        assert loaded_after(
+            "import repro.cli",
+            ("multiprocessing", "concurrent.futures.process"),
+        ) == []
+
+
+def loaded_after(code, modules):
+    """Which of ``modules`` a fresh interpreter has imported after
+    running ``code`` (stdout of ``code`` is discarded)."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + f"print(json.dumps(sorted(m for m in {tuple(modules)!r} "
+        "if m in sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    return json.loads(result.stdout)
+
+
+#: Layers ``repro list`` and ``repro sweep`` never use.
+HEAVY_MODULES = (
+    "numpy", "asyncio", "repro.serve", "repro.analysis",
+    "repro.sparsity.spec",
+)
+
+
+class TestImportBudget:
+    """Each command imports only the layers it uses. Module sets are
+    deterministic where a startup-time budget would be noise."""
+
+    def test_list_loads_no_heavy_layer(self):
+        assert loaded_after(
+            "from repro.cli import main\nmain(['list'])", HEAVY_MODULES
+        ) == []
+
+    def test_six_design_sweep_loads_no_heavy_layer(self, tmp_path):
+        argv = [
+            "sweep", "--designs", "TC,STC,S2TA,DSTC,HighLight,DSSO",
+            "--a-degrees", "0,0.5", "--b-degrees", "0,0.5",
+            "--size", "64", "--cache-dir", str(tmp_path),
+        ]
+        assert loaded_after(
+            f"from repro.cli import main\nmain({argv!r})", HEAVY_MODULES
+        ) == []
+        assert list(tmp_path.iterdir()), "the sweep wrote no cache"
+
+    def test_serve_imports_without_numpy(self):
+        assert loaded_after("import repro.serve.server", ("numpy",)) == []

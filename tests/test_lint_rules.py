@@ -442,6 +442,72 @@ class TestErrorTaxonomy:
 
 
 # ---------------------------------------------------------------------------
+# REP007 import-budget (path-scoped: cli.py and package __init__s)
+
+BUDGET_BAD_NUMPY = "import numpy as np\n"
+BUDGET_BAD_SERVE = "from repro.serve.server import DEFAULT_PORT\n"
+BUDGET_BAD_FROM_PACKAGE = "from repro import analysis\n"
+BUDGET_BAD_NESTED = """
+    try:
+        import asyncio
+    except ImportError:
+        asyncio = None
+"""
+
+BUDGET_GOOD_DEFERRED = """
+    from typing import TYPE_CHECKING
+
+    if TYPE_CHECKING:
+        import numpy as np
+        from repro.serve.server import EvaluationService
+
+    def handler():
+        import asyncio
+        from repro import analysis
+        return asyncio, analysis
+"""
+BUDGET_GOOD_LIGHT = "from repro.eval import cache\nimport json\n"
+
+
+class TestImportBudget:
+    @pytest.mark.parametrize("source", (
+        BUDGET_BAD_NUMPY, BUDGET_BAD_SERVE, BUDGET_BAD_FROM_PACKAGE,
+        BUDGET_BAD_NESTED,
+    ), ids=("numpy", "serve", "from-package", "nested-try"))
+    @pytest.mark.parametrize("relpath", (
+        "repro/cli.py", "pkg/__init__.py", "repro/dnn/__init__.py",
+    ))
+    def test_module_level_heavy_import_flagged(
+        self, tmp_path, source, relpath
+    ):
+        findings = run_rule(tmp_path, source, "REP007", relpath=relpath)
+        assert [f.rule for f in findings] == ["REP007"]
+
+    @pytest.mark.parametrize("source", (
+        BUDGET_GOOD_DEFERRED, BUDGET_GOOD_LIGHT,
+    ), ids=("deferred", "light"))
+    def test_deferred_and_light_imports_pass(self, tmp_path, source):
+        assert run_rule(
+            tmp_path, source, "REP007", relpath="repro/cli.py"
+        ) == ()
+
+    def test_rule_is_path_scoped(self, tmp_path):
+        """Layers that use numpy import it at the top, as usual."""
+        assert run_rule(
+            tmp_path, BUDGET_BAD_NUMPY, "REP007",
+            relpath="repro/sim/simulator.py",
+        ) == ()
+
+    def test_package_may_import_its_own_subtree(self, tmp_path):
+        (tmp_path / "repro" / "__init__.py").parent.mkdir()
+        (tmp_path / "repro" / "__init__.py").write_text("")
+        source = "from repro.serve.server import serve\n"
+        assert run_rule(
+            tmp_path, source, "REP007", relpath="repro/serve/__init__.py"
+        ) == ()
+
+
+# ---------------------------------------------------------------------------
 # REP000 syntax errors, runner, registry machinery
 
 
@@ -514,6 +580,7 @@ class TestRegistry:
     def test_builtins_present(self):
         expected = {
             "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
+            "REP007",
         }
         assert expected <= set(RULES.ids())
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import abc
+from typing import Tuple
 
+from repro.accelerators.realization import Candidate
 from repro.arch.designs import DesignResources
 from repro.energy.estimator import Estimator
 from repro.errors import UnsupportedWorkloadError
@@ -31,6 +33,19 @@ class AcceleratorDesign(abc.ABC):
         self, workload: MatmulWorkload, estimator: Estimator
     ) -> Metrics:
         """Cost the workload as given (no operand swap)."""
+
+    def realize(
+        self, sparsity_a: float, sparsity_b: float
+    ) -> Tuple[Candidate, ...]:
+        """The design's shape-free candidate realizations of one
+        (degree_A, degree_B) cell (Sec. 7.1.1): each degree in the
+        design's native pattern, in every orientation worth trying.
+        The harness and the sweep engine cost every candidate and keep
+        the best. Designs without a synthetic-sweep rule raise
+        :class:`~repro.errors.UnsupportedWorkloadError`."""
+        raise UnsupportedWorkloadError(
+            f"design {self.name!r} defines no degree realization"
+        )
 
     @property
     def supported_patterns(self) -> str:

@@ -11,7 +11,13 @@ gates on B). The trade-off: fewer supported operand-B degrees.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.accelerators.base import AcceleratorDesign
+from repro.accelerators.realization import (
+    Candidate,
+    hss_weight_candidates,
+)
 from repro.accelerators.registry import register_design
 from repro.arch.designs import highlight_resources
 from repro.compression.metadata import offset_bits
@@ -45,6 +51,12 @@ class DSSO(AcceleratorDesign):
     @property
     def supported_patterns(self) -> str:
         return "A: C1(dense)->C0(2:4); B: C1(2:{2<=H<=8})->C0(dense)"
+
+    def realize(
+        self, sparsity_a: float, sparsity_b: float
+    ) -> Tuple[Candidate, ...]:
+        # The Sec. 7.5 study sweeps the same cells as HighLight.
+        return hss_weight_candidates(sparsity_a, sparsity_b)
 
     def supports(self, workload: MatmulWorkload) -> bool:
         return self._a_ok(workload) and self._b_ok(workload)

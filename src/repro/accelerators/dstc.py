@@ -11,14 +11,17 @@ of the 32-lane compute columns.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.accelerators.base import AcceleratorDesign
+from repro.accelerators.realization import Candidate
 from repro.accelerators.registry import register_design
 from repro.arch.designs import dstc_resources
 from repro.energy.estimator import Estimator
 from repro.model.density import random_balance_utilization
 from repro.model.perf import build_metrics
 from repro.model.metrics import Metrics
-from repro.model.workload import MatmulWorkload
+from repro.model.workload import MatmulWorkload, unstructured_operand
 
 #: Bitmask metadata: one bit per dense slot, packed into 16-bit words.
 WORD_BITS = 16
@@ -44,6 +47,18 @@ class DSTC(AcceleratorDesign):
     @property
     def supported_patterns(self) -> str:
         return "A: dense or unstructured; B: dense or unstructured"
+
+    def realize(
+        self, sparsity_a: float, sparsity_b: float
+    ) -> Tuple[Candidate, ...]:
+        # Both operands unstructured, in the given orientation only.
+        return (
+            (
+                unstructured_operand(sparsity_a),
+                unstructured_operand(sparsity_b),
+                False,
+            ),
+        )
 
     def supports(self, workload: MatmulWorkload) -> bool:
         return True

@@ -10,7 +10,13 @@ affecting cycles (Sec. 6.4).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.accelerators.base import AcceleratorDesign
+from repro.accelerators.realization import (
+    Candidate,
+    hss_weight_candidates,
+)
 from repro.accelerators.registry import register_design
 from repro.arch.designs import highlight_resources
 from repro.compression.metadata import offset_bits
@@ -48,6 +54,11 @@ class HighLight(AcceleratorDesign):
             "A: dense or C1(4:{4<=H<=8})->C0(2:{2<=H<=4}); "
             "B: dense or unstructured"
         )
+
+    def realize(
+        self, sparsity_a: float, sparsity_b: float
+    ) -> Tuple[Candidate, ...]:
+        return hss_weight_candidates(sparsity_a, sparsity_b)
 
     def supports(self, workload: MatmulWorkload) -> bool:
         # Operand A must be dense or HSS-structured; operand B anything.

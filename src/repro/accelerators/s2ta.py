@@ -10,7 +10,10 @@ purely dense layers (paper Sec. 7.3).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.accelerators.base import AcceleratorDesign
+from repro.accelerators.realization import Candidate, g8_operand
 from repro.accelerators.registry import register_design
 from repro.arch.designs import s2ta_resources
 from repro.energy.estimator import Estimator
@@ -48,6 +51,16 @@ class S2TA(AcceleratorDesign):
     @property
     def supported_patterns(self) -> str:
         return "A: C0({G<=4}:8); B: C0({G<=8}:8)"
+
+    def realize(
+        self, sparsity_a: float, sparsity_b: float
+    ) -> Tuple[Candidate, ...]:
+        # Both operands G:8; operand A has no dense mode, so the swap
+        # rescues cells whose A degree is too low.
+        return (
+            (g8_operand(sparsity_a), g8_operand(sparsity_b), False),
+            (g8_operand(sparsity_b), g8_operand(sparsity_a), True),
+        )
 
     def supports(self, workload: MatmulWorkload) -> bool:
         # Operand A must be at least 50% sparse at G:8 granularity;

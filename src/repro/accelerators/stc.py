@@ -8,14 +8,17 @@ always processed dense (no compression unit in the design).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.accelerators.base import AcceleratorDesign
+from repro.accelerators.realization import Candidate, hss_or_unstructured
 from repro.accelerators.registry import register_design
 from repro.arch.designs import stc_resources
 from repro.energy.estimator import Estimator
 from repro.model.density import stc_effective_density
 from repro.model.perf import build_metrics
 from repro.model.metrics import Metrics
-from repro.model.workload import MatmulWorkload
+from repro.model.workload import MatmulWorkload, unstructured_operand
 
 #: 2:4 metadata: 2 bits per stored nonzero, packed into 16-bit words.
 META_BITS_PER_VALUE = 2
@@ -35,6 +38,24 @@ class STC(AcceleratorDesign):
     @property
     def supported_patterns(self) -> str:
         return "A: dense or C0({G<=2}:4); B: dense"
+
+    def realize(
+        self, sparsity_a: float, sparsity_b: float
+    ) -> Tuple[Candidate, ...]:
+        # Only operand A is skipped, so each orientation puts one
+        # degree in its 2:4-compatible HSS form.
+        return (
+            (
+                hss_or_unstructured(sparsity_a),
+                unstructured_operand(sparsity_b),
+                False,
+            ),
+            (
+                hss_or_unstructured(sparsity_b),
+                unstructured_operand(sparsity_a),
+                True,
+            ),
+        )
 
     def supports(self, workload: MatmulWorkload) -> bool:
         # Functionally correct on any workload: unsupported sparsity is

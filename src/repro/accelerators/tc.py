@@ -7,13 +7,16 @@ stored and moved uncompressed. Zero sparsity tax, zero sparsity benefit
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.accelerators.base import AcceleratorDesign
+from repro.accelerators.realization import Candidate
 from repro.accelerators.registry import register_design
 from repro.arch.designs import tc_resources
 from repro.energy.estimator import Estimator
 from repro.model.perf import build_metrics
 from repro.model.metrics import Metrics
-from repro.model.workload import MatmulWorkload
+from repro.model.workload import MatmulWorkload, dense_operand
 
 
 @register_design(category="dense", sparsity_side="none",
@@ -29,6 +32,12 @@ class TC(AcceleratorDesign):
     @property
     def supported_patterns(self) -> str:
         return "A: dense; B: dense"
+
+    def realize(
+        self, sparsity_a: float, sparsity_b: float
+    ) -> Tuple[Candidate, ...]:
+        # Dense hardware ignores sparsity: both operands stay dense.
+        return ((dense_operand(), dense_operand(), False),)
 
     def supports(self, workload: MatmulWorkload) -> bool:
         # A dense design processes anything (zeros are just values).

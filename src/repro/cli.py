@@ -125,10 +125,12 @@ def run_artifacts(
 
 
 def _parse_degrees(text: str) -> Tuple[float, ...]:
+    """Comma-separated degrees, deduplicated in order (a repeated degree
+    would repeat a grid row or column, not add one)."""
     try:
-        degrees = tuple(
+        degrees = tuple(dict.fromkeys(
             float(part) for part in text.split(",") if part.strip()
-        )
+        ))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated sparsity degrees, got {text!r}"

@@ -16,13 +16,17 @@ the energy/area table, the plug-in stack, and a model-version constant,
 so any change to the cost models invalidates old entries automatically
 by landing in a new file.
 
-A flush upserts only the dirty entries (``INSERT OR REPLACE``), so its
-cost is O(dirty), and concurrent writers are serialized by SQLite's own
-locking. Caches written by older versions are not read: a leftover
-``<fingerprint>.json`` raises :class:`~repro.errors.CacheError` when
-the cache opens (delete it with ``repro cache clear`` and refill), and
-a v1 JSON ``TEXT`` row fails blob decoding, so the database reads as
-empty and is rotated aside by the next flush.
+Loaded rows stay encoded after a cheap structural check
+(:func:`~repro.eval.codec.well_formed`) and decode the first time a
+command reads them, so a warm command pays only for the entries it
+uses. A flush upserts only the dirty entries (``INSERT OR REPLACE``),
+so its cost is O(dirty), and concurrent writers are serialized by
+SQLite's own locking. Caches written by older versions are not read:
+a leftover ``<fingerprint>.json`` raises
+:class:`~repro.errors.CacheError` when the cache opens (delete it with
+``repro cache clear`` and refill), and a v1 JSON ``TEXT`` row fails
+the load-time check, so the database reads as empty and is rotated
+aside by the next flush.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ import time
 from functools import lru_cache
 from pathlib import Path
 from urllib.parse import quote
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.energy.estimator import Estimator
 from repro.errors import CacheError
 from repro.eval import codec
 from repro.model.metrics import Metrics
-from repro.model.workload import WorkloadKey
+from repro.model.workload import MEMO_SIZE, OperandKey, WorkloadKey
 
 #: Bumped whenever the analytical cost models change in a way that
 #: invalidates previously cached metrics.
@@ -163,18 +167,35 @@ def estimator_fingerprint(estimator: Estimator) -> str:
     return digest
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _operand_repr(operand_key: OperandKey) -> str:
+    """``repr`` of one operand key: a sweep names a few dozen distinct
+    operands, so each nested tuple is formatted once, not per pair."""
+    return repr(operand_key)
+
+
 @lru_cache(maxsize=65536)
 def pair_digest(design: str, workload_key: WorkloadKey) -> str:
-    """The storage key for one (design, workload) pair.
+    """The storage key for one (design, workload) pair: the SHA-256 of
+    ``repr((design, workload_key))``.
 
     Workload keys are nested tuples of strings/ints/floats whose
-    ``repr`` is deterministic across processes and Python versions.
-    Memoized: a sweep digests the same pairs once on probe and once on
-    put, and repeated sweeps in one process re-digest them all.
+    ``repr`` is deterministic across processes and Python versions. A
+    5-tuple (m, k, n, A key, B key) has its text composed from memoized
+    per-operand ``repr`` strings, byte-identical to the plain ``repr``;
+    any other key takes the plain path. Memoized: a sweep digests each
+    miss once on probe and once on put, and repeated sweeps in one
+    process re-digest them all.
     """
-    return hashlib.sha256(
-        repr((design, workload_key)).encode()
-    ).hexdigest()
+    if workload_key.__class__ is tuple and len(workload_key) == 5:
+        m, k, n, a, b = workload_key
+        text = (
+            f"({design!r}, ({m!r}, {k!r}, {n!r}, "
+            f"{_operand_repr(a)}, {_operand_repr(b)}))"
+        )
+    else:
+        text = repr((design, workload_key))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # --- storage -------------------------------------------------------------
@@ -274,11 +295,18 @@ def _sqlite_connect_ro(path: Path) -> sqlite3.Connection:
 _UPSERT = "INSERT OR REPLACE INTO entries (digest, metrics) VALUES (?, ?)"
 
 
-def _decode_row(value: Optional[bytes]) -> Optional[Metrics]:
-    """An ``entries.metrics`` value back to Metrics (``NULL`` is a
-    cached unsupported verdict). Anything but a v2 blob — such as a v1
-    JSON ``TEXT`` row — raises :class:`~repro.errors.CacheError`."""
-    return None if value is None else codec.decode_blob(value)
+#: One ``entries.metrics`` value as held in memory: a blob not yet
+#: read (still encoded), decoded Metrics, or ``None`` (a cached
+#: unsupported verdict).
+Entry = Union[bytes, Metrics, None]
+
+
+def _encoded(value: Entry) -> Optional[bytes]:
+    """An entry's column value; still-encoded blobs pass through byte
+    for byte."""
+    if value is None or isinstance(value, bytes):
+        return value
+    return codec.encode_metrics(value)
 
 
 class _SchemaMismatch(Exception):
@@ -319,8 +347,11 @@ class SqliteCacheStore:
             self._conn = _sqlite_connect_rw(self.path, self.fingerprint)
         return self._conn
 
-    def load(self) -> Dict[str, Optional[Metrics]]:
-        """All on-disk entries (best-effort: problems read empty)."""
+    def load(self) -> Dict[str, Optional[bytes]]:
+        """All on-disk entries, still encoded (best-effort: problems
+        read empty). Every row must pass :func:`codec.well_formed`;
+        decoding waits for the first read
+        (:meth:`PersistentCache.get`)."""
         if not self.path.exists():
             return {}
         try:
@@ -328,12 +359,14 @@ class SqliteCacheStore:
             meta = _sqlite_meta(conn)
             if meta.get("schema_version") != str(CACHE_SCHEMA_VERSION):
                 return {}
-            return {
-                digest: _decode_row(value)
-                for digest, value in conn.execute(
-                    "SELECT digest, metrics FROM entries"
-                )
-            }
+            rows: Dict[str, Optional[bytes]] = dict(
+                conn.execute("SELECT digest, metrics FROM entries")
+            )
+            well_formed = codec.well_formed
+            for value in rows.values():
+                if value is not None and not well_formed(value):
+                    raise CacheError("malformed cache row")
+            return rows
         except sqlite3.OperationalError:
             # Transient (locked, I/O): read as empty this run but
             # leave the file alone — it may be healthy.
@@ -341,21 +374,28 @@ class SqliteCacheStore:
         except Exception:
             # A corrupt database reads as empty, never as a crash.
             # Flag it so the next flush rotates and rebuilds even when
-            # the damage (e.g. one undecodable row) would not resurface
+            # the damage (e.g. one malformed row) would not resurface
             # as a sqlite3.DatabaseError there.
-            self._unreadable = True
+            self.mark_unreadable()
             return {}
+
+    def mark_unreadable(self) -> None:
+        """Make the next flush rotate the database aside and rebuild it
+        from memory (a row failed to decode)."""
+        self._unreadable = True
 
     def get_many(
         self, digests: List[str]
-    ) -> Dict[str, Optional[Metrics]]:
+    ) -> Dict[str, Optional[bytes]]:
         """Probe the database for ``digests`` in one query per ~500
         keys — picks up rows a concurrent writer committed since our
-        load. Best-effort like every runtime read: any database problem
-        reports "nothing found" rather than raising."""
+        load. Rows come back still encoded, like :meth:`load`'s.
+        Best-effort like every runtime read: any database problem, a
+        malformed row included, reports "nothing found" rather than
+        raising."""
         if not digests or not self.path.exists():
             return {}
-        found: Dict[str, Optional[Metrics]] = {}
+        found: Dict[str, Optional[bytes]] = {}
         try:
             conn = self._connect()
             if _sqlite_meta(conn).get("schema_version") != str(
@@ -370,20 +410,17 @@ class SqliteCacheStore:
                     f"WHERE digest IN ({placeholders})",
                     chunk,
                 ):
-                    found[digest] = _decode_row(value)
+                    if value is not None and not codec.well_formed(value):
+                        return {}
+                    found[digest] = value
         except Exception:
             return {}
         return found
 
-    def _upsert(self, dirty: Dict[str, Optional[Metrics]]) -> None:
+    def _upsert(self, dirty: Dict[str, Entry]) -> None:
         conn = self._connect()
         rows = [
-            (
-                digest,
-                None if metrics is None
-                else codec.encode_metrics(metrics),
-            )
-            for digest, metrics in dirty.items()
+            (digest, _encoded(value)) for digest, value in dirty.items()
         ]
 
         def upsert() -> None:
@@ -410,9 +447,9 @@ class SqliteCacheStore:
 
     def flush(
         self,
-        entries: Dict[str, Optional[Metrics]],
+        entries: Dict[str, Entry],
         dirty: Dict[str, Optional[Metrics]],
-    ) -> Dict[str, Optional[Metrics]]:
+    ) -> Dict[str, Entry]:
         """Persist ``dirty``; returns the post-flush in-memory view."""
         try:
             if self._unreadable:
@@ -430,9 +467,9 @@ class SqliteCacheStore:
             # "no such table" cannot reach here.)
             raise
         except (sqlite3.DatabaseError, _SchemaMismatch) as error:
-            # A file this version cannot use (torn, stale schema, an
-            # undecodable row) read as empty at load: set it aside and
-            # rebuild it from memory at the current schema.
+            # A file this version cannot use (torn, stale schema, a
+            # malformed or undecodable row): set it aside and rebuild
+            # it from memory at the current schema.
             stale = isinstance(error, _SchemaMismatch)
             self._rotate_aside(".stale" if stale else ".corrupt")
             self._upsert(entries)
@@ -455,11 +492,11 @@ class PersistentCache:
     """A dict-like store of evaluated pairs, backed by one
     :class:`SqliteCacheStore` database.
 
-    Entries live in memory after load; :meth:`flush` upserts the
-    entries added since the last flush. ``None`` values are first-class
-    (cached "unsupported" verdicts). All operations are guarded by an
-    internal lock, so an engine can perform lookups while another
-    thread flushes.
+    Entries live in memory after load, still encoded until first read;
+    :meth:`flush` upserts the entries added since the last flush.
+    ``None`` values are first-class (cached "unsupported" verdicts).
+    All operations are guarded by an internal lock, so an engine can
+    perform lookups while another thread flushes.
     """
 
     #: Fields that must only be touched under ``self._lock`` (REP001).
@@ -471,7 +508,7 @@ class PersistentCache:
         self.store = SqliteCacheStore(directory, fingerprint)
         self.directory = Path(directory)
         self.fingerprint = fingerprint
-        self._entries: Dict[str, Optional[Metrics]] = {}
+        self._entries: Dict[str, Entry] = {}
         self._dirty: Dict[str, Optional[Metrics]] = {}
         self._lock = threading.Lock()
         # Debounce clock for maybe_flush: "the file is never more than
@@ -493,10 +530,27 @@ class PersistentCache:
 
     def get(self, design: str, workload_key: WorkloadKey) -> Any:
         """The cached metrics (possibly ``None``), or :data:`MISS`."""
+        digest = pair_digest(design, workload_key)
         with self._lock:
-            return self._entries.get(
-                pair_digest(design, workload_key), MISS
-            )
+            return self._read_locked(digest)
+
+    def _read_locked(self, digest: str) -> Any:
+        """One entry, decoded on its first read and stored back, so
+        each blob decodes at most once. A blob that fails to decode is
+        a :data:`MISS` (the caller re-evaluates the pair) and flags the
+        database for a rebuild at the next flush. Caller holds the
+        lock."""
+        value = self._entries.get(digest, MISS)
+        if value.__class__ is not bytes:
+            return value
+        try:
+            metrics = codec.decode_blob(value)
+        except CacheError:
+            del self._entries[digest]
+            self.store.mark_unreadable()
+            return MISS
+        self._entries[digest] = metrics
+        return metrics
 
     def get_many(
         self, pairs: "List[Tuple[str, WorkloadKey]]"
@@ -509,13 +563,15 @@ class PersistentCache:
         query (it sees rows concurrent processes committed after our
         load). Store finds are folded into the
         in-memory view but *not* marked dirty — they are already on
-        disk."""
+        disk. Every entry decodes on its first read (see
+        :meth:`get`)."""
         digests = [
             pair_digest(design, workload_key)
             for design, workload_key in pairs
         ]
         with self._lock:
-            results = [self._entries.get(d, MISS) for d in digests]
+            read = self._read_locked
+            results = [read(d) for d in digests]
             missing = [
                 digest
                 for digest, value in zip(digests, results)
@@ -524,10 +580,11 @@ class PersistentCache:
             if missing:
                 found = self.store.get_many(missing)
                 if found:
-                    for digest, metrics in found.items():
-                        self._entries.setdefault(digest, metrics)
+                    for digest, blob in found.items():
+                        self._entries.setdefault(digest, blob)
                     results = [
-                        self._entries.get(d, MISS) for d in digests
+                        read(d) if value is MISS else value
+                        for d, value in zip(digests, results)
                     ]
         return results
 

@@ -82,6 +82,22 @@ def encode_metrics(metrics: Metrics) -> bytes:
     )
 
 
+def well_formed(value: object) -> bool:
+    """A cheap structural check of a stored value, without decoding it:
+    ``bytes`` with the current version byte, whose header lengths add up
+    to its size. A truncated or extended blob, a foreign version and a
+    v1 JSON ``TEXT`` row all fail it; a blob that passes can still fail
+    :func:`decode_blob` (a bad name count, invalid UTF-8)."""
+    if (
+        value.__class__ is not bytes
+        or len(value) < _HEAD_LENS.size
+        or value[0] != METRICS_CODEC_VERSION
+    ):
+        return False
+    dlen, wlen, nlen, n = _LENS.unpack_from(value, _HEAD.size)
+    return _HEAD_LENS.size + dlen + wlen + nlen + 8 * n == len(value)
+
+
 def decode_blob(blob: bytes) -> Metrics:
     """The Metrics a v2 blob encodes, bit-exact.
 
@@ -95,13 +111,14 @@ def decode_blob(blob: bytes) -> Metrics:
     readers treat like any other corrupt cache content.
     """
     try:
-        version, flags, cycles, utilization = _HEAD.unpack_from(blob, 0)
+        (
+            version, flags, cycles, utilization, dlen, wlen, nlen, n,
+        ) = _HEAD_LENS.unpack_from(blob, 0)
         if version != METRICS_CODEC_VERSION:
             raise CacheError(
                 f"unsupported metrics codec version {version}"
             )
-        dlen, wlen, nlen, n = _LENS.unpack_from(blob, _HEAD.size)
-        offset = _HEAD.size + _LENS.size
+        offset = _HEAD_LENS.size
         design = blob[offset:offset + dlen].decode("utf-8")
         offset += dlen
         workload = blob[offset:offset + wlen].decode("utf-8")

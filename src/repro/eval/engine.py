@@ -7,9 +7,10 @@ keyed by the workload's canonical content key
 (:meth:`~repro.model.workload.MatmulWorkload.key`): the synthetic
 Fig. 13/14/16 degree grids, the Fig. 2/15 network sweeps, and arbitrary
 user workloads all deduplicate against one cache. A degree-grid
-:class:`Cell` is a thin adapter on top — the engine realizes each cell
-into its candidate workloads (Sec. 7.1 rules) and picks the best, so
-repeated shapes deduplicate *across* cells, degrees, and labels (every
+:class:`Cell` is a thin adapter on top — each cell's design realizes
+it into candidates (Sec. 7.1 rules), the engine keys them without
+building workloads, and picks the best, so repeated shapes
+deduplicate *across* cells, degrees, and labels (every
 dense layer of a network sweep is evaluated once, not once per
 weight-sparsity point).
 
@@ -42,9 +43,10 @@ from typing import (
 
 from repro.accelerators import REGISTRY, main_design_names
 from repro.accelerators.base import AcceleratorDesign
+from repro.accelerators.realization import Candidate
 from repro.accelerators.registry import DesignRegistry
 from repro.energy.estimator import Estimator
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, UnsupportedWorkloadError
 from repro.eval import cache as cache_mod
 from repro.eval.harness import (
     best_metrics,
@@ -68,6 +70,12 @@ PairKey = Tuple[str, WorkloadKey]
 
 #: One unit of engine work: a design name on one concrete workload.
 Pair = Tuple[str, MatmulWorkload]
+
+#: What a true miss builds its workload from: the caller's workload
+#: (:meth:`SweepEngine.evaluate_workloads`), or a design's realization
+#: candidate (A, B, swapped), in its pair key's orientation
+#: (:meth:`SweepEngine.evaluate_cells`).
+MissSource = Union[MatmulWorkload, Candidate]
 
 
 @dataclass(frozen=True)
@@ -411,13 +419,27 @@ class SweepEngine:
             pass
 
     def _run_batch(
-        self, pending: List[Pair]
+        self, pending: Dict[PairKey, MissSource]
     ) -> Iterator[Optional[Metrics]]:
         """Results for ``pending``, yielded lazily in order, so the
         caller can record and persist each one before evaluating the
         next — an interrupt mid-batch keeps everything already
-        evaluated."""
-        return (self._evaluate_pair(pair) for pair in pending)
+        evaluated.
+
+        A true miss is the only place a candidate becomes a
+        :class:`MatmulWorkload`. Either way the workload is unlabeled
+        (``stripped``), so the cached Metrics (whose ``workload``
+        string comes from ``describe()``) are content-derived, not
+        named after whichever caller asked first."""
+        for (design, key), source in pending.items():
+            if isinstance(source, MatmulWorkload):
+                workload = source.stripped
+            else:
+                a, b, _ = source
+                workload = MatmulWorkload(
+                    m=key[0], k=key[1], n=key[2], a=a, b=b
+                )
+            yield self._evaluate_pair((design, workload))
 
     def _wait_event_locked(self, key: "PairKey") -> threading.Event:
         """The Event a caller must wait on for an in-flight key,
@@ -430,16 +452,16 @@ class SweepEngine:
 
     def _claim_unknown_locked(
         self,
-        unknown: Dict[PairKey, Pair],
+        unknown: Dict[PairKey, MissSource],
         probed: List[Any],
-        own: Dict[PairKey, Pair],
+        own: Dict[PairKey, MissSource],
         waits: Dict[PairKey, threading.Event],
     ) -> None:
         """Resolve keys absent from the in-memory cache at phase 1:
         fill disk hits, adopt concurrent fills, claim true misses.
         Caller holds the engine lock (it was *released* around the
         disk probe, so another thread may have resolved a key since)."""
-        for (key, pair), cached in zip(unknown.items(), probed):
+        for (key, source), cached in zip(unknown.items(), probed):
             if key in self._cache:
                 self.stats.hits += 1
             elif key in self._inflight:
@@ -449,12 +471,7 @@ class SweepEngine:
                 self._cache[key] = cached
                 self.stats.disk_hits += 1
             else:
-                # Evaluate the stripped (label-free) workload so the
-                # cached Metrics (whose `workload` string comes from
-                # describe()) are content-derived, not named after
-                # whichever caller asked first.
-                design, workload = pair
-                own[key] = (design, workload.stripped)
+                own[key] = source
                 self._inflight[key] = None
                 self.stats.misses += 1
 
@@ -470,14 +487,22 @@ class SweepEngine:
         .PersistentCache.get_many` *outside* the engine lock, so a
         large cold batch never stalls concurrent callers on disk I/O.
         """
-        keys: List[PairKey] = [
-            (design, workload.key()) for design, workload in pairs
-        ]
-        own: Dict[PairKey, Pair] = {}
+        return self._evaluate_keys(
+            [(design, workload.key()) for design, workload in pairs],
+            [workload for _, workload in pairs],
+        )
+
+    def _evaluate_keys(
+        self, keys: List[PairKey], sources: Sequence[MissSource]
+    ) -> List[Optional[Metrics]]:
+        """Metrics for each pair key, in order; ``sources[i]`` is what
+        key ``i`` builds its workload from if it is a true miss (see
+        :meth:`_run_batch`)."""
+        own: Dict[PairKey, MissSource] = {}
         waits: Dict[PairKey, threading.Event] = {}
-        unknown: Dict[PairKey, Pair] = {}
+        unknown: Dict[PairKey, MissSource] = {}
         with self._lock:
-            for key, pair in zip(keys, pairs):
+            for key, source in zip(keys, sources):
                 if key in unknown:
                     # Duplicate within the batch: resolved whichever
                     # way its first occurrence goes.
@@ -488,7 +513,7 @@ class SweepEngine:
                     waits[key] = self._wait_event_locked(key)
                     self.stats.hits += 1
                 else:
-                    unknown[key] = pair
+                    unknown[key] = source
             if unknown and self.persistent is None:
                 self._claim_unknown_locked(
                     unknown, [cache_mod.MISS] * len(unknown), own, waits
@@ -503,9 +528,7 @@ class SweepEngine:
                 # Record each pair as it completes rather than after
                 # the whole batch: a Ctrl-C at 90% of a grid must keep
                 # the 90%, and a whole grid is typically one batch.
-                for key, metrics in zip(
-                    own, self._run_batch(list(own.values()))
-                ):
+                for key, metrics in zip(own, self._run_batch(own)):
                     with self._lock:
                         self._cache[key] = metrics
                         if self.persistent is not None:
@@ -552,22 +575,44 @@ class SweepEngine:
     ) -> List[Optional[Metrics]]:
         """Best-candidate metrics for each degree-grid cell, in order.
 
-        Each cell is realized into its per-design candidate workloads
-        (both orientations where the Sec. 7.1 rules allow a swap) and
-        every candidate is routed through the workload-level cache, so
-        equal realizations are shared across cells and designs.
+        Each cell's design realizes it into shape-free candidates (both
+        orientations where the Sec. 7.1 rules allow a swap), and every
+        candidate is keyed straight from its interned operands' content
+        keys and routed through the workload-level cache, so equal
+        realizations are shared across cells and designs. A warm batch
+        builds no workload at all; only true misses do.
         """
-        pairs: List[Pair] = []
+        keys: List[PairKey] = []
+        sources: List[MissSource] = []
         spans: List[int] = []
+        designs: Dict[str, AcceleratorDesign] = {}
         for cell in cells:
-            candidates = cell.realize()
+            name = cell.design
+            design = designs.get(name)
+            if design is None:
+                if name not in self.registry:
+                    raise UnsupportedWorkloadError(
+                        f"unknown design {name!r}"
+                    )
+                design = designs[name] = self.design(name)
+            m, k, n = cell.m, cell.k, cell.n
+            candidates = design.realize(cell.sparsity_a, cell.sparsity_b)
             spans.append(len(candidates))
-            pairs.extend((cell.design, wl) for wl in candidates)
-        flat = iter(self.evaluate_workloads(pairs))
-        return [
-            best_metrics([next(flat) for _ in range(span)])
-            for span in spans
-        ]
+            for candidate in candidates:
+                a, b, swapped = candidate
+                keys.append((
+                    name,
+                    (n, k, m, a.key(), b.key()) if swapped
+                    else (m, k, n, a.key(), b.key()),
+                ))
+                sources.append(candidate)
+        results = self._evaluate_keys(keys, sources)
+        best: List[Optional[Metrics]] = []
+        start = 0
+        for span in spans:
+            best.append(best_metrics(results[start:start + span]))
+            start += span
+        return best
 
     def sweep(
         self,

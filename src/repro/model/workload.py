@@ -23,9 +23,11 @@ from repro.sparsity.hss import HSSPattern
 #: differ by far more.
 DEGREE_DECIMALS = 9
 
-#: Entries each realization memo keeps: the harness's per-cell memo and
-#: the interned operand constructors below. Bounded so a long-lived
-#: ``repro serve`` cannot grow them without limit.
+#: Entries each realization memo keeps: the interned operand
+#: constructors below, the operand rules built on them
+#: (:mod:`repro.accelerators.realization`) and the cache's per-operand
+#: digest text. Bounded so a long-lived ``repro serve`` cannot grow
+#: them without limit.
 MEMO_SIZE = 4096
 
 
@@ -236,8 +238,8 @@ class MatmulWorkload:
         )
 
     def describe(self) -> str:
-        """Display form, computed once per (frozen) instance. The
-        realization layer memoizes workload instances, so this turns
+        """Display form, computed once per (frozen) instance. Network
+        sweeps memoize their realized workload instances, so this turns
         repeated describes across sweeps/batches into one dict hit."""
         return self._described
 

@@ -372,7 +372,9 @@ def _degree_list(value: Any, name: str) -> Tuple[float, ...]:
         raise ServeError(
             f"{name!r} must be a non-empty list of sparsity degrees"
         )
-    degrees = tuple(float(item) for item in value)
+    # Deduplicated in order, like the CLI's --a-degrees: [0.5] and
+    # [0.5, 0.5] are one spec and coalesce.
+    degrees = tuple(dict.fromkeys(float(item) for item in value))
     for degree in degrees:
         if not 0.0 <= degree < 1.0:
             raise ServeError(

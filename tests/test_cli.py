@@ -815,6 +815,31 @@ class TestSweepTrailers:
             "6", "4", "0"
         )
 
+    def test_duplicate_degrees_do_not_inflate_the_grid(
+        self, tmp_path, capsys
+    ):
+        """Repeated degrees collapse in order: one table row, a 1x1
+        grid in the trailer and the record, and no duplicate cells
+        probed (the three unique candidates, no memory hits)."""
+        record_path = tmp_path / "dup.json"
+        assert main([
+            "sweep", "--designs", "TC,HighLight",
+            "--a-degrees", "0.5,0.5", "--b-degrees", "0,0.0",
+            "--size", "256", "--record", str(record_path),
+        ]) == 0
+        (trailer,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "degree grid" in line
+        ]
+        assert re.fullmatch(
+            r"2 designs x 1x1 degree grid @ 256\^3, 3 workloads "
+            r"evaluated, 0 memory hits, 0 disk hits in \d+\.\d\ds",
+            trailer,
+        ), trailer
+        record = json.loads(record_path.read_text())
+        assert len(record["cells"]) == 2
+        assert record["cache"]["requests"] == 3
+
     def test_model_sweep_trailer(self, capsys):
         assert main([
             "sweep", "--model", "DeiT-small",

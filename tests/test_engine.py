@@ -4,14 +4,22 @@ import threading
 
 import pytest
 
+from repro.accelerators import DSTC, TC, AcceleratorDesign
+from repro.accelerators.registry import DesignRegistry, register_design
 from repro.energy import Estimator
+from repro.errors import UnsupportedWorkloadError
 from repro.eval.cache import MISS, PersistentCache
 from repro.eval.engine import (
     Cell,
     SweepEngine,
     grid_cells,
 )
-from repro.model.workload import synthetic_workload
+from repro.eval.harness import realize_workloads
+from repro.model.workload import (
+    dense_operand,
+    synthetic_workload,
+    unstructured_operand,
+)
 
 
 @pytest.fixture
@@ -356,3 +364,117 @@ class TestContextClose:
         assert reloaded.get("TC", first.key()) is not MISS
         assert reloaded.get("TC", second.key()) is not MISS
         reloaded.close()
+
+
+class ToyDesign(DSTC):
+    """A design known only to a test registry: DSTC hardware that
+    tries each degree as unstructured A against a dense B, in both
+    orientations."""
+
+    name = "Toy"
+
+    def realize(self, sparsity_a, sparsity_b):
+        return (
+            (unstructured_operand(sparsity_a), dense_operand(), False),
+            (unstructured_operand(sparsity_b), dense_operand(), True),
+        )
+
+
+class TestDesignOwnsRealization:
+    """Realization lives on the design class: a new design needs a
+    registration and a ``realize``, and no edit to the harness."""
+
+    @staticmethod
+    def _registry():
+        registry = DesignRegistry()
+        registry.register("TC", TC)
+        register_design(registry)(ToyDesign)
+        return registry
+
+    def test_registry_only_design_sweeps_a_grid(self, estimator):
+        engine = SweepEngine(estimator, registry=self._registry())
+        degrees = (0.0, 0.25, 0.5)
+        sweep = engine.sweep(
+            designs=("TC", "Toy"), a_degrees=degrees, b_degrees=degrees,
+            **SMALL,
+        )
+        assert len(sweep.cells) == 9
+        assert all(row["Toy"] is not None for row in sweep.cells.values())
+        # 9 TC cells share one dense workload; on a square shape both
+        # of Toy's orientations of a degree share one key, so its 18
+        # candidates name 3 workloads.
+        assert engine.stats.misses == 1 + 3
+        assert engine.stats.requests == 9 + 18
+        swapped = sweep.cells[(0.0, 0.5)]["Toy"]
+        assert swapped.workload == "128x128x128: A=unstructured(50%), B=dense"
+
+    def test_unknown_design_is_unsupported(self, estimator):
+        engine = SweepEngine(estimator, registry=self._registry())
+        with pytest.raises(UnsupportedWorkloadError, match="unknown design"):
+            engine.evaluate_cells([Cell("HighLight", 0.5, 0.5, **SMALL)])
+
+    def test_base_realize_is_unsupported(self):
+        with pytest.raises(UnsupportedWorkloadError, match="'TC'"):
+            AcceleratorDesign.realize(TC(), 0.5, 0.5)
+
+    #: The parent's ``realize_workloads`` output on the
+    #: ``TestDigestContract`` cells at (64, 128, 256): (label, key).
+    PARENT = {
+        ("DSSO", 0.75, 0.0): [
+            ("A0.75/B0", (64, 128, 256, ("hss", 0.25, ((2, 4), (4, 8))),
+                          ("dense", 1.0, ()))),
+            ("A0.75/B0^T", (256, 128, 64, ("dense", 1.0, ()),
+                            ("unstructured", 0.25, ()))),
+        ],
+        ("DSTC", 0.5, 0.3): [
+            ("A0.5/B0.3", (64, 128, 256, ("unstructured", 0.5, ()),
+                           ("unstructured", 0.7, ()))),
+        ],
+        ("HighLight", 0.625, 0.75): [
+            ("A0.625/B0.75", (64, 128, 256,
+                              ("hss", 0.375, ((2, 4), (3, 4))),
+                              ("unstructured", 0.25, ()))),
+            ("A0.625/B0.75^T", (256, 128, 64,
+                                ("hss", 0.25, ((2, 4), (4, 8))),
+                                ("unstructured", 0.375, ()))),
+        ],
+        ("S2TA", 0.5, 0.3): [
+            ("A0.5/B0.3", (64, 128, 256, ("hss", 0.5, ((4, 8),)),
+                           ("hss", 0.75, ((6, 8),)))),
+            ("A0.5/B0.3^T", (256, 128, 64, ("hss", 0.75, ((6, 8),)),
+                             ("hss", 0.5, ((4, 8),)))),
+        ],
+        ("STC", 0.5, 0.3): [
+            ("A0.5/B0.3", (64, 128, 256, ("hss", 0.5, ((2, 4), (4, 4))),
+                           ("unstructured", 0.7, ()))),
+            ("A0.5/B0.3^T", (256, 128, 64, ("unstructured", 0.7, ()),
+                             ("unstructured", 0.5, ()))),
+        ],
+        ("TC", 0.5, 0.3): [
+            ("A0.5/B0.3", (64, 128, 256, ("dense", 1.0, ()),
+                           ("dense", 1.0, ()))),
+        ],
+    }
+
+    @pytest.mark.parametrize("cell", sorted(PARENT), ids=lambda c: c[0])
+    def test_labeled_view_matches_the_name_switch(self, cell):
+        design, degree_a, degree_b = cell
+        workloads = realize_workloads(
+            design, degree_a, degree_b, 64, 128, 256
+        )
+        assert [(w.name, w.key()) for w in workloads] == self.PARENT[cell]
+
+    def test_engine_keys_match_the_labeled_view(self, estimator):
+        """``evaluate_cells`` keys candidates without building
+        workloads; its keys must be the labeled view's."""
+        engine = SweepEngine(estimator)
+        cells = [
+            Cell(design, degree_a, degree_b, 64, 128, 256)
+            for design, degree_a, degree_b in sorted(self.PARENT)
+        ]
+        engine.evaluate_cells(cells)
+        assert set(engine._cache) == {
+            (design, key)
+            for (design, _, _), labeled in self.PARENT.items()
+            for _, key in labeled
+        }

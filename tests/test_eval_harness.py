@@ -5,7 +5,6 @@ import pytest
 from repro.accelerators import DSTC, STC, S2TA, TC, HighLight
 from repro.errors import UnsupportedWorkloadError
 from repro.eval.harness import (
-    _realize_workloads,
     canonical_hss,
     evaluate_cell,
     realize_workloads,
@@ -62,12 +61,11 @@ class TestRealization:
         assert stc[0].a is highlight[0].a
         assert stc[0].b is highlight[0].b
 
-    def test_returns_a_fresh_list_over_an_immutable_memo(self):
+    def test_returns_a_fresh_list_over_immutable_candidates(self):
         first = realize_workloads("STC", 0.5, 0.3)
         first.clear()
         assert len(realize_workloads("STC", 0.5, 0.3)) == 2
-        memo = _realize_workloads("STC", 0.5, 0.3, 1024, 1024, 1024)
-        assert isinstance(memo, tuple)
+        assert isinstance(STC().realize(0.5, 0.3), tuple)
 
     def test_layer_shapes_preserved(self):
         workloads = workload_for_layer("TC", (128, 576, 784), 0.5, 0.6)

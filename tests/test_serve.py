@@ -173,6 +173,24 @@ class TestSweepSpec:
         )
         assert ints.digest == floats.digest
 
+    def test_duplicate_degrees_coalesce(self):
+        single = protocol.parse_sweep_spec(
+            {"a_degrees": [0.5], "b_degrees": [0.0], "size": 32}
+        )
+        repeated = protocol.parse_sweep_spec(
+            {"a_degrees": [0.5, 0.5], "b_degrees": [0, 0.0], "size": 32}
+        )
+        assert repeated.a_degrees == (0.5,)
+        assert repeated.b_degrees == (0.0,)
+        assert repeated.digest == single.digest
+
+    def test_model_sweep_degrees_deduplicate_in_order(self):
+        spec = protocol.parse_sweep_spec(
+            {"model": "ResNet50", "designs": ["TC"],
+             "degrees": [0.75, 0.5, 0.75]}
+        )
+        assert spec.degrees == (0.75, 0.5)
+
     def test_model_sweep_defaults_resolve(self):
         implicit = protocol.parse_sweep_spec({"model": "ResNet50"})
         explicit = protocol.parse_sweep_spec(

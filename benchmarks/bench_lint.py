@@ -2,7 +2,7 @@
 
 ``repro lint src`` runs on every CI push, so its cost is part of every
 contributor's feedback loop. The analyzer parses each file once and
-runs all six rules over the shared AST, which keeps the full-repo scan
+runs every rule over the shared AST, which keeps the full-repo scan
 in the low seconds; the generous bound here only exists to catch an
 accidental complexity cliff (a rule that re-walks the tree per node,
 re-parses per rule, or recurses without scope cut-offs), not to pin

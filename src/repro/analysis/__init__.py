@@ -11,19 +11,14 @@ machine-checked invariants: a multi-pass AST analyzer whose rules are
 registered with the :func:`rule` decorator (the same decorator-driven
 registry idiom as ``DesignRegistry`` and ``@artifact``), run over a
 file set by :func:`lint_paths`, and surfaced through the ``repro
-lint`` CLI with text/JSON rendering, a committed baseline, and
-``--plugins DIR`` discovery with raise/skip/replace collision modes.
+lint`` CLI as a text table or a JSON document.  The one exception
+path is an inline ``# repro-lint: ignore[REPnnn]`` comment on the
+flagged line.
 """
 
 from repro.analysis.findings import Finding, LintResult
 from repro.analysis.registry import RULES, RuleInfo, RuleRegistry, rule
 from repro.analysis.context import FileContext
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.plugins import load_plugins
 from repro.analysis.runner import (
     SYNTAX_RULE_ID,
     iter_python_files,
@@ -42,10 +37,6 @@ __all__ = [
     "RuleRegistry",
     "rule",
     "FileContext",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
-    "load_plugins",
     "SYNTAX_RULE_ID",
     "iter_python_files",
     "lint_paths",

@@ -2,9 +2,10 @@
 
 One :class:`FileContext` is parsed per linted file and handed to
 every selected rule, so the file is read and parsed exactly once per
-run.  It also owns the inline-suppression protocol: a line ending in
+run.  It also reads the file's inline suppressions: a line ending in
 ``# repro-lint: ignore[REP001]`` (comma-separate several ids, or use
-``*`` for all) silences findings anchored to that line.
+``*`` for all) silences findings anchored to that line, whichever
+pass produced them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class FileContext:
 
     path: Path
     #: The path as reported in findings: what the caller passed,
-    #: POSIX-normalized (stable across platforms, baseline-friendly).
+    #: POSIX-normalized (stable across platforms).
     display: str
     source: str
     lines: Tuple[str, ...]
@@ -51,7 +52,8 @@ class FileContext:
     #: view (duplicate registry names) stash state under their id and
     #: read it back in their ``finish`` hook.
     shared: Dict[str, Any] = field(default_factory=dict)
-    _suppressed: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    #: line -> rule ids (or ``*``) its ignore comment names.
+    suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
 
     @classmethod
     def parse(
@@ -72,39 +74,21 @@ class FileContext:
             lines=lines,
             tree=tree,
             shared={} if shared is None else shared,
-            _suppressed=_suppressions(lines),
+            suppressions=_suppressions(lines),
         )
 
-    def snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        ids = self._suppressed.get(line)
-        return ids is not None and (rule_id in ids or "*" in ids)
-
     def finding(
-        self,
-        info: RuleInfo,
-        node: ast.AST,
-        message: str,
-        severity: Optional[str] = None,
-    ) -> Optional[Finding]:
-        """A finding anchored to ``node``, or ``None`` when an inline
-        suppression comment covers it."""
-        line = getattr(node, "lineno", 1)
-        column = getattr(node, "col_offset", 0) + 1
-        if self.suppressed(line, info.id):
-            return None
+        self, info: RuleInfo, node: ast.AST, message: str
+    ) -> Finding:
+        """A finding anchored to ``node``.  Inline suppression is the
+        runner's job (:func:`~repro.analysis.runner.lint_paths`), so
+        whole-run ``finish`` findings are filtered the same way."""
         return Finding(
             rule=info.id,
             path=self.display,
-            line=line,
-            column=column,
+            line=getattr(node, "lineno", 1),
+            column=getattr(node, "col_offset", 0) + 1,
             message=message,
-            severity=info.severity if severity is None else severity,
-            snippet=self.snippet(line),
         )
 
 

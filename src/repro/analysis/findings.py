@@ -3,21 +3,12 @@
 A :class:`Finding` is one rule violation at one source location; a
 :class:`LintResult` is everything one ``lint_paths`` run produced,
 ready for the reporting layer (text) or ``to_payload`` (JSON).
-Findings carry a content-derived :meth:`Finding.key` — rule id, path,
-and a hash of the offending source line — so baseline entries survive
-unrelated edits that only shift line numbers.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
-
-#: Severities a rule (or an individual finding) may carry, most
-#: severe first.
-SEVERITIES: Tuple[str, ...] = ("error", "warning")
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -28,21 +19,6 @@ class Finding:
     line: int
     column: int
     message: str
-    severity: str = "error"
-    #: The stripped source line the finding anchors to; feeds the
-    #: content-derived baseline key.
-    snippet: str = ""
-
-    def key(self) -> str:
-        """Content-derived identity for baseline matching.
-
-        Line numbers drift when unrelated code is added above a
-        finding; the key hashes the offending line's text instead, so
-        a committed baseline entry keeps matching until the flagged
-        code itself changes.
-        """
-        digest = hashlib.sha1(self.snippet.encode("utf-8")).hexdigest()
-        return f"{self.rule}::{self.path}::{digest[:12]}"
 
     @property
     def location(self) -> str:
@@ -54,23 +30,16 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "column": self.column,
-            "severity": self.severity,
             "message": self.message,
-            "key": self.key(),
         }
 
 
 @dataclass(frozen=True)
 class LintResult:
-    """Everything one lint run produced.
-
-    ``findings`` is the post-baseline list (what should fail CI);
-    ``baselined`` counts pre-existing findings the baseline file
-    suppressed.
-    """
+    """Everything one lint run produced: the findings no inline
+    suppression covers (what fails CI), and the run's coverage."""
 
     findings: Tuple[Finding, ...] = ()
-    baselined: int = 0
     files: int = 0
     rules: Tuple[str, ...] = field(default_factory=tuple)
 
@@ -83,12 +52,11 @@ class LintResult:
         for finding in self.findings:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "files": self.files,
             "rules": list(self.rules),
             "findings": [f.to_payload() for f in self.findings],
             "counts": counts,
-            "baselined": self.baselined,
         }
 
 

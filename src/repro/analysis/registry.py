@@ -2,24 +2,20 @@
 
 Mirrors the repo's other registries (``DesignRegistry``,
 ``ArtifactRegistry``): a :func:`rule` decorator attaches metadata —
-id, human name, category, default severity, fixability, optional path
-scoping — to a check function and registers it.  Collisions are
-resolved by the registry's *scan mode* (``raise``/``skip``/
-``replace``), the same contract the plugin loader exposes through
-``repro lint --plugins DIR --on-collision MODE``.
+id, human name, category, optional path scoping — to a check function
+and registers it.  A duplicate or malformed id raises
+:class:`~repro.errors.LintError`.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -40,9 +36,6 @@ FinishFn = Callable[[Dict[str, Any]], Iterable["Finding"]]
 
 _RULE_ID_RE = re.compile(r"^[A-Z][A-Z0-9]{2,15}$")
 
-#: Collision behaviors a registry scan may use.
-COLLISION_MODES: Tuple[str, ...] = ("raise", "skip", "replace")
-
 
 @dataclass(frozen=True)
 class RuleInfo:
@@ -51,34 +44,20 @@ class RuleInfo:
     id: str
     name: str
     category: str
-    severity: str
-    fixable: bool
     check: CheckFn
     #: fnmatch patterns limiting which files the rule sees; empty
     #: means every linted file.
     paths: Tuple[str, ...] = ()
     finish: Optional[FinishFn] = None
-    description: str = ""
 
 
 class RuleRegistry:
-    """Rules keyed by id, with raise/skip/replace collision modes."""
+    """Rules keyed by id; registering a taken id raises."""
 
     def __init__(self) -> None:
         self._rules: Dict[str, RuleInfo] = {}
-        self._mode: str = "raise"
 
-    def register(
-        self, info: RuleInfo, on_collision: Optional[str] = None
-    ) -> RuleInfo:
-        """Add ``info``; returns the rule that ended up registered
-        (the incumbent when a ``skip``-mode collision keeps it)."""
-        mode = self._mode if on_collision is None else on_collision
-        if mode not in COLLISION_MODES:
-            raise LintError(
-                f"unknown collision mode {mode!r}; "
-                f"expected one of {', '.join(COLLISION_MODES)}"
-            )
+    def register(self, info: RuleInfo) -> RuleInfo:
         if not _RULE_ID_RE.match(info.id):
             raise LintError(
                 f"rule id {info.id!r} must be 3-16 chars of "
@@ -86,37 +65,12 @@ class RuleRegistry:
             )
         incumbent = self._rules.get(info.id)
         if incumbent is not None:
-            if mode == "raise":
-                raise LintError(
-                    f"rule id {info.id!r} is already registered "
-                    f"(as {incumbent.name!r}); pass "
-                    f"--on-collision skip|replace to resolve"
-                )
-            if mode == "skip":
-                return incumbent
+            raise LintError(
+                f"rule id {info.id!r} is already registered "
+                f"(as {incumbent.name!r})"
+            )
         self._rules[info.id] = info
         return info
-
-    @contextmanager
-    def scanning(self, mode: str) -> Iterator["RuleRegistry"]:
-        """Temporarily set the default collision mode (plugin scans)."""
-        if mode not in COLLISION_MODES:
-            raise LintError(
-                f"unknown collision mode {mode!r}; "
-                f"expected one of {', '.join(COLLISION_MODES)}"
-            )
-        previous, self._mode = self._mode, mode
-        try:
-            yield self
-        finally:
-            self._mode = previous
-
-    def clone(self) -> "RuleRegistry":
-        """An independent copy — plugin loads mutate the copy, not
-        the process-wide builtin registry."""
-        copy = RuleRegistry()
-        copy._rules = dict(self._rules)
-        return copy
 
     def resolve(self, key: str) -> RuleInfo:
         """Look a rule up by id (``REP001``) or name
@@ -143,32 +97,9 @@ class RuleRegistry:
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._rules
 
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __iter__(self) -> Iterator[RuleInfo]:
-        return iter(self.infos())
-
 
 #: The process-wide registry builtin rules register into on import.
 RULES = RuleRegistry()
-
-#: Where :func:`rule` registers when no explicit registry is passed.
-#: The plugin loader points this at a per-invocation clone so plugin
-#: modules (which just use the plain decorator) never mutate the
-#: process-wide builtin set.
-_ACTIVE_REGISTRY: Optional[RuleRegistry] = None
-
-
-@contextmanager
-def target_registry(registry: RuleRegistry) -> Iterator[RuleRegistry]:
-    """Route decorator registrations to ``registry`` for the scope."""
-    global _ACTIVE_REGISTRY
-    previous, _ACTIVE_REGISTRY = _ACTIVE_REGISTRY, registry
-    try:
-        yield registry
-    finally:
-        _ACTIVE_REGISTRY = previous
 
 
 def rule(
@@ -176,8 +107,6 @@ def rule(
     *,
     id: str,
     category: str,
-    severity: str = "error",
-    fixable: bool = False,
     paths: Iterable[str] = (),
     finish: Optional[FinishFn] = None,
     registry: Optional[RuleRegistry] = None,
@@ -186,11 +115,11 @@ def rule(
     category="concurrency")`` above its check function.
 
     The check receives a :class:`~repro.analysis.context.FileContext`
-    and yields findings; ``ctx.finding(...)`` builds them with
-    location, snippet, and suppression handling filled in.  The
-    decorator returns the :class:`RuleInfo` (like ``@artifact``), so
-    the module-level name is the registered spec, not the bare
-    function.
+    and yields findings; ``ctx.finding(...)`` builds them with the
+    location filled in.  The runner drops findings an inline
+    ``# repro-lint: ignore[...]`` comment covers.  The decorator
+    returns the :class:`RuleInfo` (like ``@artifact``), so the
+    module-level name is the registered spec, not the bare function.
     """
 
     def decorate(check: CheckFn) -> RuleInfo:
@@ -198,18 +127,11 @@ def rule(
             id=id,
             name=name,
             category=category,
-            severity=severity,
-            fixable=fixable,
             check=check,
             paths=tuple(paths),
             finish=finish,
-            description=(check.__doc__ or "").strip().split("\n")[0],
         )
-        target = registry
-        if target is None:
-            target = (
-                RULES if _ACTIVE_REGISTRY is None else _ACTIVE_REGISTRY
-            )
+        target = RULES if registry is None else registry
         return target.register(info)
 
     return decorate

@@ -88,7 +88,6 @@ def _reduction_operand(node: ast.Call) -> Optional[ast.expr]:
     "float-determinism",
     id="REP003",
     category="bit-exactness",
-    severity="error",
     paths=(
         "*model/activity.py",
         "*model/perf.py",
@@ -105,7 +104,7 @@ def check_float_determinism(ctx: FileContext) -> Iterator[Finding]:
         operand = _reduction_operand(node)
         if operand is None or not _is_unordered(operand):
             continue
-        finding = ctx.finding(
+        yield ctx.finding(
             check_float_determinism,
             node,
             "reduction folds over unordered iteration — IEEE-754 "
@@ -113,5 +112,3 @@ def check_float_determinism(ctx: FileContext) -> Iterator[Finding]:
             "golden-test contract) needs an explicitly ordered "
             "operand (sorted(...), a list, or math.fsum)",
         )
-        if finding is not None:
-            yield finding

@@ -210,7 +210,6 @@ def _binding_target(
     "close-discipline",
     id="REP004",
     category="durability",
-    severity="error",
 )
 def check_close_discipline(ctx: FileContext) -> Iterator[Finding]:
     """Constructed engines/stores/caches must be closed in a
@@ -243,7 +242,7 @@ def check_close_discipline(ctx: FileContext) -> Iterator[Finding]:
                     or name in facts.sink_args
                 ):
                     continue
-            finding = ctx.finding(
+            yield ctx.finding(
                 check_close_discipline,
                 inner,
                 f"{cls} constructed in {node.name}() but never "
@@ -252,5 +251,3 @@ def check_close_discipline(ctx: FileContext) -> Iterator[Finding]:
                 f"ownership (leaked connections lose "
                 f"interrupted-run durability)",
             )
-            if finding is not None:
-                yield finding

@@ -6,9 +6,8 @@ passes the metadata the filters key on: ``@register_design`` needs
 ``category`` and ``sparsity_side``, ``@artifact`` needs a non-empty
 ``title`` (the streaming UI prints it).  The rule also tracks
 registered names across the whole run and flags duplicates — a
-copy-pasted ``name = "TC"`` would otherwise either collide at import
-time in production or silently shadow a builtin, depending on scan
-mode.
+copy-pasted ``name = "TC"`` would otherwise only fail at import
+time, when the registry raises on the collision.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ def _registered_name(decorator: str, call: ast.Call,
     "registry-hygiene",
     id="REP005",
     category="registries",
-    severity="error",
     finish=lambda shared: _finish(shared),
 )
 def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
@@ -91,29 +89,25 @@ def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
                 if key not in keywords
             ]
             if missing:
-                finding = ctx.finding(
+                yield ctx.finding(
                     check_registry_hygiene,
                     call,
                     f"@{kind} on {node.name} is missing required "
                     f"metadata: {', '.join(missing)} (repro list "
                     f"--filter and the run UI key on it)",
                 )
-                if finding is not None:
-                    yield finding
             for kw in call.keywords:
                 if (
                     kw.arg in _REQUIRED_KEYWORDS[kind]
                     and isinstance(kw.value, ast.Constant)
                     and kw.value.value in ("", None)
                 ):
-                    finding = ctx.finding(
+                    yield ctx.finding(
                         check_registry_hygiene,
                         kw.value,
                         f"@{kind} on {node.name} passes empty "
                         f"{kw.arg!r}",
                     )
-                    if finding is not None:
-                        yield finding
             claimed = _registered_name(kind, call, node)
             if claimed is not None:
                 name, anchor = claimed
@@ -124,18 +118,17 @@ def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
 
 def _pending_duplicate(
     ctx: FileContext, anchor: ast.AST, kind: str, name: str
-) -> Optional[Finding]:
+) -> Finding:
     return ctx.finding(
         check_registry_hygiene,
         anchor,
         f"duplicate {kind} registration for name {name!r} — "
-        f"registries raise (or silently shadow, depending on scan "
-        f"mode) on colliding names",
+        f"registries raise on colliding names",
     )
 
 
 def _finish(shared: Dict[str, Any]) -> Iterator[Finding]:
-    names: Dict[Tuple[str, str], List[Optional[Finding]]] = shared.get(
+    names: Dict[Tuple[str, str], List[Finding]] = shared.get(
         _STATE_KEY, {}
     )
     for registrations in names.values():
@@ -143,6 +136,4 @@ def _finish(shared: Dict[str, Any]) -> Iterator[Finding]:
             continue
         # The first registration is the legitimate one; every later
         # claimant is flagged.
-        for finding in registrations[1:]:
-            if finding is not None:
-                yield finding
+        yield from registrations[1:]

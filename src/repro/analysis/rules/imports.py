@@ -93,7 +93,6 @@ def _heavy(module: str, package: str) -> Optional[str]:
     "import-budget",
     id="REP007",
     category="startup",
-    severity="error",
     paths=("*repro/cli.py", "__init__.py", "*/__init__.py"),
 )
 def check_import_budget(ctx: FileContext) -> Iterator[Finding]:
@@ -108,7 +107,7 @@ def check_import_budget(ctx: FileContext) -> Iterator[Finding]:
         ]
         if not heavy:
             continue
-        finding = ctx.finding(
+        yield ctx.finding(
             check_import_budget,
             stmt,
             f"module-level import of {heavy[0]} in startup code: every "
@@ -116,5 +115,3 @@ def check_import_budget(ctx: FileContext) -> Iterator[Finding]:
             f"inside the function that needs it, or under "
             f"'if TYPE_CHECKING:' for annotations",
         )
-        if finding is not None:
-            yield finding

@@ -89,7 +89,7 @@ class _LockScan(ast.NodeVisitor):
         self.fields = frozenset(fields)
         self.method = method
         self.held = False
-        self.findings: List[Optional[Finding]] = []
+        self.findings: List[Finding] = []
 
     def visit_With(self, node: ast.With) -> None:
         self._visit_with(node)
@@ -147,7 +147,6 @@ class _LockScan(ast.NodeVisitor):
     "lock-discipline",
     id="REP001",
     category="concurrency",
-    severity="error",
 )
 def check_lock_discipline(ctx: FileContext) -> Iterator[Finding]:
     """Fields named in a class's ``_lock_guarded`` manifest must be
@@ -170,6 +169,4 @@ def check_lock_discipline(ctx: FileContext) -> Iterator[Finding]:
             scan = _LockScan(ctx, check_lock_discipline, fields, stmt.name)
             for body_stmt in stmt.body:
                 scan.visit(body_stmt)
-            for finding in scan.findings:
-                if finding is not None:
-                    yield finding
+            yield from scan.findings

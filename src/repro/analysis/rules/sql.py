@@ -142,7 +142,6 @@ def _is_built_string(node: ast.expr) -> bool:
     "sql-transaction",
     id="REP002",
     category="durability",
-    severity="error",
 )
 def check_sql_transaction(ctx: FileContext) -> Iterator[Finding]:
     """Every BEGIN IMMEDIATE reaches COMMIT/ROLLBACK; no SQL is
@@ -185,25 +184,21 @@ def _check_transactions(ctx: FileContext) -> Iterator[Finding]:
                 if commit.lineno > begin.lineno
             ]
             if not after:
-                finding = ctx.finding(
+                yield ctx.finding(
                     check_sql_transaction,
                     begin,
                     "BEGIN IMMEDIATE with no COMMIT on the "
                     "fall-through path — the transaction never "
                     "becomes durable",
                 )
-                if finding is not None:
-                    yield finding
             if not rollbacks_in_handlers:
-                finding = ctx.finding(
+                yield ctx.finding(
                     check_sql_transaction,
                     begin,
                     "BEGIN IMMEDIATE with no ROLLBACK in an except "
                     "handler — an error mid-transaction leaks the "
                     "write lock into the next statement",
                 )
-                if finding is not None:
-                    yield finding
 
 
 def _check_built_sql(ctx: FileContext) -> Iterator[Finding]:
@@ -232,7 +227,7 @@ def _check_built_sql(ctx: FileContext) -> Iterator[Finding]:
             if not offending:
                 continue
             flagged.add(id(expr))
-            finding = ctx.finding(
+            yield ctx.finding(
                 check_sql_transaction,
                 expr,
                 f"SQL {kind} is built dynamically "
@@ -240,5 +235,3 @@ def _check_built_sql(ctx: FileContext) -> Iterator[Finding]:
                 f"with '?' parameters (only '?'-placeholder "
                 f"expansion may be interpolated)",
             )
-            if finding is not None:
-                yield finding

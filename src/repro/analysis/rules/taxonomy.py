@@ -23,8 +23,6 @@ from repro.analysis.registry import rule
     "error-taxonomy",
     id="REP006",
     category="errors",
-    severity="error",
-    fixable=True,
 )
 def check_error_taxonomy(ctx: FileContext) -> Iterator[Finding]:
     """Runtime validation raises ``repro.errors`` exceptions, never
@@ -32,12 +30,10 @@ def check_error_taxonomy(ctx: FileContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Assert):
             continue
-        finding = ctx.finding(
+        yield ctx.finding(
             check_error_taxonomy,
             node,
             "bare assert is stripped under python -O — raise the "
             "matching repro.errors exception (EvaluationError, "
             "CacheError, ...) for runtime validation",
         )
-        if finding is not None:
-            yield finding

@@ -2,19 +2,20 @@
 
 ``lint_paths`` is the programmatic face of ``repro lint``: discover
 files, parse each once, run every selected rule over it (path-scoped
-rules only see matching files), run whole-run ``finish`` hooks, then
-sort and baseline-filter the findings into a
+rules only see matching files), run whole-run ``finish`` hooks, drop
+every finding an inline ``# repro-lint: ignore[...]`` comment on its
+line covers, and sort the rest into a
 :class:`~repro.analysis.findings.LintResult`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import (
     Any,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -23,7 +24,6 @@ from typing import (
 )
 
 from repro.analysis.context import FileContext
-from repro.analysis.baseline import apply_baseline
 from repro.analysis.findings import Finding, LintResult, sort_findings
 from repro.analysis.registry import RULES, RuleInfo, RuleRegistry
 from repro.errors import LintUsageError
@@ -42,7 +42,10 @@ def iter_python_files(
 ) -> List[Tuple[Path, str]]:
     """(absolute path, display path) for every Python file under
     ``paths``, sorted by display path.  Directories are walked
-    recursively; explicit file arguments are taken as-is."""
+    recursively, skipping ``_SKIP_DIRS`` below the argument (never the
+    argument's own ancestors); explicit file arguments are taken
+    as-is.  Finding no Python file at all is a usage error: a run
+    that read nothing must not pass."""
     found: Dict[str, Path] = {}
     for raw in paths:
         base = Path(raw)
@@ -50,11 +53,17 @@ def iter_python_files(
             found[_display(base)] = base.resolve()
         elif base.is_dir():
             for path in base.rglob("*.py"):
-                if any(part in _SKIP_DIRS for part in path.parts):
+                below = path.relative_to(base).parts[:-1]
+                if any(part in _SKIP_DIRS for part in below):
                     continue
                 found[_display(path)] = path.resolve()
         else:
             raise LintUsageError(f"no such file or directory: {raw}")
+    if not found:
+        raise LintUsageError(
+            "no Python files to lint under "
+            + ", ".join(str(raw) for raw in paths)
+        )
     return sorted(
         ((found[display], display) for display in found),
         key=lambda pair: pair[1],
@@ -98,18 +107,27 @@ def _rule_applies(info: RuleInfo, display: str) -> bool:
     return any(fnmatch(display, pattern) for pattern in info.paths)
 
 
+def _suppressed(
+    finding: Finding,
+    suppressions: Dict[str, Dict[int, FrozenSet[str]]],
+) -> bool:
+    ids = suppressions.get(finding.path, {}).get(finding.line)
+    return ids is not None and (finding.rule in ids or "*" in ids)
+
+
 def lint_paths(
     paths: Sequence["str | Path"],
     rules: Optional[Iterable[str]] = None,
     exclude: Optional[Iterable[str]] = None,
     registry: Optional[RuleRegistry] = None,
-    baseline: Optional["Counter[str]"] = None,
 ) -> LintResult:
     """Run the selected rules over ``paths`` and collect findings."""
     target = RULES if registry is None else registry
     selected = select_rules(target, rules, exclude)
     files = iter_python_files(paths)
     shared: Dict[str, Any] = {}
+    #: display path -> that file's inline-suppression table.
+    suppressions: Dict[str, Dict[int, FrozenSet[str]]] = {}
     findings: List[Finding] = []
     for path, display in files:
         try:
@@ -122,34 +140,20 @@ def lint_paths(
                     line=getattr(exc, "lineno", None) or 1,
                     column=getattr(exc, "offset", None) or 1,
                     message=f"file does not parse: {exc}",
-                    severity="error",
                 )
             )
             continue
+        suppressions[display] = ctx.suppressions
         for info in selected:
-            if not _rule_applies(info, display):
-                continue
-            for finding in info.check(ctx):
-                if finding is None:
-                    continue
-                if ctx.suppressed(finding.line, finding.rule):
-                    continue
-                findings.append(finding)
+            if _rule_applies(info, display):
+                findings.extend(info.check(ctx))
     for info in selected:
         if info.finish is not None:
-            findings.extend(
-                finding
-                for finding in info.finish(shared)
-                if finding is not None
-            )
-    ordered = sort_findings(findings)
-    baselined = 0
-    if baseline:
-        kept, baselined = apply_baseline(ordered, baseline)
-        ordered = tuple(kept)
+            findings.extend(info.finish(shared))
     return LintResult(
-        findings=ordered,
-        baselined=baselined,
+        findings=sort_findings(
+            [f for f in findings if not _suppressed(f, suppressions)]
+        ),
         files=len(files),
         rules=tuple(info.id for info in selected),
     )

@@ -56,7 +56,6 @@ from repro.endpoint import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.errors import (
     CacheError,
     EvaluationError,
-    LintError,
     LintUsageError,
     WorkloadError,
 )
@@ -399,24 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         dest="lint_format",
         help="findings as a table (default) or a JSON document",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings recorded in FILE (see --write-baseline)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to --baseline FILE and exit 0",
-    )
-    lint.add_argument(
-        "--plugins", action="append", default=[], metavar="DIR",
-        help="load additional @rule modules from DIR (repeatable)",
-    )
-    lint.add_argument(
-        "--on-collision", choices=("raise", "skip", "replace"),
-        default="raise",
-        help="what a plugin rule that reuses a built-in id/name does "
-        "(default raise)",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
@@ -888,61 +869,21 @@ def _cmd_lint(
 ) -> int:
     from repro import analysis
 
+    if args.list_rules:
+        rows = [
+            [info.id, info.name, info.category]
+            for info in analysis.RULES.infos()
+        ]
+        print(R.format_table(("id", "name", "category"), rows))
+        return 0
     try:
-        # Plugins register into a per-invocation clone so a bad plugin
-        # (or --on-collision replace) can never contaminate the
-        # process-wide registry for later in-process calls.
-        registry = analysis.RULES.clone()
-        for directory in args.plugins:
-            analysis.load_plugins(
-                directory, registry=registry,
-                on_collision=args.on_collision,
-            )
-        if args.list_rules:
-            rows = [
-                [
-                    info.id,
-                    info.name,
-                    info.category,
-                    info.severity,
-                    "yes" if info.fixable else "no",
-                ]
-                for info in registry.infos()
-            ]
-            print(R.format_table(
-                ("id", "name", "category", "severity", "fixable"), rows
-            ))
-            return 0
-        include = _split_rule_list(args.rules)
-        exclude = _split_rule_list(args.exclude_rules)
-        if args.write_baseline:
-            if args.baseline is None:
-                raise LintUsageError(
-                    "--write-baseline needs --baseline FILE as the "
-                    "destination"
-                )
-            result = analysis.lint_paths(
-                args.paths, rules=include, exclude=exclude,
-                registry=registry,
-            )
-            count = analysis.write_baseline(
-                args.baseline, result.findings
-            )
-            print(f"wrote {count} finding(s) to {args.baseline}")
-            return 0
-        baseline = (
-            analysis.load_baseline(args.baseline)
-            if args.baseline is not None else None
-        )
         result = analysis.lint_paths(
-            args.paths, rules=include, exclude=exclude,
-            registry=registry, baseline=baseline,
+            args.paths,
+            rules=_split_rule_list(args.rules),
+            exclude=_split_rule_list(args.exclude_rules),
         )
     except LintUsageError as exc:
         parser.error(str(exc))  # exits 2
-    except LintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.lint_format == "json":
         print(json.dumps(result.to_payload(), indent=2, sort_keys=True))
     else:

@@ -66,14 +66,15 @@ class CacheError(ReproError):
 
 
 class LintError(ReproError):
-    """A static-analysis run failed (duplicate rule id, a plugin
-    module that does not import, a malformed baseline file)."""
+    """A lint rule could not be registered (duplicate or malformed
+    rule id)."""
 
 
 class LintUsageError(LintError):
-    """An invalid ``repro lint`` invocation (unknown rule id, missing
-    path, plugin directory, or baseline file) — the CLI maps this to
-    exit code 2, like any other argparse usage error."""
+    """An invalid ``repro lint`` invocation (unknown rule id, a
+    selection that excludes every rule, a missing path, or paths that
+    hold no Python file) — the CLI maps this to exit code 2, like any
+    other argparse usage error."""
 
 
 class ServeError(ReproError):

@@ -290,17 +290,13 @@ def render_lint(result: "LintResult") -> str:
     """
     parts: List[str] = []
     if result.findings:
-        headers = ["location", "rule", "severity", "message"]
+        headers = ["location", "rule", "message"]
         rows = [
-            [f.location, f.rule, f.severity, f.message]
-            for f in result.findings
+            [f.location, f.rule, f.message] for f in result.findings
         ]
         parts.append(format_table(headers, rows))
-    summary = (
+    parts.append(
         f"{len(result.findings)} finding(s) across {result.files} "
         f"file(s), {len(result.rules)} rule(s)"
     )
-    if result.baselined:
-        summary += f"; {result.baselined} baselined"
-    parts.append(summary)
     return "\n".join(parts)

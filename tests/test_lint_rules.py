@@ -3,23 +3,17 @@
 Every rule is exercised in both directions — a fixture that must
 trigger it and a near-identical fixture that must not — so a rule
 that silently stops firing (or starts flagging compliant code) fails
-here before it rots the committed baseline.
+here before it lets a violation into ``src``.
 """
 
+import ast
 import json
+import re
 import textwrap
 
 import pytest
 
-from repro.analysis import (
-    RULES,
-    Finding,
-    RuleRegistry,
-    lint_paths,
-    load_baseline,
-    rule,
-    write_baseline,
-)
+from repro.analysis import RULES, RuleRegistry, lint_paths, rule
 from repro.cli import main
 from repro.errors import EvaluationError, LintError, LintUsageError
 
@@ -442,6 +436,83 @@ class TestErrorTaxonomy:
 
 
 # ---------------------------------------------------------------------------
+# Inline suppression covers per-file and whole-run (finish) findings
+
+DUPLICATE_LATER_LINE = """
+    from repro.eval.artifacts import artifact
+
+    @artifact("fig99", title="First")
+    def first(ctx):
+        return None
+
+    @artifact("fig99", title="Second")  # repro-lint: ignore[{ids}]
+    def second(ctx):
+        return None
+"""
+
+
+class TestSuppression:
+    @pytest.mark.parametrize(
+        "ids, flagged",
+        [("REP005", False), ("REP001", True), ("*", False),
+         ("REP001, REP005", False)],
+    )
+    def test_finish_finding_honours_its_line(self, tmp_path, ids, flagged):
+        source = DUPLICATE_LATER_LINE.format(ids=ids)
+        findings = run_rule(tmp_path, source, "REP005")
+        assert bool(findings) is flagged
+        if flagged:
+            assert [(f.rule, f.line) for f in findings] == [("REP005", 8)]
+
+    def test_finish_finding_across_files(self, tmp_path):
+        (tmp_path / "a.py").write_text(textwrap.dedent(HYGIENE_GOOD))
+        later = tmp_path / "b.py"
+        later.write_text(textwrap.dedent(HYGIENE_GOOD))
+        flagged = lint_paths([tmp_path], rules=["REP005"]).findings
+        assert [(f.path, f.rule) for f in flagged] == [
+            (later.as_posix(), "REP005")
+        ]
+        later.write_text(
+            textwrap.dedent(HYGIENE_GOOD).replace(
+                'title="Figure 99")',
+                'title="Figure 99")  # repro-lint: ignore[REP005]',
+            )
+        )
+        assert lint_paths([tmp_path], rules=["REP005"]).clean
+
+    def test_first_registration_line_does_not_suppress(self, tmp_path):
+        source = DUPLICATE_LATER_LINE.format(ids="REP001").replace(
+            'title="First")',
+            'title="First")  # repro-lint: ignore[REP005]',
+        )
+        findings = run_rule(tmp_path, source, "REP005")
+        assert [(f.rule, f.line) for f in findings] == [("REP005", 8)]
+
+    def test_wildcard_covers_per_file_and_finish_findings(self, tmp_path):
+        source = DUPLICATE_LATER_LINE.format(ids="*").replace(
+            "def second(ctx):\n        return None",
+            "def second(ctx):\n        assert ctx  # repro-lint: ignore[*]",
+        )
+        path = tmp_path / "mod.py"
+        path.write_text(textwrap.dedent(source))
+        assert lint_paths([path], rules=["REP005", "REP006"]).clean
+        path.write_text(textwrap.dedent(source).replace(
+            "  # repro-lint: ignore[*]", ""
+        ))
+        flagged = lint_paths([path], rules=["REP005", "REP006"]).findings
+        assert [f.rule for f in flagged] == ["REP005", "REP006"]
+
+    def test_suppression_is_per_line(self, tmp_path):
+        source = (
+            "def f(x):\n"
+            "    assert x  # repro-lint: ignore[REP006]\n"
+            "    assert x\n"
+        )
+        findings = run_rule(tmp_path, source, "REP006")
+        assert [f.line for f in findings] == [3]
+
+
+# ---------------------------------------------------------------------------
 # REP007 import-budget (path-scoped: cli.py and package __init__s)
 
 BUDGET_BAD_NUMPY = "import numpy as np\n"
@@ -532,11 +603,31 @@ class TestRunner:
         with pytest.raises(LintUsageError):
             lint_paths([tmp_path], exclude=list(RULES.ids()))
 
-    def test_src_tree_is_clean_against_near_empty_baseline(self):
-        baseline = load_baseline("lint-baseline.json")
-        result = lint_paths(["src"], baseline=baseline)
+    def test_src_tree_is_clean(self):
+        result = lint_paths(["src"])
         assert result.clean
         assert result.files > 50
+
+    def test_empty_directory_is_usage_error(self, tmp_path):
+        with pytest.raises(LintUsageError, match="no Python files"):
+            lint_paths([tmp_path])
+
+    def test_skip_dirs_apply_only_below_the_argument(self, tmp_path):
+        # An argument inside a skipped directory name is still read.
+        for parent in (".venv", "plain"):
+            package = tmp_path / parent / "pkg"
+            package.mkdir(parents=True)
+            (package / "mod.py").write_text("assert True\n")
+            result = lint_paths([package], rules=["REP006"])
+            assert (result.files, len(result.findings)) == (1, 1)
+
+    def test_skip_dirs_below_the_argument_are_skipped(self, tmp_path):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        for skipped in (".venv", "__pycache__", "node_modules"):
+            (tmp_path / skipped).mkdir()
+            (tmp_path / skipped / "bad.py").write_text("assert True\n")
+        result = lint_paths([tmp_path], rules=["REP006"])
+        assert (result.files, result.findings) == (1, ())
 
 
 class TestRegistry:
@@ -555,23 +646,42 @@ class TestRegistry:
         registry.register(self._info())
         with pytest.raises(LintError, match="already registered"):
             registry.register(self._info(name="other"))
+        assert registry.resolve("REP900").name == "demo"
 
-    def test_skip_keeps_incumbent(self):
-        registry = RuleRegistry()
-        first = registry.register(self._info(name="first"))
-        kept = registry.register(
-            self._info(name="second"), on_collision="skip"
-        )
-        assert kept is first
-        assert registry.resolve("REP900").name == "first"
+    def test_reusing_a_builtin_id_raises(self):
+        with pytest.raises(LintError, match="already registered"):
+            rule("quiet-taxonomy", id="REP006", category="errors")(
+                lambda ctx: []
+            )
+        assert RULES.resolve("REP006").name == "error-taxonomy"
 
-    def test_replace_takes_newcomer(self):
+    def test_decorator_leaves_the_builtin_registry_alone(self):
         registry = RuleRegistry()
-        registry.register(self._info(name="first"))
-        registry.register(
-            self._info(name="second"), on_collision="replace"
+        info = rule(
+            "demo", id="REP900", category="demo", registry=registry
+        )(lambda ctx: [])
+        assert registry.resolve("REP900") is info
+        assert "REP900" not in RULES
+
+    def test_substitute_registry_rule_fires(self, tmp_path):
+        registry = RuleRegistry()
+
+        @rule("no-todo", id="REP900", category="style",
+              registry=registry)
+        def check_no_todo(ctx):
+            for node in ast.walk(ctx.tree):
+                if isinstance(node, ast.Name) and node.id == "TODO":
+                    yield ctx.finding(check_no_todo, node, "TODO")
+
+        target = tmp_path / "mod.py"
+        target.write_text(
+            "x = TODO\ny = TODO  # repro-lint: ignore[REP900]\n"
         )
-        assert registry.resolve("REP900").name == "second"
+        result = lint_paths([target], registry=registry)
+        assert result.rules == ("REP900",)
+        assert [(f.rule, f.line) for f in result.findings] == [
+            ("REP900", 1)
+        ]
 
     def test_malformed_id_rejected(self):
         with pytest.raises(LintError, match="rule id"):
@@ -583,146 +693,6 @@ class TestRegistry:
             "REP007",
         }
         assert expected <= set(RULES.ids())
-
-
-# ---------------------------------------------------------------------------
-# Baseline round-trips
-
-
-class TestBaseline:
-    def test_roundtrip_suppresses_exact_findings(self, tmp_path):
-        target = tmp_path / "bad.py"
-        target.write_text("def f(x):\n    assert x\n")
-        first = lint_paths([target])
-        assert len(first.findings) == 1
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, first.findings)
-        second = lint_paths(
-            [target], baseline=load_baseline(baseline_path)
-        )
-        assert second.clean
-        assert second.baselined == 1
-
-    def test_baseline_is_content_keyed(self, tmp_path):
-        # Pure line drift (a comment added above) must not invalidate
-        # the baseline entry.
-        target = tmp_path / "bad.py"
-        target.write_text("def f(x):\n    assert x\n")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_paths([target]).findings)
-        target.write_text("# shifted\ndef f(x):\n    assert x\n")
-        result = lint_paths(
-            [target], baseline=load_baseline(baseline_path)
-        )
-        assert result.clean
-
-    def test_new_findings_escape_the_baseline(self, tmp_path):
-        target = tmp_path / "bad.py"
-        target.write_text("def f(x):\n    assert x\n")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_paths([target]).findings)
-        target.write_text(
-            "def f(x):\n    assert x\n\ndef g(y):\n    assert y\n"
-        )
-        result = lint_paths(
-            [target], baseline=load_baseline(baseline_path)
-        )
-        # f's assert is baselined; g's identical-rule finding is new.
-        assert len(result.findings) == 1
-        assert result.baselined == 1
-
-    def test_malformed_baseline_is_usage_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("not json")
-        with pytest.raises(LintUsageError):
-            load_baseline(path)
-
-
-# ---------------------------------------------------------------------------
-# Plugins
-
-
-PLUGIN_TODO = '''
-from repro.analysis import Finding, rule
-
-
-@rule("no-todo", id="REP900", category="style")
-def check_no_todo(ctx):
-    """Flag TODO markers."""
-    for index, line in enumerate(ctx.lines, start=1):
-        if "TODO" in line:
-            yield Finding(
-                rule="REP900", path=ctx.display, line=index,
-                column=1, message="TODO marker", snippet=line.strip(),
-            )
-'''
-
-PLUGIN_COLLIDING = '''
-from repro.analysis import rule
-
-
-@rule("quiet-taxonomy", id="REP006", category="errors")
-def check_nothing(ctx):
-    """Replacement REP006 that never fires."""
-    return []
-'''
-
-
-class TestPlugins:
-    def test_plugin_rule_fires(self, tmp_path):
-        plugins = tmp_path / "plugins"
-        plugins.mkdir()
-        (plugins / "todo.py").write_text(PLUGIN_TODO)
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1  # TODO later\n")
-        registry = RULES.clone()
-        from repro.analysis import load_plugins
-
-        load_plugins(plugins, registry=registry)
-        result = lint_paths(
-            [target], rules=["REP900"], registry=registry
-        )
-        assert [f.rule for f in result.findings] == ["REP900"]
-
-    def test_plugin_load_does_not_touch_global_registry(self, tmp_path):
-        plugins = tmp_path / "plugins"
-        plugins.mkdir()
-        (plugins / "todo.py").write_text(PLUGIN_TODO)
-        from repro.analysis import load_plugins
-
-        load_plugins(plugins, registry=RULES.clone())
-        assert "REP900" not in RULES
-
-    def test_collision_raise_mode(self, tmp_path):
-        plugins = tmp_path / "plugins"
-        plugins.mkdir()
-        (plugins / "collide.py").write_text(PLUGIN_COLLIDING)
-        from repro.analysis import load_plugins
-
-        with pytest.raises(LintError):
-            load_plugins(plugins, registry=RULES.clone())
-
-    @pytest.mark.parametrize(
-        "mode, expected_name",
-        [("skip", "error-taxonomy"), ("replace", "quiet-taxonomy")],
-    )
-    def test_collision_skip_and_replace(
-        self, tmp_path, mode, expected_name
-    ):
-        plugins = tmp_path / "plugins"
-        plugins.mkdir()
-        (plugins / "collide.py").write_text(PLUGIN_COLLIDING)
-        registry = RULES.clone()
-        from repro.analysis import load_plugins
-
-        load_plugins(plugins, registry=registry, on_collision=mode)
-        assert registry.resolve("REP006").name == expected_name
-
-    def test_missing_plugin_dir_is_usage_error(self, tmp_path):
-        from repro.analysis import load_plugins
-
-        with pytest.raises(LintUsageError):
-            load_plugins(tmp_path / "absent")
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +728,13 @@ class TestLintCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == {"REP006": 1}
         assert payload["findings"][0]["rule"] == "REP006"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
+        assert set(payload["findings"][0]) == {
+            "rule", "path", "line", "column", "message",
+        }
+        assert set(payload) == {
+            "schema_version", "files", "rules", "findings", "counts",
+        }
 
     def test_rule_selection(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("def f(x):\n    assert x\n")
@@ -774,71 +750,33 @@ class TestLintCli:
             == 0
         )
 
-    def test_baseline_workflow(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("def f(x):\n    assert x\n")
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(
-                ["lint", str(tmp_path), "--baseline", str(baseline),
-                 "--write-baseline"]
-            )
-            == 0
-        )
-        assert baseline.exists()
-        assert (
-            main(["lint", str(tmp_path), "--baseline", str(baseline)])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_write_baseline_requires_destination(self, tmp_path):
-        (tmp_path / "ok.py").write_text("x = 1\n")
+    def test_empty_directory_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["lint", str(tmp_path), "--write-baseline"])
+            main(["lint", str(tmp_path)])
         assert excinfo.value.code == 2
 
-    def test_plugins_flag(self, tmp_path, capsys):
-        plugins = tmp_path / "plugins"
-        plugins.mkdir()
-        (plugins / "todo.py").write_text(PLUGIN_TODO)
-        target = tmp_path / "src"
-        target.mkdir()
-        (target / "mod.py").write_text("x = 1  # TODO later\n")
-        assert (
-            main(["lint", str(target), "--plugins", str(plugins)]) == 1
-        )
-        assert "REP900" in capsys.readouterr().out
+    def test_directory_under_skipped_name_exits_one(self, tmp_path, capsys):
+        package = tmp_path / ".venv" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text("assert True\n")
+        assert main(["lint", str(package)]) == 1
+        assert "1 file(s)" in capsys.readouterr().out
 
-    def test_plugin_collision_exits_two(self, tmp_path, capsys):
-        plugins = tmp_path / "plugins"
-        plugins.mkdir()
-        (plugins / "collide.py").write_text(PLUGIN_COLLIDING)
-        target = tmp_path / "src"
-        target.mkdir()
-        (target / "ok.py").write_text("x = 1\n")
-        assert (
-            main(["lint", str(target), "--plugins", str(plugins)]) == 2
-        )
-
-    def test_plugin_collision_replace_mode(self, tmp_path, capsys):
-        plugins = tmp_path / "plugins"
-        plugins.mkdir()
-        (plugins / "collide.py").write_text(PLUGIN_COLLIDING)
-        target = tmp_path / "src"
-        target.mkdir()
-        (target / "bad.py").write_text("def f(x):\n    assert x\n")
-        assert (
-            main(
-                ["lint", str(target), "--plugins", str(plugins),
-                 "--on-collision", "replace"]
-            )
-            == 0
-        )
+    def test_help_lists_exactly_the_five_options(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == {
+            "--help", "--rules", "--exclude-rules", "--format",
+            "--list-rules",
+        }
+        assert "PATH" in out
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[0].split() == ["id", "name", "category"]
         for rule_id in ("REP001", "REP006"):
             assert rule_id in out
 

@@ -10,6 +10,7 @@ SIGTERM included.
 import asyncio
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.accelerators import main_design_names
+from repro.accelerators import REGISTRY, main_design_names
+from repro.dnn.models import model_names
 from repro.errors import ServeError
 from repro.eval import cache as cache_mod
 from repro.eval import experiments as E
@@ -247,6 +249,99 @@ class TestSweepSpec:
     def test_invalid_specs_raise_serve_error(self, bad, match):
         with pytest.raises(ServeError, match=match):
             protocol.parse_sweep_spec(bad)
+
+
+def _shuffled(value, rng):
+    """``value`` with every JSON object's keys in a random order
+    (lists keep their order: it is part of the spec)."""
+    if isinstance(value, dict):
+        keys = list(value)
+        rng.shuffle(keys)
+        return {key: _shuffled(value[key], rng) for key in keys}
+    if isinstance(value, list):
+        return [_shuffled(item, rng) for item in value]
+    return value
+
+
+def _degrees(rng):
+    return [round(rng.random() * 0.95, 3) for _ in range(rng.randint(1, 4))]
+
+
+def _designs(rng):
+    names = [info.name for info in REGISTRY]
+    return rng.sample(names, rng.randint(1, len(names)))
+
+
+def _grid_spec(rng):
+    """(spec with defaults omitted, the same spec written out)."""
+    explicit = {
+        "designs": list(main_design_names()),
+        "a_degrees": list(E.A_DEGREES),
+        "b_degrees": list(E.B_DEGREES),
+        "size": 1024,
+    }
+    drawn = {
+        "designs": _designs(rng),
+        "a_degrees": _degrees(rng),
+        "b_degrees": _degrees(rng),
+        "size": rng.choice([1, 32, 256, 4096]),
+    }
+    omitted = {}
+    for key, value in drawn.items():
+        if rng.random() < 0.5:
+            explicit[key] = omitted[key] = value
+    return omitted, explicit
+
+
+def _model_spec(rng):
+    """(spec with defaults omitted, the same spec written out).
+
+    ``degrees`` defaults to each design's own ladder, so it can only
+    be written out when every design in the spec shares one ladder.
+    """
+    if rng.random() < 0.25:
+        model = json.loads(json.dumps(MODEL_TABLE))
+        model["layers"][0]["tokens"] = rng.randint(1, 16)
+    else:
+        model = rng.choice(model_names())
+    omitted = {"model": model}
+    explicit = {"model": model, "designs": list(main_design_names())}
+    if rng.random() < 0.5:
+        explicit["designs"] = omitted["designs"] = _designs(rng)
+    if rng.random() < 0.5:
+        explicit["degrees"] = omitted["degrees"] = _degrees(rng)
+    else:
+        ladders = {E.design_ladder(d) for d in explicit["designs"]}
+        if len(ladders) == 1:
+            explicit["degrees"] = list(ladders.pop())
+    return omitted, explicit
+
+
+class TestSweepSpecDigestProperty:
+    """Seeded property: a sweep spec's digest depends on what the spec
+    asks for, not on JSON key order or on whether defaults are
+    written out."""
+
+    SEED = 20231028
+    CASES = 200
+
+    def test_digest_ignores_key_order_and_explicit_defaults(self):
+        rng = random.Random(self.SEED)
+        kinds = set()
+        for _ in range(self.CASES):
+            draw = _model_spec if rng.random() < 0.5 else _grid_spec
+            omitted, explicit = draw(rng)
+            digest = protocol.parse_sweep_spec(omitted).digest
+            variants = (
+                explicit,
+                _shuffled(omitted, rng),
+                _shuffled(explicit, rng),
+            )
+            for variant in variants:
+                spec = protocol.parse_sweep_spec(variant)
+                assert spec.digest == digest, (omitted, variant)
+            kinds.add(spec.kind)
+        assert kinds == {"grid", "model"}
 
 
 # ----------------------------------------------------------------------

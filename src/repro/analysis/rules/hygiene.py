@@ -3,8 +3,9 @@
 The design/artifact registries are queryable (``repro list
 --filter KEY=VALUE``), which only works when every registration
 passes the metadata the filters key on: ``@register_design`` needs
-``category`` and ``sparsity_side``, ``@artifact`` needs a non-empty
-``title`` (the streaming UI prints it).  The rule also tracks
+``category`` and ``sparsity_side``, ``@artifact`` and
+``register_artifact(...)`` need a non-empty ``title`` (the streaming
+UI prints it).  The rule also tracks
 registered names across the whole run and flags duplicates — a
 copy-pasted ``name = "TC"`` would otherwise only fail at import
 time, when the registry raises on the collision.
@@ -24,6 +25,7 @@ _STATE_KEY = "REP005"
 _REQUIRED_KEYWORDS = {
     "register_design": ("category", "sparsity_side"),
     "artifact": ("title",),
+    "register_artifact": ("title",),
 }
 
 
@@ -53,7 +55,7 @@ def _class_name_constant(cls: ast.ClassDef) -> Optional[ast.Constant]:
 def _registered_name(decorator: str, call: ast.Call,
                      node: ast.AST) -> Optional[Tuple[str, ast.AST]]:
     """The name this registration claims, and its anchor node."""
-    if decorator == "artifact":
+    if decorator in ("artifact", "register_artifact"):
         if call.args and isinstance(call.args[0], ast.Constant):
             return str(call.args[0].value), call.args[0]
         return None
@@ -75,13 +77,22 @@ def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
     names must be unique across the linted set."""
     names = ctx.shared.setdefault(_STATE_KEY, {})
     for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            continue
-        for decorator in node.decorator_list:
-            resolved = _decorator_call(decorator)
-            if resolved is None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            calls = [
+                resolved for decorator in node.decorator_list
+                if (resolved := _decorator_call(decorator)) is not None
+            ]
+            owner: Optional[str] = node.name
+        elif isinstance(node, ast.Expr):
+            # A plain registration call: register_artifact(...).
+            resolved = _decorator_call(node.value)
+            if resolved is None or resolved[0] != "register_artifact":
                 continue
-            kind, call = resolved
+            calls, owner = [resolved], None
+        else:
+            continue
+        for kind, call in calls:
+            subject = f"@{kind} on {owner}" if owner else f"{kind}(...)"
             keywords = {kw.arg for kw in call.keywords if kw.arg}
             missing = [
                 key
@@ -92,7 +103,7 @@ def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
                 yield ctx.finding(
                     check_registry_hygiene,
                     call,
-                    f"@{kind} on {node.name} is missing required "
+                    f"{subject} is missing required "
                     f"metadata: {', '.join(missing)} (repro list "
                     f"--filter and the run UI key on it)",
                 )
@@ -105,14 +116,15 @@ def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
                     yield ctx.finding(
                         check_registry_hygiene,
                         kw.value,
-                        f"@{kind} on {node.name} passes empty "
-                        f"{kw.arg!r}",
+                        f"{subject} passes empty {kw.arg!r}",
                     )
             claimed = _registered_name(kind, call, node)
             if claimed is not None:
                 name, anchor = claimed
-                names.setdefault((kind, name), []).append(
-                    _pending_duplicate(ctx, anchor, kind, name)
+                # Both spellings fill one artifact registry.
+                key = "artifact" if kind == "register_artifact" else kind
+                names.setdefault((key, name), []).append(
+                    _pending_duplicate(ctx, anchor, key, name)
                 )
 
 

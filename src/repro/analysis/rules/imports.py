@@ -2,13 +2,16 @@
 
 ``repro/__init__`` and ``cli.py`` run in every ``repro`` process, and
 a package ``__init__`` runs whenever anything below it is imported.
-A module-level import there of numpy (~120 ms), asyncio, the serve
-subsystem or the linter makes every command pay for it, including
-``repro list`` and ``repro sweep``, which use none of them.  Such
-imports go inside the function that needs them, or under
-``if TYPE_CHECKING:`` when only annotations need the name.  A
-package's own ``__init__`` may import its own subtree
-(``repro/serve/__init__`` may import ``repro.serve.server``).
+The spec parser (``sparsity/spec.py`` and ``sparsity/library.py``)
+runs in every paper-artifact run and every served ``tables`` request.
+A module-level import there of numpy (~120 ms), the fibertree (which
+loads numpy), asyncio, the serve subsystem or the linter makes every
+such command pay for it, including ``repro list``, ``repro sweep`` and
+``repro all``, which use none of them.  Such imports go inside the
+function that needs them, or under ``if TYPE_CHECKING:`` when only
+annotations need the name.  A package's own ``__init__`` may import
+its own subtree (``repro/serve/__init__`` may import
+``repro.serve.server``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.analysis.registry import rule
 #: Modules startup code must not import at module level.
 HEAVY_MODULES: Tuple[str, ...] = (
     "numpy",
+    "repro.fibertree",
     "asyncio",
     "repro.serve",
     "repro.analysis",
@@ -93,12 +97,16 @@ def _heavy(module: str, package: str) -> Optional[str]:
     "import-budget",
     id="REP007",
     category="startup",
-    paths=("*repro/cli.py", "__init__.py", "*/__init__.py"),
+    paths=(
+        "*repro/cli.py", "__init__.py", "*/__init__.py",
+        "*repro/sparsity/spec.py", "*repro/sparsity/library.py",
+    ),
 )
 def check_import_budget(ctx: FileContext) -> Iterator[Finding]:
-    """``cli.py`` and package ``__init__``s import numpy, asyncio,
-    ``repro.serve`` and ``repro.analysis`` only inside functions or
-    under ``if TYPE_CHECKING:``."""
+    """``cli.py``, package ``__init__``s and the spec parser import
+    numpy, ``repro.fibertree``, asyncio, ``repro.serve`` and
+    ``repro.analysis`` only inside functions or under
+    ``if TYPE_CHECKING:``."""
     package = _package_of(ctx)
     for stmt in _import_time_statements(ctx.tree.body):
         heavy = [

@@ -43,15 +43,9 @@ import sys
 import time
 from contextlib import closing
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.accelerators import REGISTRY, main_design_names
-from repro.dnn.models import (
-    get_model,
-    load_model_file,
-    model_names,
-    register_model,
-)
 from repro.endpoint import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.errors import (
     CacheError,
@@ -59,32 +53,42 @@ from repro.errors import (
     LintUsageError,
     WorkloadError,
 )
-from repro.eval import cache as cache_mod
-from repro.eval import experiments as E
 from repro.eval import reporting as R
-from repro.eval.artifacts import (
-    ARTIFACTS,
-    FORMATS,
-    ArtifactFinished,
-    RunFinished,
-    RunPlan,
-    compute_artifacts,
-    finished_event_line,
-    stats_by_artifact,
-)
-from repro.eval.engine import GEOMEAN_METRICS, EngineContext
-from repro.eval.runs import (
-    record_from_artifacts,
-    record_from_model_sweep,
-    record_from_sweep,
-    write_text_atomic,
-)
+from repro.eval.reporting import FORMATS
+from repro.model.metrics import GEOMEAN_METRICS
 
-#: Paper order for `all` and the report (= registry registration order).
-ORDER = list(ARTIFACTS.names())
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.eval.artifacts import ArtifactFinished, ArtifactRegistry
+    from repro.eval.engine import EngineContext
 
 #: Geomean-able sweep metrics the `sweep` subcommand can render.
 SWEEP_METRICS = GEOMEAN_METRICS
+
+#: The subcommands. Any other first word that names an artifact is
+#: shorthand for ``artifact <name>``.
+COMMANDS = ("artifact", "sweep", "cache", "serve", "list", "report", "lint")
+
+
+def _artifacts() -> "ArtifactRegistry":
+    # Only the commands that run or list artifacts import the registry.
+    from repro.eval.artifacts import ARTIFACTS
+
+    return ARTIFACTS
+
+
+class _ArtifactChoices:
+    """The ``artifact`` subcommand's choices — every registered name,
+    sorted, then ``all`` — read from the registry when argparse first
+    checks or lists them."""
+
+    def _names(self) -> List[str]:
+        return sorted(_artifacts()) + ["all"]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
 
 
 def _render_outputs(results: Dict[str, Any], fmt: str) -> str:
@@ -99,9 +103,10 @@ def _render_outputs(results: Dict[str, Any], fmt: str) -> str:
             {name: result.to_payload() for name, result in results.items()},
             indent=2,
         )
+    artifacts = _artifacts()
     sections = []
     for name, result in results.items():
-        rendered = ARTIFACTS[name].render(result, fmt)
+        rendered = artifacts[name].render(result, fmt)
         if fmt == "csv":
             rendered = f"# artifact: {name}\n{rendered}"
         sections.append(rendered)
@@ -119,6 +124,9 @@ def run_artifacts(
     :meth:`~repro.eval.engine.EngineContext.coerce` does (``None``, an
     estimator, an engine, a context).
     """
+    from repro.eval.artifacts import compute_artifacts
+    from repro.eval.engine import EngineContext
+
     ctx = EngineContext.coerce(ctx)
     return _render_outputs(compute_artifacts(names, ctx), fmt)
 
@@ -127,8 +135,9 @@ def _parse_degrees(text: str) -> Tuple[float, ...]:
     """Comma-separated degrees, deduplicated in order (a repeated degree
     would repeat a grid row or column, not add one)."""
     try:
+        # + 0.0 folds -0.0 into 0.0: one degree, one grid row.
         degrees = tuple(dict.fromkeys(
-            float(part) for part in text.split(",") if part.strip()
+            float(part) + 0.0 for part in text.split(",") if part.strip()
         ))
     except ValueError:
         raise argparse.ArgumentTypeError(
@@ -215,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     artifact.add_argument(
         "names",
         nargs="+",
-        choices=sorted(ARTIFACTS) + ["all"],
+        choices=_ArtifactChoices(),
         metavar="name",
         help="artifact name(s), or 'all' for the paper order",
     )
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--model", default=None, metavar="NAME",
         help="sweep a registered DNN instead of a synthetic grid "
-        f"(one of: {', '.join(model_names())})",
+        "('repro list' names them)",
     )
     sweep.add_argument(
         "--model-file", default=None, metavar="PATH",
@@ -411,6 +420,8 @@ def _resolve_cache_dir(
 ) -> Optional[str]:
     """``--cache-dir`` wins, then ``$REPRO_CACHE_DIR``, then (for the
     ``cache`` subcommand) the default location."""
+    from repro.eval import cache as cache_mod
+
     if explicit:
         return explicit
     env = os.environ.get(cache_mod.CACHE_DIR_ENV)
@@ -425,6 +436,8 @@ def _open_context(parser: argparse.ArgumentParser,
                   **settings: Any) -> EngineContext:
     """:meth:`EngineContext.create`, with a cache that cannot open
     reported as a usage error (exit 2) before any work."""
+    from repro.eval.engine import EngineContext
+
     try:
         return EngineContext.create(**settings)
     except CacheError as error:
@@ -476,12 +489,14 @@ def _print_streamed_artifact(event: ArtifactFinished, fmt: str) -> None:
     object per artifact (payload + scoped stats) instead of batch
     mode's single keyed document.
     """
+    from repro.eval.artifacts import finished_event_line
+
     if fmt == "json":
         # The shared encoder keeps this byte-identical to the lines
         # `repro serve` streams for the same artifacts.
         print(finished_event_line(event), flush=True)
         return
-    rendered = ARTIFACTS[event.name].render(event.result, fmt)
+    rendered = _artifacts()[event.name].render(event.result, fmt)
     if fmt == "csv":
         rendered = f"# artifact: {event.name}\n{rendered}"
     if event.index:
@@ -505,11 +520,19 @@ def _cmd_artifact(args: argparse.Namespace,
             "--output is only valid with the 'report' subcommand "
             "(artifacts print to stdout)"
         )
+    from repro.eval.artifacts import (
+        ArtifactFinished,
+        RunFinished,
+        RunPlan,
+        stats_by_artifact,
+    )
+    from repro.eval.runs import record_from_artifacts
+
     # Dedup repeated names (first occurrence wins): results are
     # name-keyed, so batch mode always rendered a repeat once —
     # streaming and per-artifact records must agree with it.
     names = (
-        ORDER if "all" in args.names
+        list(_artifacts().names()) if "all" in args.names
         else list(dict.fromkeys(args.names))
     )
     ctx = _build_context(args, parser)
@@ -552,6 +575,10 @@ def _cmd_artifact(args: argparse.Namespace,
 def _cmd_sweep_model(args: argparse.Namespace,
                      parser: argparse.ArgumentParser,
                      model=None) -> int:
+    from repro.dnn.models import get_model
+    from repro.eval import experiments as E
+    from repro.eval.runs import record_from_model_sweep
+
     try:
         # --model-file passes its model directly: re-resolving by name
         # could hit a case-insensitive builtin (e.g. "resnet50").
@@ -613,6 +640,8 @@ def _cmd_sweep(args: argparse.Namespace,
             )
     loaded_model = None
     if args.model_file is not None:
+        from repro.dnn.models import load_model_file, register_model
+
         if args.model is not None:
             parser.error(
                 "--model and --model-file are mutually exclusive"
@@ -652,8 +681,15 @@ def _cmd_sweep(args: argparse.Namespace,
             "--profile applies to --model/--model-file sweeps (it "
             "maps layer names to degrees)"
         )
-    a_degrees = args.a_degrees if args.a_degrees is not None else E.A_DEGREES
-    b_degrees = args.b_degrees if args.b_degrees is not None else E.B_DEGREES
+    from repro.eval.engine import DEFAULT_A_DEGREES, DEFAULT_B_DEGREES
+    from repro.eval.runs import record_from_sweep
+
+    a_degrees = (
+        args.a_degrees if args.a_degrees is not None else DEFAULT_A_DEGREES
+    )
+    b_degrees = (
+        args.b_degrees if args.b_degrees is not None else DEFAULT_B_DEGREES
+    )
     size = args.size if args.size is not None else 1024
     ctx = _build_context(args, parser)
     with closing(ctx.engine):
@@ -700,6 +736,8 @@ def _cmd_sweep(args: argparse.Namespace,
 
 def _cmd_cache(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
+    from repro.eval import cache as cache_mod
+
     directory = _resolve_cache_dir(
         args.cache_dir, fallback_to_default=True
     )
@@ -781,6 +819,8 @@ def _cmd_serve(args: argparse.Namespace,
 
 def _cmd_list(args: argparse.Namespace,
               parser: argparse.ArgumentParser) -> int:
+    from repro.dnn.models import model_names
+
     filters = {}
     for item in args.filter:
         key, separator, value = item.partition("=")
@@ -818,7 +858,7 @@ def _cmd_list(args: argparse.Namespace,
     print("\nArtifacts (formats: " + ", ".join(FORMATS) + ")")
     print(R.format_table(
         ["name", "title"],
-        [[info.name, info.title] for info in ARTIFACTS.infos()],
+        [[info.name, info.title] for info in _artifacts().infos()],
     ))
     print("(plus 'all' for the paper order)")
     print(f"\nModels (sweep --model): {' '.join(model_names())}")
@@ -828,6 +868,7 @@ def _cmd_list(args: argparse.Namespace,
 def _cmd_report(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
     from repro.eval.report import run_markdown_report, write_report
+    from repro.eval.runs import record_from_artifacts, write_text_atomic
 
     if args.report_format == "full" and args.record:
         parser.error(
@@ -840,7 +881,9 @@ def _cmd_report(args: argparse.Namespace,
     ctx = _build_context(args, parser)
     with closing(ctx.engine):
         if args.report_format == "md":
-            document, outcome = run_markdown_report(ctx, ORDER)
+            document, outcome = run_markdown_report(
+                ctx, list(_artifacts().names())
+            )
             write_text_atomic(args.output, document)
             if ctx.record_path:
                 record = record_from_artifacts(
@@ -908,7 +951,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and (argv[0] in ARTIFACTS or argv[0] == "all"):
+    if argv and argv[0] not in COMMANDS and (
+        argv[0] == "all" or argv[0] in _artifacts()
+    ):
         argv = ["artifact"] + argv
     parser = _shared_parser()
     args = parser.parse_args(argv)

@@ -10,25 +10,52 @@ evaluation section on top of it;
 :mod:`repro.eval.reporting` prints them in the same rows/series the
 paper reports, and :mod:`repro.eval.runs` snapshots whole sweep
 invocations as JSON run records.
+
+Names load on first access, so importing one submodule (``repro
+list`` reads only :mod:`repro.eval.artifacts`' registry) does not
+import the rest.
 """
 
-from repro.eval.harness import (
-    best_metrics,
-    evaluate_cell,
-    evaluate_workload,
-    realize_workloads,
-    workload_for_layer,
+from typing import TYPE_CHECKING
+
+from repro.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.eval.harness import (
+        best_metrics,
+        evaluate_cell,
+        evaluate_workload,
+        realize_workloads,
+        workload_for_layer,
+    )
+    from repro.eval.cache import PersistentCache, estimator_fingerprint
+    from repro.eval.engine import Cell, SweepEngine, SweepResult, grid_cells
+    from repro.eval.pareto import pareto_frontier, is_on_frontier
+    from repro.eval.runs import (
+        RunRecord,
+        load_record,
+        record_from_model_sweep,
+        record_from_sweep,
+    )
+    from repro.eval import experiments, reporting
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "harness": (
+            "best_metrics", "evaluate_cell", "evaluate_workload",
+            "realize_workloads", "workload_for_layer",
+        ),
+        "cache": ("PersistentCache", "estimator_fingerprint"),
+        "engine": ("Cell", "SweepEngine", "SweepResult", "grid_cells"),
+        "pareto": ("pareto_frontier", "is_on_frontier"),
+        "runs": (
+            "RunRecord", "load_record", "record_from_model_sweep",
+            "record_from_sweep",
+        ),
+    },
+    submodules=("experiments", "reporting"),
 )
-from repro.eval.cache import PersistentCache, estimator_fingerprint
-from repro.eval.engine import Cell, SweepEngine, SweepResult, grid_cells
-from repro.eval.pareto import pareto_frontier, is_on_frontier
-from repro.eval.runs import (
-    RunRecord,
-    load_record,
-    record_from_model_sweep,
-    record_from_sweep,
-)
-from repro.eval import experiments, reporting
 
 __all__ = [
     "best_metrics",

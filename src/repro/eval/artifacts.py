@@ -1,13 +1,19 @@
 """The declarative artifact registry: paper figures/tables as specs.
 
 Mirrors :mod:`repro.accelerators.registry`: each artifact registers a
-``compute(ctx) -> result`` function under its name via the
-:func:`artifact` decorator, together with the structured result type it
-produces and its text renderer. Computation and presentation are fully
-separated — ``compute`` returns a result dataclass with a uniform
-``to_payload()``, and :func:`render` turns any result into ``text``
-(byte-identical to the historical CLI output), ``json`` (the payload),
-or ``csv`` (the payload's ``rows``).
+``compute(ctx) -> result`` function under its name via
+:func:`register_artifact` (or the :func:`artifact` decorator), together
+with the structured result type it produces and its text renderer.
+Computation and presentation are fully separated — ``compute`` returns
+a result dataclass with a uniform ``to_payload()``, and :func:`render`
+turns any result into ``text`` (byte-identical to the historical CLI
+output), ``json`` (the payload), or ``csv`` (the payload's ``rows``).
+
+The paper's artifacts name their compute function, result type and
+renderer as ``"module:attr"`` references, resolved on first access:
+the registry itself holds only names and titles, so ``repro list``
+reads it without importing :mod:`repro.eval.experiments` or the
+evaluation engine.
 
 Because every ``compute`` takes one
 :class:`~repro.eval.engine.EngineContext`, a whole ``repro all``
@@ -29,11 +35,13 @@ the events).
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import time
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -46,28 +54,62 @@ from typing import (
 )
 
 from repro.errors import EvaluationError
-from repro.eval import experiments as E
 from repro.eval import reporting as R
-from repro.eval.engine import EngineContext, EngineStats, SweepResult
+from repro.eval.reporting import FORMATS
 
-#: Output formats every artifact supports.
-FORMATS = ("text", "json", "csv", "md")
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.eval.engine import EngineContext, EngineStats
+
+#: An object, or the ``"module:attr"`` that names it.
+Ref = Union[str, Any]
+
+#: The :class:`ArtifactInfo` attributes resolved from references, and
+#: the field each one reads.
+_RESOLVED = {
+    "compute": "compute_ref",
+    "result_type": "result_ref",
+    "render_text": "text_ref",
+}
+
+
+def _resolve(ref: Ref) -> Any:
+    if not isinstance(ref, str):
+        return ref
+    module, _, attr = ref.partition(":")
+    return getattr(importlib.import_module(module), attr)
 
 
 @dataclass(frozen=True)
 class ArtifactInfo:
-    """One registered artifact: its compute spec and renderers."""
+    """One registered artifact: its name and title, and where its
+    compute function and renderers live.
+
+    ``compute`` (``compute(ctx) -> result``), ``result_type`` (the
+    structured result type ``compute`` returns — also how
+    :func:`render` finds the text renderer for a bare result) and
+    ``render_text`` (the historical CLI text output) resolve from
+    their references on first access and are kept after that.
+    """
 
     name: str
-    compute: Callable[[EngineContext], Any]
-    #: The structured result type ``compute`` returns (also how
-    #: :func:`render` finds the text renderer for a bare result).
-    result_type: type
-    #: Renders the result as the historical CLI text output.
-    render_text: Callable[[Any], str]
+    compute_ref: Ref
+    result_ref: Ref
+    text_ref: Ref
     #: One-line description for listings.
     title: str = ""
     metadata: Dict[str, Any] = field(default_factory=dict)
+
+    def __getattr__(self, attr: str) -> Any:
+        # Reached only while ``attr`` is unset on the instance.
+        ref = _RESOLVED.get(attr)
+        if ref is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute "
+                f"{attr!r}"
+            )
+        value = _resolve(getattr(self, ref))
+        object.__setattr__(self, attr, value)
+        return value
 
     def render(self, result: Any, fmt: str = "text") -> str:
         """The result in one of the supported output formats."""
@@ -148,10 +190,44 @@ class ArtifactRegistry:
 ARTIFACTS = ArtifactRegistry()
 
 
+def register_artifact(
+    name: str,
+    compute: Ref,
+    result_type: Ref,
+    text: Ref,
+    title: str = "",
+    registry: Optional[ArtifactRegistry] = None,
+    **metadata: Any,
+) -> ArtifactInfo:
+    """Register the named artifact; ``compute``, ``result_type`` and
+    ``text`` are objects or ``"module:attr"`` references.
+
+    ::
+
+        register_artifact(
+            "fig6", "repro.eval.experiments:fig6",
+            "repro.eval.experiments:Fig6Result",
+            text="repro.eval.reporting:render_fig6",
+            title="Fig. 6 — one-rank S vs two-rank SS designs",
+        )
+    """
+    target = registry if registry is not None else ARTIFACTS
+    return target.register(
+        ArtifactInfo(
+            name=name,
+            compute_ref=compute,
+            result_ref=result_type,
+            text_ref=text,
+            title=title,
+            metadata=dict(metadata),
+        )
+    )
+
+
 def artifact(
     name: str,
-    result_type: type,
-    text: Callable[[Any], str],
+    result_type: Ref,
+    text: Ref,
     title: str = "",
     registry: Optional[ArtifactRegistry] = None,
     **metadata: Any,
@@ -160,26 +236,19 @@ def artifact(
 
     ::
 
-        @artifact("fig13", SweepResult, text=_fig13_text,
-                  title="Fig. 13 — synthetic sparsity sweep")
-        def fig13(ctx):
-            return E.fig13(ctx)
+        @artifact("gated", SweepResult, text=render_gated,
+                  title="A grid behind a gate")
+        def gated(ctx):
+            return ctx.engine.sweep(...)
 
     The decorated name is bound to the :class:`ArtifactInfo` (specs are
     invoked through the registry, not called directly).
     """
-    target = registry if registry is not None else ARTIFACTS
 
     def decorator(compute: Callable[[EngineContext], Any]) -> ArtifactInfo:
-        return target.register(
-            ArtifactInfo(
-                name=name,
-                compute=compute,
-                result_type=result_type,
-                render_text=text,
-                title=title,
-                metadata=dict(metadata),
-            )
+        return register_artifact(
+            name, compute, result_type, text, title=title,
+            registry=registry, **metadata,
         )
 
     return decorator
@@ -227,66 +296,48 @@ def _csv_cell(value: Any) -> Any:
 # ----------------------------------------------------------------------
 
 
-def _fig13_text(sweep: SweepResult) -> str:
-    parts = [
-        R.render_fig13(sweep, metric)
-        for metric in ("edp", "energy_pj", "cycles")
-    ]
-    geomean_tc, max_tc = sweep.gain_over("TC")
-    parts.append(
-        f"HighLight vs TC: geomean {geomean_tc:.1f}x, "
-        f"up to {max_tc:.1f}x (paper: 6.4x / 20.4x)"
-    )
-    return "\n\n".join(parts)
+_E = "repro.eval.experiments"
+_R = "repro.eval.reporting"
 
-
-@artifact("tables", E.TablesResult, text=R.render_tables,
-          title="Tables 1-4 — categories, patterns, resources")
-def _tables(ctx: EngineContext) -> E.TablesResult:
-    return E.tables(ctx)
-
-
-@artifact("fig2", E.Fig2Result, text=R.render_fig2,
-          title="Fig. 2 — accuracy-matched motivational comparison")
-def _fig2(ctx: EngineContext) -> E.Fig2Result:
-    return E.fig2(ctx)
-
-
-@artifact("fig6", E.Fig6Result, text=R.render_fig6,
-          title="Fig. 6 — one-rank S vs two-rank SS designs")
-def _fig6(ctx: EngineContext) -> E.Fig6Result:
-    return E.fig6(ctx)
-
-
-@artifact("fig13", SweepResult, text=_fig13_text,
-          title="Fig. 13 — synthetic sparsity sweep")
-def _fig13(ctx: EngineContext) -> SweepResult:
-    return E.fig13(ctx)
-
-
-@artifact("fig14", E.Fig14Result, text=R.render_fig14,
-          title="Fig. 14 — geomean normalized metrics")
-def _fig14(ctx: EngineContext) -> E.Fig14Result:
-    # Regenerating the Fig. 13 sweep is free under the shared context.
-    return E.fig14(E.fig13(ctx))
-
-
-@artifact("fig15", E.Fig15Result, text=R.render_fig15,
-          title="Fig. 15 — EDP vs accuracy-loss Pareto frontiers")
-def _fig15(ctx: EngineContext) -> E.Fig15Result:
-    return E.fig15(ctx)
-
-
-@artifact("fig16", E.Fig16Result, text=R.render_fig16,
-          title="Fig. 16 — sparsity tax (energy + area breakdown)")
-def _fig16(ctx: EngineContext) -> E.Fig16Result:
-    return E.fig16(ctx)
-
-
-@artifact("fig17", E.Fig17Result, text=R.render_fig17,
-          title="Fig. 17 — dual-side HSS (DSSO) processing speed")
-def _fig17(ctx: EngineContext) -> E.Fig17Result:
-    return E.fig17(ctx)
+register_artifact(
+    "tables", f"{_E}:tables", f"{_E}:TablesResult",
+    text=f"{_R}:render_tables",
+    title="Tables 1-4 — categories, patterns, resources",
+)
+register_artifact(
+    "fig2", f"{_E}:fig2", f"{_E}:Fig2Result", text=f"{_R}:render_fig2",
+    title="Fig. 2 — accuracy-matched motivational comparison",
+)
+register_artifact(
+    "fig6", f"{_E}:fig6", f"{_E}:Fig6Result", text=f"{_R}:render_fig6",
+    title="Fig. 6 — one-rank S vs two-rank SS designs",
+)
+register_artifact(
+    "fig13", f"{_E}:fig13", "repro.eval.engine:SweepResult",
+    text=f"{_R}:render_fig13_artifact",
+    title="Fig. 13 — synthetic sparsity sweep",
+)
+# Regenerating the Fig. 13 sweep is free under the shared context.
+register_artifact(
+    "fig14", f"{_E}:fig14_from_context", f"{_E}:Fig14Result",
+    text=f"{_R}:render_fig14",
+    title="Fig. 14 — geomean normalized metrics",
+)
+register_artifact(
+    "fig15", f"{_E}:fig15", f"{_E}:Fig15Result",
+    text=f"{_R}:render_fig15",
+    title="Fig. 15 — EDP vs accuracy-loss Pareto frontiers",
+)
+register_artifact(
+    "fig16", f"{_E}:fig16", f"{_E}:Fig16Result",
+    text=f"{_R}:render_fig16",
+    title="Fig. 16 — sparsity tax (energy + area breakdown)",
+)
+register_artifact(
+    "fig17", f"{_E}:fig17", f"{_E}:Fig17Result",
+    text=f"{_R}:render_fig17",
+    title="Fig. 17 — dual-side HSS (DSSO) processing speed",
+)
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +457,8 @@ class RunPlan:
                 f"duplicate artifact name(s) in run plan: "
                 f"{', '.join(duplicates)}"
             )
+        from repro.eval.engine import EngineContext
+
         target = registry if registry is not None else ARTIFACTS
         specs = tuple(target[name] for name in names)
         return cls(specs=specs, ctx=EngineContext.coerce(ctx))

@@ -336,6 +336,14 @@ class SqliteCacheStore:
         if legacy.exists():
             raise _legacy_error(legacy)
         self._conn: Optional[sqlite3.Connection] = None
+        #: ``PRAGMA data_version`` on ``_conn`` when :meth:`load` began
+        #: reading every row. The value moves only when another
+        #: connection commits, so while it stands no row can have
+        #: appeared since the load. ``None`` (no load on this
+        #: connection) always probes. A probe leaves it alone: it
+        #: reads only the digests it asks for, so a row another
+        #: connection committed can still be unread after it.
+        self._data_version: Optional[int] = None
         #: Set when load() found the database undecodable for reasons
         #: flush's except clauses cannot see again (e.g. one poisoned
         #: row): the next flush must rebuild, not upsert into a file
@@ -347,6 +355,12 @@ class SqliteCacheStore:
             self._conn = _sqlite_connect_rw(self.path, self.fingerprint)
         return self._conn
 
+    def _read_data_version(self) -> int:
+        (version,) = self._connect().execute(
+            "PRAGMA data_version"
+        ).fetchone()
+        return int(version)
+
     def load(self) -> Dict[str, Optional[bytes]]:
         """All on-disk entries, still encoded (best-effort: problems
         read empty). Every row must pass :func:`codec.well_formed`;
@@ -356,6 +370,7 @@ class SqliteCacheStore:
             return {}
         try:
             conn = self._connect()
+            version = self._read_data_version()
             meta = _sqlite_meta(conn)
             if meta.get("schema_version") != str(CACHE_SCHEMA_VERSION):
                 return {}
@@ -366,6 +381,7 @@ class SqliteCacheStore:
             for value in rows.values():
                 if value is not None and not well_formed(value):
                     raise CacheError("malformed cache row")
+            self._data_version = version
             return rows
         except sqlite3.OperationalError:
             # Transient (locked, I/O): read as empty this run but
@@ -390,6 +406,8 @@ class SqliteCacheStore:
         """Probe the database for ``digests`` in one query per ~500
         keys — picks up rows a concurrent writer committed since our
         load. Rows come back still encoded, like :meth:`load`'s.
+        Skipped when no other connection has committed since the load
+        read the table (``PRAGMA data_version`` unchanged).
         Best-effort like every runtime read: any database problem, a
         malformed row included, reports "nothing found" rather than
         raising."""
@@ -398,6 +416,8 @@ class SqliteCacheStore:
         found: Dict[str, Optional[bytes]] = {}
         try:
             conn = self._connect()
+            if self._read_data_version() == self._data_version:
+                return {}
             if _sqlite_meta(conn).get("schema_version") != str(
                 CACHE_SCHEMA_VERSION
             ):
@@ -480,6 +500,7 @@ class SqliteCacheStore:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+        self._data_version = None
 
 
 #: The store's former base-class name, kept as an alias because

@@ -53,17 +53,13 @@ from repro.eval.harness import (
     evaluate_workload,
     realize_workloads,
 )
-from repro.model.metrics import Metrics
+from repro.model.metrics import GEOMEAN_METRICS, Metrics
 from repro.model.workload import MatmulWorkload, WorkloadKey
 from repro.utils import geomean
 
 #: The paper's synthetic Fig. 13 sparsity grid.
 DEFAULT_A_DEGREES: Tuple[float, ...] = (0.0, 0.5, 0.75)
 DEFAULT_B_DEGREES: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
-
-#: The geomean-able sweep metrics (Fig. 14's bars, run-record
-#: geomeans, payloads, and the CLI's --metric choices).
-GEOMEAN_METRICS: Tuple[str, ...] = ("edp", "energy_pj", "cycles", "ed2")
 
 #: (design name, workload content key) — the memoization key.
 PairKey = Tuple[str, WorkloadKey]

@@ -146,6 +146,13 @@ def fig14(
     )
 
 
+def fig14_from_context(ctx: ContextLike = None) -> Fig14Result:
+    """Fig. 14 computed off a context (the ``fig14`` artifact): the
+    Fig. 13 sweep it needs is free under a context that already ran
+    it."""
+    return fig14(fig13(ctx))
+
+
 # ----------------------------------------------------------------------
 # DNN-level evaluation shared by Fig. 2 and Fig. 15
 # ----------------------------------------------------------------------

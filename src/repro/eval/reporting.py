@@ -4,20 +4,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.eval.experiments import (
-    Fig2Result,
-    Fig6Result,
-    Fig14Result,
-    Fig15Result,
-    Fig16Result,
-    Fig17Result,
-    ModelSweepResult,
-    SweepResult,
-    TablesResult,
-)
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.findings import LintResult
+    from repro.eval.engine import SweepResult
+    from repro.eval.experiments import (
+        Fig2Result,
+        Fig6Result,
+        Fig14Result,
+        Fig15Result,
+        Fig16Result,
+        Fig17Result,
+        ModelSweepResult,
+        TablesResult,
+    )
+
+#: Output formats every artifact supports.
+FORMATS = ("text", "json", "csv", "md")
 
 
 def format_table(
@@ -108,6 +110,21 @@ def render_fig13(result: SweepResult, metric: str = "edp") -> str:
         )
     title = f"Fig. 13 — normalized {metric} (lower is better, TC = 1)"
     return title + "\n" + format_table(headers, rows)
+
+
+def render_fig13_artifact(result: SweepResult) -> str:
+    """The ``fig13`` artifact: the grid for EDP, energy and cycles,
+    then HighLight's gain over TC."""
+    parts = [
+        render_fig13(result, metric)
+        for metric in ("edp", "energy_pj", "cycles")
+    ]
+    geomean_tc, max_tc = result.gain_over("TC")
+    parts.append(
+        f"HighLight vs TC: geomean {geomean_tc:.1f}x, "
+        f"up to {max_tc:.1f}x (paper: 6.4x / 20.4x)"
+    )
+    return "\n\n".join(parts)
 
 
 def render_sweep(result: SweepResult, metric: str = "edp") -> str:

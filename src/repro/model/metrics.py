@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.utils import geomean
+
+#: The geomean-able sweep metrics (Fig. 14's bars, run-record
+#: geomeans, payloads, and the CLI's --metric choices).
+GEOMEAN_METRICS: Tuple[str, ...] = ("edp", "energy_pj", "cycles", "ed2")
 
 
 @dataclass(frozen=True)

@@ -373,8 +373,8 @@ def _degree_list(value: Any, name: str) -> Tuple[float, ...]:
             f"{name!r} must be a non-empty list of sparsity degrees"
         )
     # Deduplicated in order, like the CLI's --a-degrees: [0.5] and
-    # [0.5, 0.5] are one spec and coalesce.
-    degrees = tuple(dict.fromkeys(float(item) for item in value))
+    # [0.5, 0.5] are one spec and coalesce; + 0.0 folds -0.0 into 0.0.
+    degrees = tuple(dict.fromkeys(float(item) + 0.0 for item in value))
     for degree in degrees:
         if not 0.0 <= degree < 1.0:
             raise ServeError(

@@ -43,8 +43,8 @@ if TYPE_CHECKING:
     from repro.sparsity.apply import apply_spec
     from repro.sparsity import library
 
-# numpy loads with spec, sparsify, analyze and apply; the cost models
-# reach pattern and hss without it.
+# numpy loads with sparsify, analyze and apply; the cost models reach
+# pattern and hss, and the spec parser reaches spec, without it.
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {

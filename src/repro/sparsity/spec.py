@@ -16,12 +16,9 @@ partitioned ranks (``C`` split into ``C1``/``C0``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.errors import SpecificationError
-from repro.fibertree import FiberTensor, from_dense, flatten, partition, reorder
 from repro.sparsity.pattern import (
     GH,
     Dense,
@@ -29,6 +26,11 @@ from repro.sparsity.pattern import (
     Unconstrained,
     parse_rule,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+    from repro.fibertree import FiberTensor
 
 Rule = Union[Dense, Unconstrained, GH, GHRange]
 
@@ -150,7 +152,12 @@ def weight_tensor_spec_view(
     S into RS, then repeatedly partitions the lowest rank by the H values
     given lowest-rank-first (e.g. ``h_values=(4, 4)`` reproduces the
     ``RS->C2->C1->C0`` view of Fig. 5 with fiber shapes 4 at C0 and C1).
+
+    The fibertree (and with it numpy) loads on the first call: parsing
+    specs, which every paper artifact does, needs neither.
     """
+    from repro.fibertree import flatten, from_dense, partition, reorder
+
     if weights.ndim != 3:
         raise SpecificationError(
             f"expected a (C, R, S) tensor, got {weights.ndim} dims"

@@ -14,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import ORDER, main
+from repro.cli import main
 from repro.errors import EvaluationError
 from repro.eval.artifacts import (
     ARTIFACTS,
     FORMATS,
+    ArtifactRegistry,
     compute_artifacts,
+    register_artifact,
     render,
 )
 from repro.eval.engine import EngineContext, SweepEngine
@@ -35,7 +37,6 @@ PAPER_ORDER = (
 class TestRegistry:
     def test_paper_order(self):
         assert ARTIFACTS.names() == PAPER_ORDER
-        assert ORDER == list(PAPER_ORDER)
 
     def test_supported_formats(self):
         assert FORMATS == ("text", "json", "csv", "md")
@@ -46,6 +47,25 @@ class TestRegistry:
             assert callable(info.render_text)
             assert isinstance(info.result_type, type)
             assert info.title
+
+    def test_references_resolve_on_first_access(self):
+        registry = ArtifactRegistry()
+        info = register_artifact(
+            "probe", "repro.eval.experiments:fig6",
+            "repro.eval.experiments:Fig6Result",
+            text="repro.eval.reporting:render_fig6", title="Probe",
+            registry=registry,
+        )
+        assert info.compute_ref == "repro.eval.experiments:fig6"
+        assert "compute" not in vars(info)
+        from repro.eval import experiments, reporting
+
+        assert info.compute is experiments.fig6
+        assert info.result_type is experiments.Fig6Result
+        assert info.render_text is reporting.render_fig6
+        assert vars(info)["compute"] is experiments.fig6
+        with pytest.raises(AttributeError, match="no attribute"):
+            info.not_a_field
 
     def test_duplicate_registration_rejected(self):
         info = ARTIFACTS["fig6"]

@@ -556,6 +556,52 @@ class TestBulkAccess:
         # not rewrite it.
         reader.close()
 
+    def test_probe_finds_a_row_committed_after_loading_a_database(
+        self, tmp_path, estimator, workload, metrics
+    ):
+        """A reader that loaded an existing database still sees a row
+        another connection commits later: the commit moves the
+        reader's data_version, so the probe runs."""
+        seed = PersistentCache.for_estimator(tmp_path, estimator)
+        seed.put("S2TA", workload.key(), None)
+        seed.close()
+        reader = PersistentCache.for_estimator(tmp_path, estimator)
+        assert len(reader) == 1
+        writer = PersistentCache.for_estimator(tmp_path, estimator)
+        writer.put("HighLight", workload.key(), metrics)
+        writer.close()
+        # A probe for another key must not hide the committed row
+        # from the next probe.
+        assert reader.get_many([("TC", workload.key())]) == [MISS]
+        (result,) = reader.get_many([("HighLight", workload.key())])
+        assert result is not MISS
+        assert result.cycles == metrics.cycles
+        reader.close()
+
+    def test_lone_reader_skips_the_probe(
+        self, tmp_path, estimator, workload, metrics
+    ):
+        """No other connection committed since the load, so a cold
+        get_many cannot find anything on disk and sends no
+        ``WHERE digest IN`` query."""
+        seed = PersistentCache.for_estimator(tmp_path, estimator)
+        seed.put("S2TA", workload.key(), None)
+        seed.close()
+        reader = PersistentCache.for_estimator(tmp_path, estimator)
+        statements = []
+        reader.store._connect().set_trace_callback(statements.append)
+        results = reader.get_many(
+            [("HighLight", workload.key()), ("TC", workload.key())]
+        )
+        assert results == [MISS, MISS]
+        assert not [s for s in statements if "WHERE digest IN" in s]
+        # Our own flush commits on the same connection: still no probe.
+        reader.put("HighLight", workload.key(), metrics)
+        reader.flush()
+        reader.get_many([("TC", workload.key())])
+        assert not [s for s in statements if "WHERE digest IN" in s]
+        reader.close()
+
     def test_put_many_equals_repeated_put(
         self, tmp_path, estimator, workload, metrics
     ):

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import ARTIFACTS, ORDER, main, run_artifacts
+from repro.cli import main, run_artifacts
 from repro.energy import Estimator
 from repro.eval import experiments as E
+from repro.eval.artifacts import ARTIFACTS
 from repro.eval.cache import _sqlite_connect_rw, estimator_fingerprint
 from repro.eval.report import build_report
 
@@ -707,7 +708,7 @@ class TestListSubcommand:
         out = capsys.readouterr().out
         for name in ("TC", "STC", "S2TA", "DSTC", "HighLight", "DSSO"):
             assert name in out
-        for artifact in ORDER:
+        for artifact in ARTIFACTS.names():
             assert artifact in out
 
     def test_metadata_filter(self, capsys):
@@ -840,6 +841,30 @@ class TestSweepTrailers:
         assert len(record["cells"]) == 2
         assert record["cache"]["requests"] == 3
 
+    def test_negative_zero_degree_is_zero(self, tmp_path, capsys):
+        """``-0.0`` parses to ``0.0``: the same table and run-record
+        cells as ``0.0``, no ``-0%`` row, and ``-0.0,0`` is one
+        degree."""
+        outputs, records = [], []
+        for zero in ("-0.0", "0.0"):
+            record_path = tmp_path / f"{zero}.json"
+            assert main([
+                "sweep", "--designs", "TC,HighLight",
+                f"--a-degrees={zero},0.5", f"--b-degrees={zero}",
+                "--size", "64", "--record", str(record_path),
+            ]) == 0
+            out = capsys.readouterr().out
+            outputs.append(out[:out.index("\n\n")])
+            records.append(json.loads(record_path.read_text())["cells"])
+        assert "-0%" not in outputs[0]
+        assert outputs[0] == outputs[1]
+        assert records[0] == records[1]
+        assert main([
+            "sweep", "--designs", "TC", "--a-degrees=-0.0,0",
+            "--b-degrees", "0.5", "--size", "64",
+        ]) == 0
+        assert "1x1 degree grid" in capsys.readouterr().out
+
     def test_model_sweep_trailer(self, capsys):
         assert main([
             "sweep", "--model", "DeiT-small",
@@ -885,6 +910,17 @@ class TestExecutionPath:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_commands_are_the_subcommands(self):
+        """A bare first word is read as an artifact name only when it
+        is not a subcommand, so ``COMMANDS`` must list them all."""
+        from repro.cli import COMMANDS, build_parser
+
+        (subcommands,) = [
+            action.choices for action in build_parser()._actions
+            if action.dest == "command"
+        ]
+        assert set(COMMANDS) == set(subcommands)
+
     def test_jobs_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "--jobs", "2"])
@@ -925,6 +961,39 @@ HEAVY_MODULES = (
     "repro.sparsity.spec",
 )
 
+#: What only running an evaluation needs.
+EVALUATION_MODULES = (
+    "repro.eval.experiments", "repro.eval.engine", "repro.eval.cache",
+    "repro.eval.runs",
+)
+
+#: Serves one ``{"artifacts": "all"}`` request on an in-process
+#: service and checks the stream finished.
+SERVE_ALL_PROBE = """\
+import asyncio
+from repro.eval.engine import EngineContext
+from repro.serve.server import EvaluationService
+async def serve_all():
+    service = EvaluationService(EngineContext.create(), port=0)
+    await service.start()
+    try:
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.port)
+        body = json.dumps({"artifacts": "all"}).encode()
+        writer.write(
+            b"POST /v1/artifacts HTTP/1.1\\r\\nHost: localhost\\r\\n"
+            + b"Content-Length: %d\\r\\n\\r\\n" % len(body) + body)
+        await writer.drain()
+        data = await reader.read()
+        writer.close()
+    finally:
+        await service.aclose()
+    status = data.split(b"\\r\\n", 1)[0]
+    if b" 200 " not in status or b'"finished"' not in data:
+        raise SystemExit(data[:500])
+asyncio.run(serve_all())
+"""
+
 
 class TestImportBudget:
     """Each command imports only the layers it uses. Module sets are
@@ -935,6 +1004,14 @@ class TestImportBudget:
             "from repro.cli import main\nmain(['list'])", HEAVY_MODULES
         ) == []
 
+    def test_list_reads_only_the_registries(self):
+        """The artifact registry holds names and titles; listing it
+        imports no experiment, engine, cache or run-record code."""
+        assert loaded_after(
+            "from repro.cli import main\nmain(['list'])",
+            EVALUATION_MODULES + ("sqlite3",),
+        ) == []
+
     def test_six_design_sweep_loads_no_heavy_layer(self, tmp_path):
         argv = [
             "sweep", "--designs", "TC,STC,S2TA,DSTC,HighLight,DSSO",
@@ -942,9 +1019,46 @@ class TestImportBudget:
             "--size", "64", "--cache-dir", str(tmp_path),
         ]
         assert loaded_after(
-            f"from repro.cli import main\nmain({argv!r})", HEAVY_MODULES
+            f"from repro.cli import main\nmain({argv!r})",
+            HEAVY_MODULES + (
+                "repro.eval.experiments", "repro.eval.artifacts",
+                "repro.dnn",
+            ),
         ) == []
         assert list(tmp_path.iterdir()), "the sweep wrote no cache"
+
+    @pytest.mark.parametrize("warm", (False, True), ids=("no-cache", "warm"))
+    def test_all_loads_no_numpy(self, tmp_path, warm):
+        """The paper artifacts parse sparsity specs but never build a
+        fibertree, so ``repro all`` runs without numpy."""
+        argv = ["all"]
+        if warm:
+            argv += ["--cache-dir", str(tmp_path)]
+            assert main(argv) == 0
+        assert loaded_after(
+            f"from repro.cli import main\nmain({argv!r})",
+            ("numpy", "repro.fibertree"),
+        ) == []
+
+    def test_all_runs_with_numpy_blocked(self):
+        """With numpy unimportable, ``repro all`` still prints the
+        golden output byte for byte."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nsys.modules['numpy'] = None\n"
+             "from repro.cli import main\nsys.exit(main(['all']))"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        golden = Path(__file__).parent / "golden" / "all.txt"
+        assert result.stdout == golden.read_text()
+
+    def test_served_all_loads_no_numpy(self):
+        """An in-process service answering ``{"artifacts": "all"}``
+        never imports numpy."""
+        assert loaded_after(SERVE_ALL_PROBE, ("numpy",)) == []
 
     def test_serve_imports_without_numpy(self):
         assert loaded_after("import repro.serve.server", ("numpy",)) == []

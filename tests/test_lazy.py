@@ -18,6 +18,7 @@ LAZY_PACKAGES = (
     "repro.dnn",
     "repro.compression",
     "repro.pruning",
+    "repro.eval",
 )
 
 

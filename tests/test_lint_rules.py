@@ -372,12 +372,39 @@ HYGIENE_BAD_DUPLICATE = """
         return None
 """
 
+HYGIENE_BAD_CALL_MISSING_KW = """
+    from repro.eval.artifacts import register_artifact
+
+    register_artifact("fig99", "m:fig99", "m:Result", text="m:render")
+"""
+
+HYGIENE_BAD_CALL_DUPLICATE = """
+    from repro.eval.artifacts import artifact, register_artifact
+
+    register_artifact(
+        "fig99", "m:fig99", "m:Result", text="m:render", title="First"
+    )
+
+    @artifact("fig99", title="Second")
+    def second(ctx):
+        return None
+"""
+
 HYGIENE_GOOD = """
     from repro.eval.artifacts import artifact
 
     @artifact("fig99", title="Figure 99")
     def fig99(ctx):
         return None
+"""
+
+HYGIENE_GOOD_CALL = """
+    from repro.eval.artifacts import register_artifact
+
+    register_artifact(
+        "fig98", "m:fig98", "m:Result", text="m:render",
+        title="Figure 98",
+    )
 """
 
 
@@ -388,8 +415,11 @@ class TestRegistryHygiene:
             HYGIENE_BAD_MISSING_KW,
             HYGIENE_BAD_EMPTY_VALUE,
             HYGIENE_BAD_DUPLICATE,
+            HYGIENE_BAD_CALL_MISSING_KW,
+            HYGIENE_BAD_CALL_DUPLICATE,
         ],
-        ids=["missing-title", "empty-title", "duplicate-name"],
+        ids=["missing-title", "empty-title", "duplicate-name",
+             "call-missing-title", "call-then-decorator-duplicate"],
     )
     def test_violations_flagged(self, tmp_path, source):
         findings = run_rule(tmp_path, source, "REP005")
@@ -397,6 +427,9 @@ class TestRegistryHygiene:
 
     def test_complete_registration_passes(self, tmp_path):
         assert run_rule(tmp_path, HYGIENE_GOOD, "REP005") == ()
+
+    def test_complete_call_registration_passes(self, tmp_path):
+        assert run_rule(tmp_path, HYGIENE_GOOD_CALL, "REP005") == ()
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +571,20 @@ BUDGET_GOOD_DEFERRED = """
         return asyncio, analysis
 """
 BUDGET_GOOD_LIGHT = "from repro.eval import cache\nimport json\n"
+BUDGET_BAD_FIBERTREE = "from repro.fibertree import FiberTensor, from_dense\n"
+BUDGET_GOOD_SPEC_PARSER = """
+    from typing import TYPE_CHECKING
+
+    from repro.sparsity.pattern import parse_rule
+
+    if TYPE_CHECKING:
+        import numpy as np
+        from repro.fibertree import FiberTensor
+
+    def weight_tensor_spec_view(weights, h_values):
+        from repro.fibertree import from_dense
+        return from_dense(weights, ("C", "R", "S"))
+"""
 
 
 class TestImportBudget:
@@ -567,6 +614,24 @@ class TestImportBudget:
         assert run_rule(
             tmp_path, BUDGET_BAD_NUMPY, "REP007",
             relpath="repro/sim/simulator.py",
+        ) == ()
+
+    @pytest.mark.parametrize("source", (
+        BUDGET_BAD_NUMPY, BUDGET_BAD_FIBERTREE,
+    ), ids=("numpy", "fibertree"))
+    @pytest.mark.parametrize("relpath", (
+        "repro/sparsity/spec.py", "repro/sparsity/library.py",
+    ))
+    def test_spec_parser_is_in_scope(self, tmp_path, source, relpath):
+        """Every paper artifact parses specs; none builds a
+        fibertree."""
+        findings = run_rule(tmp_path, source, "REP007", relpath=relpath)
+        assert [f.rule for f in findings] == ["REP007"]
+
+    def test_spec_parser_may_defer_the_fibertree(self, tmp_path):
+        assert run_rule(
+            tmp_path, BUDGET_GOOD_SPEC_PARSER, "REP007",
+            relpath="repro/sparsity/spec.py",
         ) == ()
 
     def test_package_may_import_its_own_subtree(self, tmp_path):

@@ -186,6 +186,21 @@ class TestSweepSpec:
         assert repeated.b_degrees == (0.0,)
         assert repeated.digest == single.digest
 
+    def test_negative_zero_degree_is_zero(self):
+        negative = protocol.parse_sweep_spec(
+            {"a_degrees": [-0.0, 0.5], "b_degrees": [-0.0], "size": 32}
+        )
+        positive = protocol.parse_sweep_spec(
+            {"a_degrees": [0.0, 0.5], "b_degrees": [0.0], "size": 32}
+        )
+        assert negative.digest == positive.digest
+        assert str(negative.a_degrees[0]) == "0.0"
+        model = protocol.parse_sweep_spec(
+            {"model": "ResNet50", "designs": ["TC"],
+             "degrees": [-0.0, 0.0]}
+        )
+        assert [str(d) for d in model.degrees] == ["0.0"]
+
     def test_model_sweep_degrees_deduplicate_in_order(self):
         spec = protocol.parse_sweep_spec(
             {"model": "ResNet50", "designs": ["TC"],

@@ -1,10 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``bench_*`` module regenerates one table or figure of the paper's
-evaluation section (see the artifact index in the root README.md): the
-benchmark body runs the experiment, and the module prints the same
-rows/series the paper reports so the output can be compared side by
-side.
+Each ``bench_*`` module times one layer of the evaluation stack (cache
+backend, codec, linter, network sweep, service, event stream). The
+paper's claims are checked by the tier-1 suite, not here.
 """
 
 import pytest

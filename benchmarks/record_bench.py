@@ -4,7 +4,7 @@ Measures, in-process, the wall times of the evaluation stack:
 
 * the Fig. 15-style deit_small network sweep (`bench_network_sweep.py`
   shape) — cold (empty persistent cache) and warm (populated cache);
-* the Fig. 13 synthetic grid (`bench_fig13.py` shape) — cold and warm;
+* the Fig. 13 synthetic grid — cold and warm;
 * ``repro all`` end to end — cold and warm (recorded under the
   ``repro_all_jobs1`` key, its name from when ``repro all`` took a
   worker count, so existing baselines still gate it).

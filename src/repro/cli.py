@@ -10,7 +10,7 @@ Usage::
     python -m repro cache merge DIR...      # fan-in sharded cache fills
     python -m repro serve [--port N]        # long-lived evaluation service
     python -m repro list [--filter k=v]     # registered designs/artifacts
-    python -m repro report [--output PATH]  # EXPERIMENTS.md record
+    python -m repro report [--output PATH]  # EXPERIMENTS.md + claims
     python -m repro lint [PATHS]            # repo invariant checker
 
 Bare artifact names keep working as shorthand: ``python -m repro
@@ -22,8 +22,9 @@ Artifacts are declarative specs in the
 :data:`~repro.eval.artifacts.ARTIFACTS` registry: each computes a
 structured result and renders it as ``--format text`` (default, the
 historical output), ``json``, ``csv``, or ``md`` (composable markdown
-sections — ``repro report --format md`` stacks them into an
-EXPERIMENTS.md). One invocation builds a single
+sections — ``repro report`` stacks them into an EXPERIMENTS.md and
+closes it with the registered paper claims, checked). One invocation
+builds a single
 :class:`~repro.eval.engine.EngineContext` — estimator, memoizing
 :class:`~repro.eval.engine.SweepEngine`, optional ``--cache-dir``
 persistent cache — and runs a :class:`~repro.eval.artifacts.RunPlan`
@@ -242,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "object per artifact)",
     )
     _add_engine_options(artifact)
-    artifact.add_argument(
-        "--output",
-        default=None,
-        help="(report mode only — rejected here with an explicit error)",
-    )
 
     sweep = sub.add_parser(
         "sweep",
@@ -371,18 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     report = sub.add_parser(
-        "report", help="write the EXPERIMENTS.md paper-vs-measured record"
+        "report",
+        help="write EXPERIMENTS.md: every artifact plus the paper "
+        "claims table (exit 1 if a claim fails)",
     )
     report.add_argument(
         "--output", default="EXPERIMENTS.md", metavar="PATH",
         help="destination path (default EXPERIMENTS.md)",
-    )
-    report.add_argument(
-        "--format", choices=("full", "md"), default="full",
-        dest="report_format",
-        help="'full' (default) writes the annotated paper-vs-measured "
-        "record; 'md' composes the document from each artifact's "
-        "registry markdown section",
     )
     _add_engine_options(report)
 
@@ -515,11 +506,6 @@ def _stream_stats_line(event: ArtifactFinished) -> str:
 
 def _cmd_artifact(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> int:
-    if args.output is not None:
-        parser.error(
-            "--output is only valid with the 'report' subcommand "
-            "(artifacts print to stdout)"
-        )
     from repro.eval.artifacts import (
         ArtifactFinished,
         RunFinished,
@@ -867,38 +853,34 @@ def _cmd_list(args: argparse.Namespace,
 
 def _cmd_report(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
-    from repro.eval.report import run_markdown_report, write_report
+    from repro.eval.report import run_report
     from repro.eval.runs import record_from_artifacts, write_text_atomic
 
-    if args.report_format == "full" and args.record:
-        parser.error(
-            "--record applies to 'report --format md' (the full "
-            "report has no structured artifact results to record)"
-        )
     _check_output_path(
         parser, "--output", args.output, create_parents=False
     )
     ctx = _build_context(args, parser)
     with closing(ctx.engine):
-        if args.report_format == "md":
-            document, outcome = run_markdown_report(
-                ctx, list(_artifacts().names())
+        report = run_report(ctx)
+        write_text_atomic(args.output, report.document)
+        if ctx.record_path:
+            record = record_from_artifacts(
+                command="report",
+                results=report.outcome.results,
+                engine=ctx.engine,
+                wall_time_s=report.outcome.wall_time_s,
+                artifact_stats=report.outcome.artifact_stats(),
             )
-            write_text_atomic(args.output, document)
-            if ctx.record_path:
-                record = record_from_artifacts(
-                    command="report",
-                    results=outcome.results,
-                    engine=ctx.engine,
-                    wall_time_s=outcome.wall_time_s,
-                    artifact_stats=outcome.artifact_stats(),
-                )
-                print(f"wrote {record.write(ctx.record_path)}",
-                      file=sys.stderr)
-        else:
-            write_report(args.output, ctx)
+            print(f"wrote {record.write(ctx.record_path)}",
+                  file=sys.stderr)
         print(f"wrote {args.output}")
-        return 0
+        for failed in report.failed:
+            print(
+                f"repro: paper claim failed: {failed.artifact} "
+                f"{failed.claim.id}: {failed.measured}",
+                file=sys.stderr,
+            )
+        return 1 if report.failed else 0
 
 
 def _split_rule_list(raw: Optional[str]) -> Optional[List[str]]:

@@ -15,6 +15,12 @@ the registry itself holds only names and titles, so ``repro list``
 reads it without importing :mod:`repro.eval.experiments` or the
 evaluation engine.
 
+Each artifact also declares the paper claims its result must
+reproduce, as :class:`Claim` s whose checks live in
+:mod:`repro.eval.claims` (again named by reference). ``repro report``
+and the tier-1 suite both run these registered checks, so every claim
+is stated and checked in exactly one place.
+
 Because every ``compute`` takes one
 :class:`~repro.eval.engine.EngineContext`, a whole ``repro all``
 invocation shares a single memoizing engine — and therefore inherits
@@ -44,6 +50,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    ClassVar,
     Dict,
     Iterator,
     List,
@@ -63,14 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: An object, or the ``"module:attr"`` that names it.
 Ref = Union[str, Any]
 
-#: The :class:`ArtifactInfo` attributes resolved from references, and
-#: the field each one reads.
-_RESOLVED = {
-    "compute": "compute_ref",
-    "result_type": "result_ref",
-    "render_text": "text_ref",
-}
-
 
 def _resolve(ref: Ref) -> Any:
     if not isinstance(ref, str):
@@ -79,8 +78,47 @@ def _resolve(ref: Ref) -> Any:
     return getattr(importlib.import_module(module), attr)
 
 
+class _Resolving:
+    """Resolves each attribute named in ``_RESOLVED`` from the
+    reference field it maps to, on first access, and keeps it."""
+
+    _RESOLVED: ClassVar[Dict[str, str]] = {}
+
+    def __getattr__(self, attr: str) -> Any:
+        # Reached only while ``attr`` is unset on the instance.
+        ref = self._RESOLVED.get(attr)
+        if ref is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute "
+                f"{attr!r}"
+            )
+        value = _resolve(getattr(self, ref))
+        object.__setattr__(self, attr, value)
+        return value
+
+
 @dataclass(frozen=True)
-class ArtifactInfo:
+class Claim(_Resolving):
+    """One paper claim an artifact's result must reproduce.
+
+    ``check`` (``check(result, ctx) -> (measured, passed)``, with
+    ``measured`` a short human-readable string) resolves from
+    ``check_ref`` on first access. ``ctx`` is the run's
+    :class:`~repro.eval.engine.EngineContext`, so a check can reuse
+    anything the run already computed.
+    """
+
+    _RESOLVED: ClassVar[Dict[str, str]] = {"check": "check_ref"}
+
+    #: Unique across the registry.
+    id: str
+    #: What the paper states.
+    paper: str
+    check_ref: Ref
+
+
+@dataclass(frozen=True)
+class ArtifactInfo(_Resolving):
     """One registered artifact: its name and title, and where its
     compute function and renderers live.
 
@@ -91,25 +129,21 @@ class ArtifactInfo:
     their references on first access and are kept after that.
     """
 
+    _RESOLVED: ClassVar[Dict[str, str]] = {
+        "compute": "compute_ref",
+        "result_type": "result_ref",
+        "render_text": "text_ref",
+    }
+
     name: str
     compute_ref: Ref
     result_ref: Ref
     text_ref: Ref
     #: One-line description for listings.
     title: str = ""
+    #: The paper claims this artifact's result must reproduce.
+    claims: Tuple[Claim, ...] = ()
     metadata: Dict[str, Any] = field(default_factory=dict)
-
-    def __getattr__(self, attr: str) -> Any:
-        # Reached only while ``attr`` is unset on the instance.
-        ref = _RESOLVED.get(attr)
-        if ref is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute "
-                f"{attr!r}"
-            )
-        value = _resolve(getattr(self, ref))
-        object.__setattr__(self, attr, value)
-        return value
 
     def render(self, result: Any, fmt: str = "text") -> str:
         """The result in one of the supported output formats."""
@@ -144,6 +178,19 @@ class ArtifactRegistry:
         if info.name in self._artifacts:
             raise EvaluationError(
                 f"artifact already registered: {info.name!r}"
+            )
+        ids = [claim.id for claim in info.claims]
+        taken = {
+            claim.id
+            for other in self._artifacts.values()
+            for claim in other.claims
+        }
+        duplicates = sorted(
+            {i for i in ids if ids.count(i) > 1 or i in taken}
+        )
+        if duplicates:
+            raise EvaluationError(
+                f"claim id(s) already registered: {', '.join(duplicates)}"
             )
         self._artifacts[info.name] = info
         return info
@@ -197,10 +244,12 @@ def register_artifact(
     text: Ref,
     title: str = "",
     registry: Optional[ArtifactRegistry] = None,
+    claims: Sequence[Claim] = (),
     **metadata: Any,
 ) -> ArtifactInfo:
     """Register the named artifact; ``compute``, ``result_type`` and
-    ``text`` are objects or ``"module:attr"`` references.
+    ``text`` are objects or ``"module:attr"`` references, and so is
+    each claim's check. A claim id already registered raises.
 
     ::
 
@@ -209,6 +258,11 @@ def register_artifact(
             "repro.eval.experiments:Fig6Result",
             text="repro.eval.reporting:render_fig6",
             title="Fig. 6 — one-rank S vs two-rank SS designs",
+            claims=(
+                Claim("overhead_ratio_above_2",
+                      "SS has >2x less muxing overhead than S",
+                      "repro.eval.claims:fig6_overhead_ratio_above_2"),
+            ),
         )
     """
     target = registry if registry is not None else ARTIFACTS
@@ -219,6 +273,7 @@ def register_artifact(
             result_ref=result_type,
             text_ref=text,
             title=title,
+            claims=tuple(claims),
             metadata=dict(metadata),
         )
     )
@@ -299,6 +354,16 @@ def _csv_cell(value: Any) -> Any:
 _E = "repro.eval.experiments"
 _R = "repro.eval.reporting"
 
+
+def _claims(artifact: str, *claims: Tuple[str, str]) -> Tuple[Claim, ...]:
+    """``(id, paper)`` pairs as claims checked by
+    ``repro.eval.claims:<artifact>_<id>``."""
+    return tuple(
+        Claim(claim_id, paper, f"repro.eval.claims:{artifact}_{claim_id}")
+        for claim_id, paper in claims
+    )
+
+
 register_artifact(
     "tables", f"{_E}:tables", f"{_E}:TablesResult",
     text=f"{_R}:render_tables",
@@ -307,36 +372,124 @@ register_artifact(
 register_artifact(
     "fig2", f"{_E}:fig2", f"{_E}:Fig2Result", text=f"{_R}:render_fig2",
     title="Fig. 2 — accuracy-matched motivational comparison",
+    claims=_claims(
+        "fig2",
+        ("stc_beats_dstc_on_transformer",
+         "STC has lower EDP than DSTC on Transformer-Big"),
+        ("dstc_beats_stc_on_resnet",
+         "DSTC has lower EDP than STC on ResNet50"),
+        ("highlight_lowest_on_both",
+         "HighLight has the lowest EDP on both networks"),
+        ("accuracy_matched_degrees",
+         "ResNet50 prunes harder than Transformer-Big at <0.5% loss"),
+    ),
 )
 register_artifact(
     "fig6", f"{_E}:fig6", f"{_E}:Fig6Result", text=f"{_R}:render_fig6",
     title="Fig. 6 — one-rank S vs two-rank SS designs",
+    claims=_claims(
+        "fig6",
+        ("fifteen_degrees_each",
+         "S and SS each support 15 degrees across 0-87.5%"),
+        ("overhead_ratio_above_2",
+         "SS has >2x less muxing overhead than S"),
+        ("latency_equals_density",
+         "normalized latency equals density at every degree"),
+    ),
 )
 register_artifact(
     "fig13", f"{_E}:fig13", "repro.eval.engine:SweepResult",
     text=f"{_R}:render_fig13_artifact",
     title="Fig. 13 — synthetic sparsity sweep",
+    claims=_claims(
+        "fig13",
+        ("highlight_best_edp_every_cell",
+         "HighLight has the best EDP in every cell (2% parity)"),
+        ("highlight_dense_parity",
+         "HighLight matches dense EDP on the dense cell (2%)"),
+        ("stc_capped_at_2x_speed", "STC's speedup is capped at 2x"),
+        ("highlight_structured_speedups",
+         "HighLight runs 2x / 4x faster at 50% / 75% A sparsity"),
+        ("dstc_worse_than_dense_at_low_sparsity",
+         "DSTC has worse-than-dense EDP at low sparsity"),
+        ("dstc_wins_speed_at_high_sparsity",
+         "DSTC is faster than HighLight at 75%/75% sparsity"),
+        ("s2ta_unsupported_on_dense_cells",
+         "S2TA cannot run dense-A cells"),
+        ("orderings_survive_cost_perturbation",
+         "(robustness) the EDP orderings hold with each key cost "
+         "constant scaled by +/-30%"),
+        ("orderings_hold_on_dnn_shapes",
+         "(robustness) the EDP orderings hold, >5x over dense, on "
+         "DNN-realistic GEMM shapes (10% parity)"),
+    ),
 )
 # Regenerating the Fig. 13 sweep is free under the shared context.
 register_artifact(
     "fig14", f"{_E}:fig14_from_context", f"{_E}:Fig14Result",
     text=f"{_R}:render_fig14",
     title="Fig. 14 — geomean normalized metrics",
+    claims=_claims(
+        "fig14",
+        ("highlight_best_geomean_all_metrics",
+         "HighLight has the best geomean EDP, ED^2 and energy"),
+        ("headline_gains",
+         "6.4x geomean (up to 20.4x) lower EDP than dense; 2.7x "
+         "geomean vs the sparse designs"),
+        ("all_gains_at_least_parity",
+         "HighLight's geomean EDP beats each sparse design"),
+    ),
 )
 register_artifact(
     "fig15", f"{_E}:fig15", f"{_E}:Fig15Result",
     text=f"{_R}:render_fig15",
     title="Fig. 15 — EDP vs accuracy-loss Pareto frontiers",
+    claims=_claims(
+        "fig15",
+        ("highlight_on_all_frontiers",
+         "HighLight is on every network's Pareto frontier"),
+        ("s2ta_absent_from_attention_models",
+         "S2TA cannot process the attention models"),
+        ("s2ta_present_on_resnet", "S2TA does process ResNet50"),
+        ("dstc_worse_than_dense_on_compact_models",
+         "DSTC can be worse than dense on the denser models"),
+        ("loss_grows_with_sparsity",
+         "accuracy loss grows with weight sparsity"),
+        ("efficientnet_on_frontier",
+         "(extension, Sec. 1) HighLight is on EfficientNet-B0's "
+         "frontier"),
+        ("efficientnet_dstc_near_dense",
+         "(extension, Sec. 1) on EfficientNet-B0 DSTC beats dense, "
+         "yet stays within 10% of dense EDP at some degree"),
+    ),
 )
 register_artifact(
     "fig16", f"{_E}:fig16", f"{_E}:Fig16Result",
     text=f"{_R}:render_fig16",
     title="Fig. 16 — sparsity tax (energy + area breakdown)",
+    claims=_claims(
+        "fig16",
+        ("saf_area_share_near_5_7",
+         "SAFs are 5.7% of HighLight's area (+/-1.5 points)"),
+        ("highlight_lowest_energy", "HighLight has the lowest energy"),
+        ("dstc_rf_dominated",
+         "DSTC's energy is dominated by accumulation (RF) traffic"),
+        ("highlight_saf_energy_small",
+         "SAFs are <5% of HighLight's energy"),
+    ),
 )
 register_artifact(
     "fig17", f"{_E}:fig17", f"{_E}:Fig17Result",
     text=f"{_R}:render_fig17",
     title="Fig. 17 — dual-side HSS (DSSO) processing speed",
+    claims=_claims(
+        "fig17",
+        ("highlight_flat_2x", "HighLight stays at its A-side 2x"),
+        ("dsso_speed_scales_with_h",
+         "DSSO's speed scales with B's H"),
+        ("dsso_2x_at_common_degree",
+         "DSSO is 2x HighLight when B is C1(2:4)"),
+    ),
 )
 
 

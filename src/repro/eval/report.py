@@ -1,256 +1,113 @@
-"""Generate EXPERIMENTS.md: paper-vs-measured for every table/figure.
+"""Generate EXPERIMENTS.md: every artifact, then the paper's claims.
 
-Two flavours: :func:`build_report` writes the annotated
-paper-vs-measured record (the default ``repro report``), and
-:func:`build_markdown_report` composes the same document skeleton
-purely from the artifacts' ``md`` renders via the run API
-(``repro report --format md``) — every section is the registry's own
-markdown rendering, so a new artifact shows up in the report by being
-registered, with no report code.
+:func:`run_report` runs the registered artifacts as one
+:class:`~repro.eval.artifacts.RunPlan`, stacks each result's ``md``
+rendering (the registry's own markdown section) under a document
+header, and closes with a "Paper claims" table: every
+:class:`~repro.eval.artifacts.Claim` the artifacts register, checked
+against the measured results. A new artifact or claim shows up in the
+report by being registered, with no report code.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
-from repro.energy import Estimator
-from repro.eval import experiments as E
-from repro.eval import reporting as R
-from repro.eval.engine import ContextLike, EngineContext
-from repro.eval.runs import write_text_atomic
-from repro.utils import geomean
-
-HEADER = """\
-# EXPERIMENTS — paper vs. measured
-
-Generated by ``python -m repro report``. Every table and figure of the
-paper's evaluation (Sec. 7) is regenerated by the modules listed in
-DESIGN.md; this file records the measured shapes next to the paper's
-claims. Absolute pJ/cycle values differ from the authors' 65 nm RTL +
-Sparseloop numbers by construction (see DESIGN.md substitutions); the
-reproduction targets are the *relative* results.
-"""
-
-
-def build_report(ctx: ContextLike = None) -> str:
-    # One context for the whole report: every figure shares the same
-    # memoizing engine, so revisited cells/layers are cache hits. A
-    # caller-supplied context brings its persistent cache along.
-    ctx = EngineContext.coerce(ctx if ctx is not None else Estimator())
-    estimator = ctx.estimator
-    sections: List[str] = [HEADER]
-
-    # --- Tables -------------------------------------------------------
-    sections.append(
-        "## Tables 1-4\n\nStructural (no measurement): regenerated "
-        "verbatim from the design/pattern definitions — see "
-        "`benchmarks/bench_tables.py`.\n\n```\n"
-        + R.format_table(
-            ["design", "patterns"],
-            [[r["design"], r["patterns"]] for r in E.table3()],
-        )
-        + "\n```"
-    )
-
-    # --- Fig. 2 --------------------------------------------------------
-    fig2 = E.fig2(ctx)
-    tb = fig2.results["Transformer-Big"]
-    rn = fig2.results["ResNet50"]
-    sections.append(
-        "## Fig. 2 — motivational accuracy-matched EDP\n\n"
-        "Paper: STC beats DSTC on Transformer-Big; DSTC beats STC on "
-        "ResNet50; HighLight lowest on both.\n\nMeasured (normalized "
-        "network EDP, <0.5% accuracy loss):\n\n```\n"
-        + R.render_fig2(fig2)
-        + "\n```\n\n"
-        f"Shape check: TB STC {tb['STC'][1]:.3f} < DSTC "
-        f"{tb['DSTC'][1]:.3f}: OK; RN50 DSTC {rn['DSTC'][1]:.3f} < STC "
-        f"{rn['STC'][1]:.3f}: OK; HighLight lowest on both: OK."
-    )
-
-    # --- Fig. 6 --------------------------------------------------------
-    fig6 = E.fig6()
-    sections.append(
-        "## Fig. 6 — one-rank S vs two-rank SS\n\n"
-        "Paper: both support 15 degrees across 0-87.5%; SS has >2x "
-        "less muxing overhead.\n\nMeasured: "
-        f"S supports {len(fig6.latency_curves['S'])} degrees, SS "
-        f"{len(fig6.latency_curves['SS'])}; overhead ratio "
-        f"{fig6.overhead_ratio:.2f}x."
-    )
-
-    # --- Fig. 13/14 -----------------------------------------------------
-    sweep = E.fig13(ctx)
-    geomean_tc, max_tc = sweep.gain_over("TC")
-    sparse_gains = {
-        design: sweep.gain_over(design)
-        for design in ("STC", "DSTC", "S2TA")
-    }
-    combined = geomean([g for g, _ in sparse_gains.values()])
-    sections.append(
-        "## Fig. 13 — synthetic sweep (normalized EDP)\n\n"
-        "Paper: HighLight always best EDP; parity on dense; STC capped "
-        "at 2x; DSTC worse-than-dense at low sparsity; S2TA cannot run "
-        "dense-A cells.\n\n```\n"
-        + R.render_fig13(sweep, "edp")
-        + "\n\n"
-        + R.render_fig13(sweep, "cycles")
-        + "\n```"
-    )
-    sections.append(
-        "## Fig. 14 — geomeans\n\n```\n"
-        + R.render_fig14(E.fig14(sweep))
-        + "\n```\n\n"
-        "| claim | paper | measured |\n|---|---|---|\n"
-        f"| EDP vs dense (geomean) | 6.4x | {geomean_tc:.1f}x |\n"
-        f"| EDP vs dense (max) | 20.4x | {max_tc:.1f}x |\n"
-        f"| EDP vs sparse designs (geomean) | 2.7x | {combined:.1f}x |\n"
-        f"| EDP vs sparse designs (max) | 5.9x | "
-        f"{max(m for _, m in sparse_gains.values()):.1f}x |\n\n"
-        "Per-baseline geomean/max: "
-        + "; ".join(
-            f"{design} {g:.1f}x/{m:.1f}x"
-            for design, (g, m) in sparse_gains.items()
-        )
-        + ". Unsupported S2TA cells count at baseline parity in "
-        "geomeans. HighLight's *latency* geomean is comparable-to-best "
-        "(dual-side skippers are faster at extreme sparsity), matching "
-        "the paper's wording."
-    )
-
-    # --- Fig. 15 ---------------------------------------------------------
-    fig15 = E.fig15(ctx)
-    frontier_flags = {
-        model: fig15.highlight_on_frontier(model)
-        for model in fig15.points
-    }
-    sections.append(
-        "## Fig. 15 — EDP vs accuracy-loss Pareto\n\n"
-        "Paper: HighLight always on the frontier; STC great only at its "
-        "single degree; S2TA cannot process the attention models; DSTC "
-        "can be worse than dense on the denser models.\n\n```\n"
-        + R.render_fig15(fig15)
-        + "\n```\n\nHighLight on frontier: "
-        + ", ".join(
-            f"{model}: {'yes' if flag else 'NO'}"
-            for model, flag in frontier_flags.items()
-        )
-        + "."
-    )
-
-    # --- Fig. 16 ----------------------------------------------------------
-    fig16 = E.fig16(ctx)
-    sections.append(
-        "## Fig. 16 — sparsity tax\n\n"
-        "Paper: SAFs are 5.7% of HighLight's area; HighLight's energy "
-        "has no dominant sparsity-tax component, unlike DSTC's "
-        "accumulation traffic.\n\n```\n"
-        + R.render_fig16(fig16)
-        + "\n```\n\nMeasured SAF area share: "
-        f"{fig16.highlight_saf_area_fraction:.1%} (paper: 5.7%)."
-    )
-
-    # --- sensitivity --------------------------------------------------------
-    from repro.eval.sensitivity import summarize, sweep_sensitivity
-
-    outcomes = sweep_sensitivity()
-    sections.append(
-        "## Robustness — cost-model sensitivity\n\n"
-        "Every key 65 nm constant scaled by +/-30%; the Fig. 13 "
-        "headline orderings re-checked each time.\n\n```\n"
-        + summarize(outcomes)
-        + "\n```\n\nAll orderings hold: "
-        + ("yes" if all(o.all_hold for o in outcomes) else "NO")
-        + "."
-    )
-
-    # --- shape robustness ----------------------------------------------------
-    from repro.eval.shapes import summarize_shapes, sweep_shapes
-
-    shape_outcomes = sweep_shapes(estimator=estimator,
-                                  parity_tolerance=0.10)
-    sections.append(
-        "## Robustness — workload shapes\n\n"
-        "The Fig. 13 orderings re-checked on DNN-realistic GEMM shapes "
-        "(10% parity tolerance: at the N=1 classifier corner "
-        "HighLight's two-rank metadata costs ~8% with no compute to "
-        "amortize it).\n\n```\n"
-        + summarize_shapes(shape_outcomes)
-        + "\n```"
-    )
-
-    # --- extension: EfficientNet-B0 -------------------------------------------
-    ext = E.ext_efficientnet(ctx)
-    sections.append(
-        "## Extension — EfficientNet-B0 (Sec. 1's compact-model "
-        "motivation)\n\n```\n"
-        + R.render_fig15(ext)
-        + "\n```\n\nHighLight on frontier: "
-        + ("yes" if ext.highlight_on_frontier("EfficientNet-B0")
-           else "NO")
-        + "; S2TA unsupported (dense depthwise/stem layers); DSTC "
-        "barely better than dense at accuracy-preserving degrees — "
-        "the compact-model story the paper's introduction tells."
-    )
-
-    # --- Fig. 17 -----------------------------------------------------------
-    fig17 = E.fig17(ctx)
-    sections.append(
-        "## Fig. 17 — dual-side HSS (DSSO)\n\n"
-        "Paper: DSSO reaches 2x HighLight's speed at the commonly "
-        "supported degrees.\n\n```\n"
-        + R.render_fig17(fig17)
-        + "\n```\n\nMeasured DSSO gain at C1(2:4): "
-        f"{fig17.dsso_gain(4):.2f}x."
-    )
-
-    return "\n\n".join(sections) + "\n"
-
-
-def write_report(path: str = "EXPERIMENTS.md",
-                 ctx: ContextLike = None) -> None:
-    """Write the paper-vs-measured record to ``path`` atomically."""
-    write_text_atomic(path, build_report(ctx))
-
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.eval.artifacts import Claim, RunOutcome
+    from repro.eval.engine import ContextLike, EngineContext
 
 MD_HEADER = """\
-# EXPERIMENTS — rendered artifacts
+# EXPERIMENTS — paper vs. measured
 
-Generated by ``python -m repro report --format md``: every registered
-artifact rendered as a composable markdown section (the artifact
-registry's ``md`` format), in paper order. Each section regenerates
-standalone via the command it names; the default ``repro report``
-writes the annotated paper-vs-measured record instead.
+Generated by ``python -m repro report``: every registered artifact
+rendered as a markdown section, in paper order, then each paper claim
+the artifacts register, checked against the measured results. Each
+section regenerates standalone via the command it names. Absolute
+pJ/cycle values differ from the authors' 65 nm RTL + Sparseloop
+numbers by construction; the reproduction targets are the *relative*
+results the claims state.
 """
 
 
-def compose_markdown(results) -> str:
-    """Computed artifact results stacked into one markdown document.
+@dataclass(frozen=True)
+class ClaimOutcome:
+    """One registered claim checked against its artifact's result."""
 
-    ``results`` is the run API's name -> structured-result mapping;
-    each section is the registry's own ``md`` rendering, under the
-    document header.
-    """
+    artifact: str
+    claim: Claim
+    measured: str
+    passed: bool
+
+
+@dataclass(frozen=True)
+class Report:
+    """A generated EXPERIMENTS.md and what it was built from."""
+
+    document: str
+    outcome: RunOutcome
+    claims: Tuple[ClaimOutcome, ...]
+
+    @property
+    def failed(self) -> Tuple[ClaimOutcome, ...]:
+        return tuple(c for c in self.claims if not c.passed)
+
+
+def check_claims(
+    results: Dict[str, Any], ctx: EngineContext
+) -> Tuple[ClaimOutcome, ...]:
+    """Every claim registered on the artifacts in ``results`` (name ->
+    structured result), checked in registry order under ``ctx``."""
     from repro.eval.artifacts import ARTIFACTS
 
-    sections = [MD_HEADER] + [
-        ARTIFACTS[name].render(result, "md")
-        for name, result in results.items()
+    outcomes = []
+    for name, result in results.items():
+        for claim in ARTIFACTS[name].claims:
+            measured, passed = claim.check(result, ctx)
+            outcomes.append(
+                ClaimOutcome(name, claim, measured, bool(passed))
+            )
+    return tuple(outcomes)
+
+
+def _cell(text: str) -> str:
+    return text.replace("|", "\\|")
+
+
+def claims_table(outcomes: Sequence[ClaimOutcome]) -> str:
+    """The report's closing "Paper claims" section."""
+    held = sum(outcome.passed for outcome in outcomes)
+    lines = [
+        "## Paper claims",
+        "",
+        f"{held} of {len(outcomes)} claims hold. Each row is a "
+        "registered claim; `repro report` exits 1 if any row reads "
+        "FAIL.",
+        "",
+        "| claim | paper | measured | pass |",
+        "|---|---|---|---|",
     ]
-    return "\n\n".join(sections) + "\n"
+    lines.extend(
+        f"| {outcome.artifact} `{outcome.claim.id}` "
+        f"| {_cell(outcome.claim.paper)} | {_cell(outcome.measured)} "
+        f"| {'pass' if outcome.passed else 'FAIL'} |"
+        for outcome in outcomes
+    )
+    return "\n".join(lines)
 
 
-def run_markdown_report(
+def run_report(
     ctx: ContextLike = None,
     names: Optional[Sequence[str]] = None,
-):
-    """Run the artifacts and compose the markdown report.
+) -> Report:
+    """Run the artifacts, check their claims, compose the report.
 
-    Runs the named artifacts (default: all, paper order) as one
-    :class:`~repro.eval.artifacts.RunPlan` — one shared memoization
-    domain — and stacks each result's registry markdown section under
-    a document header. Returns ``(document, outcome)`` so callers can
-    also record the run's per-artifact stats (the CLI's ``--record``).
+    Runs the named artifacts (default: all, paper order) under one
+    shared context, so the claim checks reuse every evaluation the
+    artifacts made. The returned :class:`Report` also carries the
+    run outcome, for callers that record the run (the CLI's
+    ``--record``).
     """
     from repro.eval.artifacts import ARTIFACTS, RunPlan
 
@@ -258,13 +115,17 @@ def run_markdown_report(
         list(names) if names is not None else list(ARTIFACTS), ctx
     )
     outcome = plan.run()
-    return compose_markdown(outcome.results), outcome
-
-
-def build_markdown_report(
-    ctx: ContextLike = None,
-    names: Optional[Sequence[str]] = None,
-) -> str:
-    """EXPERIMENTS.md composed from the artifacts' ``md`` renders."""
-    document, _ = run_markdown_report(ctx, names)
-    return document
+    claims = check_claims(outcome.results, plan.ctx)
+    sections = (
+        [MD_HEADER]
+        + [
+            ARTIFACTS[name].render(result, "md")
+            for name, result in outcome.results.items()
+        ]
+        + [claims_table(claims)]
+    )
+    return Report(
+        document="\n\n".join(sections) + "\n",
+        outcome=outcome,
+        claims=claims,
+    )

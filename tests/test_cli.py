@@ -16,7 +16,7 @@ from repro.energy import Estimator
 from repro.eval import experiments as E
 from repro.eval.artifacts import ARTIFACTS
 from repro.eval.cache import _sqlite_connect_rw, estimator_fingerprint
-from repro.eval.report import build_report
+from repro.eval.report import run_report
 
 
 class TestCli:
@@ -54,18 +54,19 @@ class TestCli:
         assert main(["report", "--output", str(path)]) == 0
         content = path.read_text()
         assert "paper vs. measured" in content
+        assert "## Paper claims" in content
 
     def test_output_outside_report_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(["artifact", "fig6", "--output", "somewhere.md"])
-        err = capsys.readouterr().err
-        assert "report" in err
+        assert exit_info.value.code == 2
+        assert "--output" in capsys.readouterr().err
 
 
 class TestReport:
     @pytest.fixture(scope="class")
     def report(self):
-        return build_report()
+        return run_report().document
 
     def test_covers_every_artifact(self, report):
         for artifact in (
@@ -79,7 +80,12 @@ class TestReport:
         assert "5.7%" in report  # the SAF area share
 
     def test_frontier_flags_positive(self, report):
-        assert "NO" not in report.split("Fig. 15")[1].split("Fig. 16")[0]
+        rows = [
+            line for line in report.splitlines()
+            if line.startswith("| fig15 ") and "frontier" in line
+        ]
+        assert len(rows) == 2
+        assert all(row.endswith("| pass |") for row in rows)
 
 
 class TestSweepSubcommand:
@@ -583,13 +589,12 @@ class TestOutputPathValidation:
         (["sweep", "--designs", "TC", "--size", "64", "--record"], "."),
         (["tables", "--record"], "."),
         (["report", "--output"], "missing/x.md"),
-        (["report", "--format", "md", "--output"], "missing/x.md"),
         (["report", "--output"], "."),
         (["sweep", "--designs", "TC", "--size", "64", "--record"],
          "file/x.json"),
     ), ids=(
         "sweep-record-dir", "artifact-record-dir", "report-missing-dir",
-        "report-md-missing-dir", "report-output-dir",
+        "report-output-dir",
         "record-under-a-file",
     ))
     def test_unwritable_output_is_a_usage_error(
@@ -611,7 +616,10 @@ class TestOutputPathValidation:
         self, tmp_path, monkeypatch, fmt
     ):
         """The report is written beside the target and renamed over
-        it, so a write that fails leaves the old file whole."""
+        it, so a write that fails leaves the old file whole. ``md``
+        writes the markdown report alone; ``full`` also asks for the
+        run record, which a failed report write must not leave
+        behind either."""
         import repro.eval.runs as runs_mod
 
         def failing_replace(src, dst):
@@ -620,8 +628,11 @@ class TestOutputPathValidation:
         monkeypatch.setattr(runs_mod.os, "replace", failing_replace)
         output = tmp_path / "EXPERIMENTS.md"
         output.write_text("old report\n")
+        argv = ["report", "--output", str(output)]
+        if fmt == "full":
+            argv += ["--record", str(tmp_path / "run.json")]
         with pytest.raises(OSError, match="disk full"):
-            main(["report", "--format", fmt, "--output", str(output)])
+            main(argv)
         assert output.read_text() == "old report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["EXPERIMENTS.md"]
 
@@ -1054,6 +1065,21 @@ class TestImportBudget:
         assert result.returncode == 0, result.stderr
         golden = Path(__file__).parent / "golden" / "all.txt"
         assert result.stdout == golden.read_text()
+
+    def test_report_loads_no_numpy(self, tmp_path):
+        """``repro report`` runs every artifact and checks every claim
+        without numpy; the commands that check no claims never import
+        the claim checks."""
+        argv = ["report", "--output", str(tmp_path / "EXPERIMENTS.md")]
+        assert loaded_after(
+            f"from repro.cli import main\nmain({argv!r})", ("numpy",)
+        ) == []
+        for code in (
+            "from repro.cli import main\nmain(['list'])",
+            "from repro.cli import main\nmain(['all'])",
+            SERVE_ALL_PROBE,
+        ):
+            assert loaded_after(code, ("repro.eval.claims",)) == [], code
 
     def test_served_all_loads_no_numpy(self):
         """An in-process service answering ``{"artifacts": "all"}``

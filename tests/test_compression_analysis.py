@@ -67,6 +67,27 @@ class TestFootprints:
             footprint.ratio_vs_dense(0)
 
 
+class TestAcrossDegrees:
+    @pytest.mark.parametrize("ranks, degree", (
+        (((2, 4), (4, 4)), 0.5),
+        (((2, 4), (3, 4)), 0.625),
+        (((2, 4), (2, 4)), 0.75),
+    ))
+    def test_hierarchical_cp_beats_dense(self, rng, ranks, degree):
+        """Sec. 6.2's format choice: at every HSS degree the
+        hierarchical format stores less than dense, and well under half
+        of it at 75%."""
+        pattern = HSSPattern.from_ratios(*ranks)
+        assert pattern.sparsity == pytest.approx(degree)
+        row = sparsify(rng.normal(size=1024), pattern)
+        ratio = storage_footprints(row, pattern)[
+            "hierarchical_cp"
+        ].ratio_vs_dense(1024)
+        assert ratio < 1.0
+        if degree == 0.75:
+            assert ratio < 0.5
+
+
 class TestTable:
     def test_table_lists_formats(self, hss_row):
         row, pattern = hss_row

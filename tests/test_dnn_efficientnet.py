@@ -75,9 +75,6 @@ class TestExtensionExperiment:
     def result(self, estimator):
         return E.ext_efficientnet(estimator)
 
-    def test_highlight_on_frontier(self, result):
-        assert result.highlight_on_frontier("EfficientNet-B0")
-
     def test_s2ta_unsupported(self, result):
         designs = {p.design for p in result.points["EfficientNet-B0"]}
         assert "S2TA" not in designs

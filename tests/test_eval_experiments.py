@@ -1,18 +1,20 @@
-"""Tests for the experiment registry (one class per figure/table)."""
+"""Tests for the experiment registry (one class per figure/table).
+
+Each class holds the structural tests of one artifact, plus one
+``test_<claim id>`` per paper claim the artifact registers (attached
+at the bottom of this module): the claim's registered check is the
+only place the claim is asserted.
+"""
 
 import pytest
 
 from repro.eval import experiments as E
+from repro.eval.artifacts import ARTIFACTS
 
 
 @pytest.fixture(scope="module")
-def sweep(estimator):
-    return E.fig13(estimator)
-
-
-@pytest.fixture(scope="module")
-def pareto(estimator):
-    return E.fig15(estimator)
+def sweep(paper_run):
+    return paper_run[1]["fig13"]
 
 
 class TestFig13:
@@ -26,106 +28,18 @@ class TestFig13:
         for row in sweep.normalized("edp").values():
             assert row["TC"] == pytest.approx(1.0)
 
-    def test_s2ta_unsupported_on_dense_cells(self, sweep):
-        normalized = sweep.normalized("edp")
-        assert normalized[(0.0, 0.0)]["S2TA"] is None
-        assert normalized[(0.0, 0.25)]["S2TA"] is None
-        assert normalized[(0.5, 0.0)]["S2TA"] is not None
-
-    def test_highlight_best_edp_every_cell(self, sweep):
-        """The paper's headline: HighLight always achieves the best
-        EDP (2% tolerance for parity cells)."""
-        for cell, row in sweep.normalized("edp").items():
-            ours = row["HighLight"]
-            for design, value in row.items():
-                if design == "HighLight" or value is None:
-                    continue
-                assert ours <= value * 1.02, (cell, design)
-
-    def test_highlight_dense_parity(self, sweep):
-        dense = sweep.normalized("edp")[(0.0, 0.0)]["HighLight"]
-        assert dense == pytest.approx(1.0, abs=0.02)
-
-    def test_stc_capped_at_2x_speed(self, sweep):
-        cycles = sweep.normalized("cycles")
-        assert cycles[(0.75, 0.0)]["STC"] == pytest.approx(0.5)
-
-    def test_highlight_structured_speedups(self, sweep):
-        cycles = sweep.normalized("cycles")
-        assert cycles[(0.5, 0.0)]["HighLight"] == pytest.approx(0.5)
-        assert cycles[(0.75, 0.0)]["HighLight"] == pytest.approx(0.25)
-
-    def test_dstc_worse_than_dense_at_low_sparsity(self, sweep):
-        edp = sweep.normalized("edp")
-        assert edp[(0.0, 0.0)]["DSTC"] > 1.0
-        assert edp[(0.0, 0.25)]["DSTC"] > 1.0
-
-    def test_dstc_wins_speed_at_high_sparsity(self, sweep):
-        cycles = sweep.normalized("cycles")
-        assert cycles[(0.75, 0.75)]["DSTC"] < cycles[(0.75, 0.75)][
-            "HighLight"
-        ]
-
 
 class TestFig14:
-    def test_highlight_best_geomean_all_metrics(self, sweep):
-        geomeans = E.fig14(sweep).geomeans
-        for metric in ("edp", "ed2"):
-            per_design = geomeans[metric]
-            best = min(
-                value for key, value in per_design.items()
-            )
-            assert per_design["HighLight"] == best
-
-    def test_headline_gains(self, sweep):
-        """Geomean ~6.4x / up to ~20.4x vs dense; geomean ~2.7x vs the
-        sparse baselines (we accept the same order of magnitude)."""
-        geomean_tc, max_tc = sweep.gain_over("TC")
-        assert 5.0 <= geomean_tc <= 8.0
-        assert 15.0 <= max_tc <= 30.0
-        sparse_geomeans = [
-            sweep.gain_over(design)[0]
-            for design in ("STC", "DSTC", "S2TA")
-        ]
-        combined = (
-            sparse_geomeans[0] * sparse_geomeans[1] * sparse_geomeans[2]
-        ) ** (1 / 3)
-        assert 2.0 <= combined <= 4.0
-
-    def test_all_gains_at_least_parity(self, sweep):
-        for design in ("STC", "DSTC", "S2TA"):
-            geomean, _ = sweep.gain_over(design)
-            assert geomean >= 1.0
+    """Claims only."""
 
 
 class TestFig2(object):
     @pytest.fixture(scope="class")
-    def result(self, estimator):
-        return E.fig2(estimator)
+    def result(self, paper_run):
+        return paper_run[1]["fig2"]
 
     def test_models_evaluated(self, result):
         assert set(result.results) == {"ResNet50", "Transformer-Big"}
-
-    def test_stc_beats_dstc_on_transformer(self, result):
-        per_design = result.results["Transformer-Big"]
-        assert per_design["STC"][1] < per_design["DSTC"][1]
-
-    def test_dstc_beats_stc_on_resnet(self, result):
-        per_design = result.results["ResNet50"]
-        assert per_design["DSTC"][1] < per_design["STC"][1]
-
-    def test_highlight_lowest_on_both(self, result):
-        for per_design in result.results.values():
-            highlight = per_design["HighLight"][1]
-            for design, (_, edp) in per_design.items():
-                assert highlight <= edp + 1e-12, design
-
-    def test_accuracy_matched_degrees(self, result):
-        """ResNet50 prunes harder than Transformer-Big at <0.5% loss."""
-        resnet = result.results["ResNet50"]
-        transformer = result.results["Transformer-Big"]
-        assert resnet["DSTC"][0] > transformer["DSTC"][0]
-        assert resnet["HighLight"][0] >= transformer["HighLight"][0]
 
     def test_per_layer_bars_present(self, result):
         for model, per_design in result.per_layer.items():
@@ -160,101 +74,22 @@ class TestFig2(object):
 
 
 class TestFig15:
-    def test_highlight_on_all_frontiers(self, pareto):
-        for model in pareto.points:
-            assert pareto.highlight_on_frontier(model)
-
-    def test_s2ta_absent_from_attention_models(self, pareto):
-        for model in ("DeiT-small", "Transformer-Big"):
-            designs = {p.design for p in pareto.points[model]}
-            assert "S2TA" not in designs
-
-    def test_s2ta_present_on_resnet(self, pareto):
-        designs = {p.design for p in pareto.points["ResNet50"]}
-        assert "S2TA" in designs
-
-    def test_dstc_worse_than_dense_on_compact_models(self, pareto):
-        """DSTC can introduce worse-than-dense EDP (Sec. 7.3)."""
-        deit_points = [
-            p for p in pareto.points["DeiT-small"] if p.design == "DSTC"
-        ]
-        assert any(p.normalized_edp > 1.0 for p in deit_points)
-
-    def test_loss_grows_with_sparsity(self, pareto):
-        for model, points in pareto.points.items():
-            highlight = sorted(
-                (p for p in points if p.design == "HighLight"),
-                key=lambda p: p.weight_sparsity,
-            )
-            losses = [p.accuracy_loss_pct for p in highlight]
-            assert losses == sorted(losses)
+    """Claims only."""
 
 
 class TestFig16:
-    @pytest.fixture(scope="class")
-    def result(self, estimator):
-        return E.fig16(estimator)
-
-    def test_saf_area_share_near_5_7(self, result):
-        assert result.highlight_saf_area_fraction == pytest.approx(
-            0.057, abs=0.015
-        )
-
-    def test_highlight_lowest_energy(self, result):
-        totals = {
-            design: sum(buckets.values())
-            for design, buckets in result.energy_breakdown.items()
-        }
-        assert totals["HighLight"] == min(totals.values())
-
-    def test_dstc_rf_dominated(self, result):
-        """DSTC's accumulation traffic dominates its energy."""
-        buckets = result.energy_breakdown["DSTC"]
-        assert buckets["rf"] == max(buckets.values())
-
-    def test_highlight_saf_energy_small(self, result):
-        buckets = result.energy_breakdown["HighLight"]
-        assert buckets["saf"] / sum(buckets.values()) < 0.05
-
-    def test_tc_has_no_saf_energy(self, result):
-        assert result.energy_breakdown["TC"].get("saf", 0.0) == 0.0
+    def test_tc_has_no_saf_energy(self, paper_run):
+        buckets = paper_run[1]["fig16"].energy_breakdown["TC"]
+        assert buckets.get("saf", 0.0) == 0.0
 
 
 class TestFig17:
-    @pytest.fixture(scope="class")
-    def result(self, estimator):
-        return E.fig17(estimator, size=256)
-
-    def test_h_range(self, result):
-        assert sorted(result.speeds) == list(range(2, 9))
-
-    def test_highlight_flat_2x(self, result):
-        for highlight_speed, _ in result.speeds.values():
-            assert highlight_speed == pytest.approx(2.0)
-
-    def test_dsso_speed_scales_with_h(self, result):
-        for h, (_, dsso_speed) in result.speeds.items():
-            assert dsso_speed == pytest.approx(h)
-
-    def test_dsso_2x_at_common_degree(self, result):
-        """The paper's headline: 2x at the commonly supported 2:4."""
-        assert result.dsso_gain(4) == pytest.approx(2.0)
+    def test_h_range(self, paper_run):
+        assert sorted(paper_run[1]["fig17"].speeds) == list(range(2, 9))
 
 
 class TestFig6:
-    def test_fifteen_degrees_each(self):
-        result = E.fig6()
-        for curve in result.latency_curves.values():
-            assert len(curve) == 15
-
-    def test_overhead_ratio_above_2(self):
-        assert E.fig6().overhead_ratio > 2.0
-
-    def test_latency_equals_density(self):
-        result = E.fig6()
-        for curve in result.latency_curves.values():
-            for density, latency in curve:
-                assert latency == pytest.approx(density)
+    """Claims only."""
 
 
 class TestTables:
@@ -294,3 +129,20 @@ class TestTables:
         assert rows["TC"]["glb_data_kb"] == 320
         assert rows["HighLight"]["glb_meta_kb"] == 64
         assert all(row["macs"] == 1024 for row in rows.values())
+
+
+def _claim_test(name, claim):
+    def test(self, paper_run):
+        ctx, results = paper_run
+        measured, passed = claim.check(results[name], ctx)
+        assert passed, f"{claim.paper}: measured {measured}"
+
+    test.__doc__ = claim.paper
+    return test
+
+
+# Every registered claim becomes ``Test<Artifact>::test_<claim id>``.
+for _info in ARTIFACTS.infos():
+    _cls = globals()[f"Test{_info.name.capitalize()}"]
+    for _claim in _info.claims:
+        setattr(_cls, f"test_{_claim.id}", _claim_test(_info.name, _claim))

@@ -33,8 +33,8 @@ class TestPerturbTable:
 class TestSweep:
     @pytest.fixture(scope="class")
     def outcomes(self):
-        # A focused subset keeps the test fast; the full grid runs in
-        # benchmarks/bench_sensitivity.py.
+        # A focused subset keeps the test fast; the full grid is the
+        # fig13 claim ``orderings_survive_cost_perturbation``.
         return sweep_sensitivity(
             scales=(0.7, 1.3),
             constants=("mac_pj", "dram_read_pj", "intersection_pj"),

@@ -12,7 +12,8 @@ from repro.eval.shapes import (
 
 @pytest.fixture(scope="module")
 def outcomes(estimator):
-    # A fast subset for unit testing; the full grid runs in benchmarks.
+    # A fast subset for unit testing; the full grid is the fig13 claim
+    # ``orderings_hold_on_dnn_shapes``.
     return sweep_shapes(
         shapes=((256, 256, 256), (1024, 1024, 128)),
         estimator=estimator,

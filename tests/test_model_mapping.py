@@ -85,6 +85,18 @@ class TestSearch:
         curve = dram_traffic_vs_glb(workload(), sizes)
         assert curve == sorted(curve, reverse=True)
 
+    def test_compression_wins_at_every_glb_size(self):
+        """75%-sparse operands move less DRAM traffic than dense ones
+        at every GLB size, and map into Table 4's 320 KB GLB."""
+        sizes = [64 * KB, 128 * KB, 256 * KB, 320 * KB, 1024 * KB,
+                 4096 * KB]
+        sparse_workload = workload(a_sparsity=0.75, b_sparsity=0.75)
+        dense = dram_traffic_vs_glb(workload(), sizes)
+        sparse = dram_traffic_vs_glb(sparse_workload, sizes)
+        assert dense == sorted(dense, reverse=True)
+        assert all(s < d for d, s in zip(dense, sparse))
+        assert best_mapping(sparse_workload, 320 * KB) is not None
+
     def test_traffic_curve_raises_when_unmappable(self):
         with pytest.raises(ModelError):
             dram_traffic_vs_glb(workload(), [128])

@@ -86,6 +86,13 @@ class TestEndToEnd:
         assert means["channel"] > means["hss"]
         assert means["channel"] > means["unstructured"]
 
+    def test_hss_tracks_unstructured_on_full_ladder(self):
+        """The full default ladder: HSS loses about what unstructured
+        pruning loses, and channel pruning far more."""
+        means = mean_loss_by_family(run_calibration())
+        assert abs(means["hss"] - means["unstructured"]) < 2.0
+        assert means["channel"] > means["hss"] + 5.0
+
     def test_summary_renders(self, points):
         text = summarize_calibration(points)
         assert "channel" in text and "hss" in text

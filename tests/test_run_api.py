@@ -182,9 +182,9 @@ class TestMarkdownRenderer:
     def test_report_md_composes_artifact_sections(
         self, results, estimator
     ):
-        from repro.eval.report import build_markdown_report
+        from repro.eval.report import run_report
 
-        document = build_markdown_report(estimator)
+        document = run_report(estimator).document
         assert document.startswith("# EXPERIMENTS")
         for name in PAPER_ORDER:
             assert render(results[name], "md") in document

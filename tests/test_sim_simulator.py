@@ -57,12 +57,14 @@ class TestExactness:
 class TestCounts:
     def test_steps_match_theoretical_speedup(self, rng, config):
         """Steps = M x N x ceil(K / (H0 H1)) with a full pattern —
-        the perfect-balance structured speedup (Sec. 6.3)."""
-        pattern = config.example_pattern(4)
+        the perfect-balance structured speedup (Sec. 6.3) — for every
+        supported H1."""
         m, k, n = 6, 64, 5
-        a, b = make_operands(rng, pattern, m=m, k=k, n=n)
-        _, stats = simulate_matmul(a, b, pattern, config)
-        assert stats.steps == m * n * ceil_div(k, 16)
+        for h1 in (2, 3, 4):
+            pattern = config.example_pattern(h1)
+            a, b = make_operands(rng, pattern, m=m, k=k, n=n)
+            _, stats = simulate_matmul(a, b, pattern, config)
+            assert stats.steps == m * n * ceil_div(k, 4 * h1), h1
 
     def test_scheduled_matches_analytical_density(self, rng, config):
         pattern = config.example_pattern(4)

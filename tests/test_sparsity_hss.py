@@ -99,6 +99,16 @@ class TestFig6Designs:
         design_s, design_ss = fig6_designs()
         assert mux_cost(design_s) / mux_cost(design_ss) > 2.0
 
+    def test_two_ranks_beat_one_at_iso_flexibility(self):
+        """Sec. 5.3: the paper's two-rank point supports at least the
+        one-rank design's degrees at under half its muxing tax."""
+        one_rank = [GHRange(2, 2, 16)]
+        two_rank = [GHRange(2, 2, 4), GHRange(2, 2, 8)]
+        assert len(supported_degrees(two_rank)) >= len(
+            supported_degrees(one_rank)
+        )
+        assert mux_cost(two_rank) < mux_cost(one_rank) / 2
+
     def test_mux_cost_linear_in_hmax(self):
         """Sec. 5.2: tax grows ~linearly with Hmax at fixed G."""
         cost_8 = mux_cost([GHRange(2, 2, 8)])

@@ -10,6 +10,7 @@ included so the area and energy sparsity tax is attributable (Fig. 16).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.arch.components import (
@@ -21,6 +22,7 @@ from repro.arch.components import (
     sram,
 )
 from repro.arch.spec import ArchitectureSpec
+from repro.errors import ArchitectureError
 
 KB = 1024
 
@@ -58,6 +60,14 @@ class DesignResources:
     @property
     def name(self) -> str:
         return self.arch.name
+
+    @cached_property
+    def dram_name(self) -> str:
+        """The off-chip memory's component name (``<design>_dram``)."""
+        for component in self.arch.components:
+            if component.name.endswith("_dram"):
+                return component.name
+        raise ArchitectureError(f"{self.arch.name} has no DRAM component")
 
 
 def _common(name_prefix: str) -> Tuple[Component, ...]:

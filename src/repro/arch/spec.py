@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from repro.arch.components import Component
@@ -37,18 +38,22 @@ class ArchitectureSpec:
         if len(set(names)) != len(names):
             raise ArchitectureError(f"duplicate component names in {names}")
 
+    @cached_property
+    def _by_name(self) -> Dict[str, Component]:
+        return {component.name: component for component in self.components}
+
     def component(self, name: str) -> Component:
         """Look up a component by name."""
-        for candidate in self.components:
-            if candidate.name == name:
-                return candidate
-        raise ArchitectureError(
-            f"{self.name} has no component {name!r}; "
-            f"has {[c.name for c in self.components]}"
-        )
+        component = self._by_name.get(name)
+        if component is None:
+            raise ArchitectureError(
+                f"{self.name} has no component {name!r}; "
+                f"has {[c.name for c in self.components]}"
+            )
+        return component
 
     def has_component(self, name: str) -> bool:
-        return any(c.name == name for c in self.components)
+        return name in self._by_name
 
     def components_by_class(self) -> Dict[str, List[Component]]:
         """Group components by their class value (for reporting)."""

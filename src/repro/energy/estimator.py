@@ -56,13 +56,12 @@ class Estimator:
         self._energy_cache: Dict[Tuple, float] = {}
         self._area_cache: Dict[Tuple, float] = {}
         self._plugin_cache: Dict[ComponentClass, EstimationPlugin] = {}
-        # Identity-level energy memo. Building the content key (sorted
-        # attribute tuples) dominates a cached energy_pj call, and the
-        # hot callers query the same long-lived spec instances over and
-        # over; keeping a strong reference to the component makes the
-        # id() stable (ids are only reused after collection).
-        self._energy_by_identity: Dict[
-            Tuple[int, str], Tuple[Component, float]
+        # id(arch) -> (arch, its event table). Designs cost every
+        # workload against the same long-lived spec instance; holding
+        # a strong reference to the spec keeps its id() from being
+        # reused for another one.
+        self._event_tables: Dict[
+            int, Tuple[ArchitectureSpec, "EventEnergies"]
         ] = {}
 
     @staticmethod
@@ -96,18 +95,23 @@ class Estimator:
 
     def energy_pj(self, component: Component, action: str) -> float:
         """Energy of one ``action`` on one instance of ``component``."""
-        ident = (id(component), action)
-        hit = self._energy_by_identity.get(ident)
-        if hit is not None and hit[0] is component:
-            return hit[1]
         key = (self._key(component), action)
         if key not in self._energy_cache:
             self._energy_cache[key] = self._plugin_for(component).energy_pj(
                 component, action
             )
-        energy = self._energy_cache[key]
-        self._energy_by_identity[ident] = (component, energy)
-        return energy
+        return self._energy_cache[key]
+
+    def event_energies(self, arch: ArchitectureSpec) -> "EventEnergies":
+        """``arch``'s ``(component name, action) -> pJ`` table, one per
+        architecture instance and estimator: an activity fold prices
+        each event with one dict lookup (see :class:`EventEnergies`)."""
+        hit = self._event_tables.get(id(arch))
+        if hit is not None and hit[0] is arch:
+            return hit[1]
+        table = EventEnergies(self, arch)
+        self._event_tables[id(arch)] = (arch, table)
+        return table
 
     def area_um2(self, component: Component) -> float:
         """Total area of the component group (per-instance area x count)."""
@@ -120,3 +124,22 @@ class Estimator:
     def architecture_area_um2(self, arch: ArchitectureSpec) -> float:
         """Total area of all components in an architecture."""
         return sum(self.area_um2(c) for c in arch.components)
+
+
+class EventEnergies(dict):
+    """Per-action energy of one architecture's events, keyed by
+    ``(component name, action)`` and resolved on first use through
+    :meth:`Estimator.energy_pj`. An event on a component the
+    architecture lacks raises :class:`~repro.errors.ArchitectureError`
+    on every lookup: only resolved events are stored."""
+
+    def __init__(self, estimator: Estimator, arch: ArchitectureSpec) -> None:
+        super().__init__()
+        self._estimator = estimator
+        self._arch = arch
+
+    def __missing__(self, event: Tuple[str, str]) -> float:
+        name, action = event
+        energy = self._estimator.energy_pj(self._arch.component(name), action)
+        self[event] = energy
+        return energy

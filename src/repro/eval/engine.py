@@ -29,12 +29,14 @@ extends memoization across runs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     Any,
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -74,13 +76,14 @@ Pair = Tuple[str, MatmulWorkload]
 MissSource = Union[MatmulWorkload, Candidate]
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One degree-grid sweep point: a design name on one
     (sparsity_A, sparsity_B, shape) workload point. Memoization happens
     at the realized-workload level (degree noise is absorbed by
     :func:`~repro.model.workload.quantize_degree` inside the workload
-    keys), so cells carry no cache key of their own."""
+    keys), so cells carry no cache key of their own. A named tuple, not
+    a frozen dataclass: a grid builds one per (design, A, B) point, and
+    a tuple is a third of the cost to build."""
 
     design: str
     sparsity_a: float
@@ -157,6 +160,10 @@ class SweepResult:
     cells: Dict[Tuple[float, float], Dict[str, Optional[Metrics]]]
     design_order: Tuple[str, ...]
     baseline: str = "TC"
+    #: :meth:`_all_geomeans` per ``unsupported_as_baseline`` flag.
+    _geomeans: Dict[bool, Dict[str, Dict[str, float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def normalized(self, metric: str) -> Dict[
         Tuple[float, float], Dict[str, Optional[float]]
@@ -180,25 +187,63 @@ class SweepResult:
     def geomeans(
         self, metric: str, unsupported_as_baseline: bool = True
     ) -> Dict[str, float]:
-        """Geomean of normalized ``metric`` per design (Fig. 14).
+        """Geomean of normalized ``metric`` (one of
+        :data:`GEOMEAN_METRICS`) per design (Fig. 14).
 
         Cells a design cannot process (S2TA on dense-dense) count at
         baseline parity by default — otherwise a design would improve
         its geomean by *failing* on its worst workloads.
         """
-        normalized = self.normalized(metric)
-        out: Dict[str, float] = {}
-        for design in self.design_order:
-            values = []
-            for row in normalized.values():
-                value = row[design]
-                if value is None:
-                    if unsupported_as_baseline:
-                        values.append(1.0)
-                    continue
-                values.append(value)
-            out[design] = geomean(values)
-        return out
+        return dict(self._all_geomeans(unsupported_as_baseline)[metric])
+
+    def _all_geomeans(
+        self, unsupported_as_baseline: bool
+    ) -> Dict[str, Dict[str, float]]:
+        """metric -> design -> geomean for every :data:`GEOMEAN_METRICS`
+        entry, memoized per flag.
+
+        One pass over the cells gathers the baseline's and each
+        design's metrics; each metric then folds those columns. Only
+        the geomeans are kept: one (metric, design) ratio list is alive
+        at a time. Each list holds the ratios :meth:`normalized` gives,
+        in the same order, so the geomeans are bit-exact with a
+        per-metric route."""
+        memo = self._geomeans.get(unsupported_as_baseline)
+        if memo is not None:
+            return memo
+        bases: List[Metrics] = []
+        columns: List[List[Optional[Metrics]]] = [
+            [] for _ in self.design_order
+        ]
+        for cell, per_design in self.cells.items():
+            base = per_design[self.baseline]
+            if base is None:
+                raise EvaluationError(f"baseline missing for cell {cell}")
+            bases.append(base)
+            for design, column in zip(self.design_order, columns):
+                column.append(per_design[design])
+        memo = {}
+        for metric in GEOMEAN_METRICS:
+            value_of = attrgetter(metric)
+            base_values = [value_of(base) for base in bases]
+            per_design: Dict[str, float] = {}
+            for design, column in zip(self.design_order, columns):
+                if unsupported_as_baseline:
+                    ratios = [
+                        1.0 if metrics is None
+                        else value_of(metrics) / base_value
+                        for metrics, base_value in zip(column, base_values)
+                    ]
+                else:
+                    ratios = [
+                        value_of(metrics) / base_value
+                        for metrics, base_value in zip(column, base_values)
+                        if metrics is not None
+                    ]
+                per_design[design] = geomean(ratios)
+            memo[metric] = per_design
+        self._geomeans[unsupported_as_baseline] = memo
+        return memo
 
     def to_payload(self) -> Dict[str, Any]:
         """The JSON-ready structured view of this sweep: one row per
@@ -375,11 +420,12 @@ class SweepEngine:
                 self._instances[name] = self.registry.shared(name)
             return self._instances[name]
 
-    def _evaluate_pair(self, pair: Pair) -> Optional[Metrics]:
-        design_name, workload = pair
-        return evaluate_workload(
-            self.design(design_name), workload, self.estimator
-        )
+    def _evaluate_pair(
+        self, pair: Tuple[AcceleratorDesign, MatmulWorkload]
+    ) -> Optional[Metrics]:
+        """Cost one true miss: a resolved design on its workload."""
+        design, workload = pair
+        return evaluate_workload(design, workload, self.estimator)
 
     def flush(self) -> None:
         """Flush the persistent cache (if any) unconditionally.
@@ -426,8 +472,13 @@ class SweepEngine:
         :class:`MatmulWorkload`. Either way the workload is unlabeled
         (``stripped``), so the cached Metrics (whose ``workload``
         string comes from ``describe()``) are content-derived, not
-        named after whichever caller asked first."""
-        for (design, key), source in pending.items():
+        named after whichever caller asked first. Design instances are
+        resolved once per batch, not once per miss."""
+        designs: Dict[str, AcceleratorDesign] = {}
+        for (name, key), source in pending.items():
+            design = designs.get(name)
+            if design is None:
+                design = designs[name] = self.design(name)
             if isinstance(source, MatmulWorkload):
                 workload = source.stripped
             else:
@@ -524,13 +575,12 @@ class SweepEngine:
                 # Record each pair as it completes rather than after
                 # the whole batch: a Ctrl-C at 90% of a grid must keep
                 # the 90%, and a whole grid is typically one batch.
+                persistent = self.persistent
                 for key, metrics in zip(own, self._run_batch(own)):
                     with self._lock:
                         self._cache[key] = metrics
-                        if self.persistent is not None:
-                            self.persistent.put_many(
-                                [(key[0], key[1], metrics)]
-                            )
+                        if persistent is not None:
+                            persistent.put(key[0], key[1], metrics)
                         event = self._inflight.pop(key)
                         if event is not None:
                             event.set()
@@ -582,8 +632,7 @@ class SweepEngine:
         sources: List[MissSource] = []
         spans: List[int] = []
         designs: Dict[str, AcceleratorDesign] = {}
-        for cell in cells:
-            name = cell.design
+        for name, sparsity_a, sparsity_b, m, k, n in cells:
             design = designs.get(name)
             if design is None:
                 if name not in self.registry:
@@ -591,8 +640,7 @@ class SweepEngine:
                         f"unknown design {name!r}"
                     )
                 design = designs[name] = self.design(name)
-            m, k, n = cell.m, cell.k, cell.n
-            candidates = design.realize(cell.sparsity_a, cell.sparsity_b)
+            candidates = design.realize(sparsity_a, sparsity_b)
             spans.append(len(candidates))
             for candidate in candidates:
                 a, b, swapped = candidate

@@ -93,16 +93,24 @@ class RunRecord:
         and a stray non-JSON value still raises ``TypeError`` here.
         """
         encode = json.JSONEncoder().encode
-        members = []
+        # One join at the end: the cells text of a large grid is
+        # megabytes, and every intermediate concatenation would hold
+        # another copy of it at the command's peak memory.
+        parts = ["{\n"]
         for spec in fields(self):
             value = getattr(self, spec.name)
+            if len(parts) > 1:
+                parts.append(",\n")
+            parts.append(f"  {encode(spec.name)}: ")
             if spec.name == "cells" and value:
-                cells = ",\n    ".join(map(encode, value))
-                body = f"[\n    {cells}\n  ]"
+                parts += ("[\n    ", ",\n    ".join(map(encode, value)),
+                          "\n  ]")
             else:
-                body = json.dumps(value, indent=2).replace("\n", "\n  ")
-            members.append(f"  {encode(spec.name)}: {body}")
-        return "{\n" + ",\n".join(members) + "\n}\n"
+                parts.append(
+                    json.dumps(value, indent=2).replace("\n", "\n  ")
+                )
+        parts.append("\n}\n")
+        return "".join(parts)
 
     def write(self, path: "str | Path") -> Path:
         """Serialize to ``path`` atomically (parent directories are

@@ -32,16 +32,18 @@ class ActivityCounts:
         comparison and would otherwise propagate silently into cached
         Metrics, poisoning the persistent cache.
         """
-        if not math.isfinite(count):
-            raise ModelError(
-                f"non-finite count for {component}.{action}: {count}"
-            )
-        if count < 0:
+        if not 0.0 < count < math.inf:
+            # Off the hot path: zero (either sign) is a no-op, and NaN
+            # fails every comparison, so it lands here too.
+            if count == 0:
+                return
+            if not math.isfinite(count):
+                raise ModelError(
+                    f"non-finite count for {component}.{action}: {count}"
+                )
             raise ModelError(
                 f"negative count for {component}.{action}: {count}"
             )
-        if count == 0:
-            return
         key = (component, action)
         self.counts[key] = self.counts.get(key, 0.0) + count
 
@@ -61,11 +63,9 @@ class ActivityCounts:
         Raises if an event references a component the architecture does
         not have — catching dataflow/architecture mismatches early.
         """
+        per_event = estimator.event_energies(arch)
         energy: Dict[str, float] = {}
-        for (component_name, action), count in self.counts.items():
-            component = arch.component(component_name)
-            per_action = estimator.energy_pj(component, action)
-            energy[component_name] = energy.get(component_name, 0.0) + (
-                per_action * count
-            )
+        for event, count in self.counts.items():
+            name = event[0]
+            energy[name] = energy.get(name, 0.0) + per_event[event] * count
         return energy

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.utils import geomean
@@ -12,6 +11,27 @@ from repro.utils import geomean
 #: The geomean-able sweep metrics (Fig. 14's bars, run-record
 #: geomeans, payloads, and the CLI's --metric choices).
 GEOMEAN_METRICS: Tuple[str, ...] = ("edp", "energy_pj", "cycles", "ed2")
+
+
+class _derived:
+    """A value computed from the instance on first read and then stored
+    in its ``__dict__``, where later reads find it directly.
+    ``functools.cached_property`` does the same, but before Python 3.12
+    it takes a lock on every first read, and sweeps build and read
+    thousands of Metrics."""
+
+    def __init__(self, compute: Callable[[Any], float]) -> None:
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: Any = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -37,21 +57,22 @@ class Metrics:
                 f"utilization must be in (0, 1], got {self.utilization}"
             )
 
-    # cached_property, not property: selection rules (best-EDP over
-    # candidates, per-layer folds) re-read these constantly, and the
-    # dataclass is frozen so the derived values can never go stale.
+    # Stored on first read, not recomputed: selection rules (best-EDP
+    # over candidates, per-layer folds) and the sweep geomeans re-read
+    # these constantly, and the dataclass is frozen so the derived
+    # values can never go stale.
 
-    @cached_property
+    @_derived
     def energy_pj(self) -> float:
         """Total energy in picojoules."""
         return sum(self.energy_breakdown_pj.values())
 
-    @cached_property
+    @_derived
     def edp(self) -> float:
         """Energy-delay product (pJ x cycles)."""
         return self.energy_pj * self.cycles
 
-    @property
+    @_derived
     def ed2(self) -> float:
         """Energy-delay-squared product (pJ x cycles^2)."""
         return self.energy_pj * self.cycles * self.cycles

@@ -77,7 +77,7 @@ def build_metrics(
     activity.add("macs", "gated_mac", gated_macs)
 
     # --- DRAM traffic -------------------------------------------------
-    dram = _dram_name(resources)
+    dram = resources.dram_name
     activity.add(dram, "read", a_stored_words + b_stored_words)
     activity.add(dram, "read", a_meta_words + b_meta_words)
     activity.add(dram, "write", outputs)
@@ -124,10 +124,3 @@ def build_metrics(
         supported=supported,
         swapped=swapped,
     )
-
-
-def _dram_name(resources: DesignResources) -> str:
-    for component in resources.arch.components:
-        if component.name.endswith("_dram"):
-            return component.name
-    raise ModelError(f"{resources.arch.name} has no DRAM component")

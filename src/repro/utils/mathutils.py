@@ -36,7 +36,7 @@ def geomean(values: Sequence[float]) -> float:
     for value in values:
         if value <= 0:
             raise ValueError(f"geomean requires positive values, got {value}")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return math.exp(sum(map(math.log, values)) / len(values))
 
 
 def is_power_of_two(value: int) -> bool:

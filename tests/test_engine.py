@@ -7,7 +7,7 @@ import pytest
 from repro.accelerators import DSTC, TC, AcceleratorDesign
 from repro.accelerators.registry import DesignRegistry, register_design
 from repro.energy import Estimator
-from repro.errors import UnsupportedWorkloadError
+from repro.errors import EvaluationError, UnsupportedWorkloadError
 from repro.eval.cache import MISS, PersistentCache
 from repro.eval.engine import (
     Cell,
@@ -15,11 +15,13 @@ from repro.eval.engine import (
     grid_cells,
 )
 from repro.eval.harness import realize_workloads
+from repro.model.metrics import GEOMEAN_METRICS
 from repro.model.workload import (
     dense_operand,
     synthetic_workload,
     unstructured_operand,
 )
+from repro.utils import geomean
 
 
 @pytest.fixture
@@ -203,6 +205,84 @@ class TestSweep:
 
     def test_design_instances_reused(self, engine):
         assert engine.design("TC") is engine.design("TC")
+
+
+def per_metric_geomeans(sweep, metric, unsupported_as_baseline):
+    """The per-metric route ``SweepResult.geomeans`` replaced: one
+    ``normalized()`` map per metric, then a geomean per design."""
+    normalized = sweep.normalized(metric)
+    out = {}
+    for design in sweep.design_order:
+        values = []
+        for row in normalized.values():
+            value = row[design]
+            if value is None:
+                if unsupported_as_baseline:
+                    values.append(1.0)
+                continue
+            values.append(value)
+        out[design] = geomean(values)
+    return out
+
+
+class TestGeomeans:
+    """All geomeans come from one memoized pass over the cells."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        # S2TA cannot run the dense-dense cell, so the flag matters.
+        return SweepEngine(Estimator()).sweep(
+            designs=("TC", "STC", "S2TA", "DSTC", "HighLight", "DSSO"),
+            a_degrees=(0.0, 0.3, 0.5, 0.625, 0.75, 0.9),
+            b_degrees=(0.0, 0.25, 0.5, 0.8),
+            **SMALL,
+        )
+
+    @pytest.mark.parametrize("unsupported_as_baseline", (True, False))
+    @pytest.mark.parametrize("metric", GEOMEAN_METRICS)
+    def test_equal_to_the_per_metric_route(
+        self, sweep, metric, unsupported_as_baseline
+    ):
+        assert sweep.cells[(0.0, 0.0)]["S2TA"] is None
+        assert sweep.geomeans(metric, unsupported_as_baseline) == (
+            per_metric_geomeans(sweep, metric, unsupported_as_baseline)
+        )
+
+    def test_flags_differ_where_a_design_is_unsupported(self, sweep):
+        on = sweep.geomeans("edp", True)
+        off = sweep.geomeans("edp", False)
+        assert on["S2TA"] != off["S2TA"]
+        assert on["STC"] == off["STC"]  # supports every cell
+
+    def test_returned_maps_do_not_alias_the_memo(self, sweep):
+        first = sweep.geomeans("edp")
+        first["TC"] = 123.0
+        assert sweep.geomeans("edp")["TC"] == 1.0
+
+    def test_payload_carries_the_same_geomeans(self, sweep):
+        payload = sweep.to_payload()
+        assert list(payload["geomeans"]) == list(GEOMEAN_METRICS)
+        for metric in GEOMEAN_METRICS:
+            assert payload["geomeans"][metric] == sweep.geomeans(metric)
+
+    def test_missing_baseline_cell_raises_and_payload_omits(
+        self, estimator
+    ):
+        sweep = SweepEngine(estimator).sweep(
+            designs=("S2TA", "TC"),
+            a_degrees=(0.0, 0.5), b_degrees=(0.0,),
+            **SMALL,
+        )
+        assert sweep.baseline == "TC"
+        sweep.baseline = "S2TA"  # S2TA misses the dense-dense cell
+        for metric in GEOMEAN_METRICS:
+            with pytest.raises(EvaluationError, match="baseline missing"):
+                sweep.geomeans(metric)
+            with pytest.raises(EvaluationError, match="baseline missing"):
+                sweep.geomeans(metric, unsupported_as_baseline=False)
+        payload = sweep.to_payload()
+        assert "geomeans" not in payload
+        assert len(payload["rows"]) == 4
 
 
 class TestClose:

@@ -30,6 +30,23 @@ class TestMetrics:
     def test_ed2(self):
         assert make_metrics(100.0, 10.0).ed2 == 10000.0
 
+    def test_derived_values_are_stored_on_first_read(self):
+        """Totals are computed once per (frozen) instance, including one
+        built without ``__init__`` the way the codec decodes blobs."""
+        from repro.eval.codec import decode_blob, encode_metrics
+
+        built = Metrics(
+            "X", "w", cycles=3.0,
+            energy_breakdown_pj={"macs": 0.1, "glb": 0.2, "dram": 0.3},
+        )
+        for metrics in (built, decode_blob(encode_metrics(built))):
+            assert "edp" not in vars(metrics)
+            energy = sum((0.1, 0.2, 0.3))
+            assert (metrics.energy_pj, metrics.edp, metrics.ed2) == (
+                energy, energy * 3.0, energy * 3.0 * 3.0
+            )
+            assert vars(metrics)["ed2"] == metrics.ed2
+
     def test_rejects_nonpositive_cycles(self):
         with pytest.raises(ModelError):
             make_metrics(cycles=0.0)

@@ -98,11 +98,8 @@ def test_sqlite_flush_time_tracks_dirty_not_total(tmp_path, metrics):
 
 # --- metrics codec -------------------------------------------------------
 #
-# The packed v2 codec replaced per-entry `json.dumps(metrics_to_dict)`
-# payloads. These cases time both directions of both codecs over a
-# realistic entry population and assert the v2 wins outright — on time
-# and on wire size — so a change that quietly falls back to the JSON
-# path fails here instead of drifting in the trajectory.
+# The packed v2 codec is the cache's only entry format. These cases
+# time its encode and decode over a realistic entry population.
 
 N_CODEC_ENTRIES = 1_000
 
@@ -132,53 +129,3 @@ def test_codec_decode_1k(benchmark, metrics):
         codec.encode_metrics(m) for m in _codec_population(metrics)
     ]
     benchmark(lambda: [codec.decode_blob(b) for b in blobs])
-
-
-def test_codec_beats_json_round_trip(metrics):
-    """The acceptance claim: packed blobs encode+decode faster than
-    the v1 JSON text round trip and take fewer bytes on the wire."""
-    import json
-
-    from repro.eval import codec
-    from repro.serialization import metrics_from_dict, metrics_to_dict
-
-    population = _codec_population(metrics)
-
-    def best(fn):
-        return min(
-            _timed(lambda: [fn(m) for m in population])
-            for _ in range(3)
-        )
-
-    def _timed(fn):
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
-
-    blob_encode = best(codec.encode_metrics)
-    json_encode = best(lambda m: json.dumps(metrics_to_dict(m)))
-    blobs = [codec.encode_metrics(m) for m in population]
-    texts = [json.dumps(metrics_to_dict(m)) for m in population]
-    blob_decode = min(
-        _timed(lambda: [codec.decode_blob(b) for b in blobs])
-        for _ in range(3)
-    )
-    json_decode = min(
-        _timed(
-            lambda: [metrics_from_dict(json.loads(t)) for t in texts]
-        )
-        for _ in range(3)
-    )
-    blob_bytes = sum(len(b) for b in blobs)
-    json_bytes = sum(len(t) for t in texts)
-    emit(
-        f"Metrics codec, {N_CODEC_ENTRIES} entries (best of 3)",
-        f"encode v2={blob_encode * 1e3:.1f} ms vs "
-        f"json={json_encode * 1e3:.1f} ms; "
-        f"decode v2={blob_decode * 1e3:.1f} ms vs "
-        f"json={json_decode * 1e3:.1f} ms; "
-        f"wire {blob_bytes / 1e3:.0f} kB vs {json_bytes / 1e3:.0f} kB",
-    )
-    assert blob_encode < json_encode
-    assert blob_decode < json_decode
-    assert blob_bytes < json_bytes

@@ -1,8 +1,7 @@
 """Compression formats and metadata accounting.
 
-* :mod:`repro.compression.formats` — baseline single-rank formats
-  (uncompressed, bitmask, run-length, offset-based coordinate payload
-  "CP") with exact metadata-bit accounting.
+* :mod:`repro.compression.metadata` — metadata-bit accounting shared
+  with the cost models.
 * :mod:`repro.compression.hierarchical` — the hierarchical CP format
   HighLight uses for HSS operand A (paper Fig. 9).
 * :mod:`repro.compression.operand_b` — the three-level metadata format
@@ -15,16 +14,6 @@ from typing import TYPE_CHECKING
 from repro.lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.compression.formats import (
-        BitmaskEncoding,
-        CPEncoding,
-        RunLengthEncoding,
-        UncompressedEncoding,
-        encode_bitmask,
-        encode_cp,
-        encode_run_length,
-        encode_uncompressed,
-    )
     from repro.compression.hierarchical import (
         HierarchicalCPRow,
         decode_hierarchical_cp,
@@ -37,11 +26,6 @@ if TYPE_CHECKING:
     )
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "formats": (
-        "BitmaskEncoding", "CPEncoding", "RunLengthEncoding",
-        "UncompressedEncoding", "encode_bitmask", "encode_cp",
-        "encode_run_length", "encode_uncompressed",
-    ),
     "hierarchical": (
         "HierarchicalCPRow", "decode_hierarchical_cp",
         "encode_hierarchical_cp",
@@ -52,14 +36,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "BitmaskEncoding",
-    "CPEncoding",
-    "RunLengthEncoding",
-    "UncompressedEncoding",
-    "encode_bitmask",
-    "encode_cp",
-    "encode_run_length",
-    "encode_uncompressed",
     "HierarchicalCPRow",
     "decode_hierarchical_cp",
     "encode_hierarchical_cp",

@@ -2,7 +2,7 @@
 
 Kept free of numpy: the accelerator cost models size their metadata
 with :func:`offset_bits` and should not pay for array support they
-never use. :mod:`repro.compression.formats` re-exports it.
+never use.
 """
 
 from __future__ import annotations

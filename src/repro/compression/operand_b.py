@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import CompressionError
-from repro.compression.formats import offset_bits
+from repro.compression.metadata import offset_bits
 from repro.utils import ceil_div
 
 

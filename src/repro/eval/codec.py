@@ -1,9 +1,9 @@
 """Packed wire codec for cached :class:`~repro.model.metrics.Metrics`.
 
 Cache profiling showed that much of the cold/warm cost of a sweep is
-not model math but metrics serialization: every flush paid one
-``json.dumps(metrics_to_dict(...))`` per entry and every warm load paid
-the matching parse + dict walk. This module packs one Metrics into one
+not model math but metrics serialization: every flush paid one JSON
+dump of a tagged metrics dict per entry and every warm load paid the
+matching parse + dict walk. This module packs one Metrics into one
 little-endian binary blob instead::
 
     byte 0          codec version (2)
@@ -31,8 +31,8 @@ from typing import Dict
 from repro.errors import CacheError
 from repro.model.metrics import Metrics
 
-#: Version byte of the packed-blob entry encoding (v1 was the tagged
-#: JSON dict produced by :func:`~repro.serialization.metrics_to_dict`).
+#: Version byte of the packed-blob entry encoding (v1 was a tagged
+#: JSON dict of the metrics' fields, stored as TEXT).
 METRICS_CODEC_VERSION = 2
 
 _HEAD = struct.Struct("<BBdd")

@@ -13,7 +13,8 @@ This package provides:
   with masked-gradient fine-tuning, demonstrating accuracy recovery
   end-to-end on synthetic data;
 * :mod:`repro.pruning.accuracy` — the calibrated accuracy-loss model
-  used for the paper-scale networks (see DESIGN.md substitutions).
+  used for the paper-scale networks, which are not fine-tuned here:
+  Fig. 15's accuracy axis is this parametric model.
 """
 
 from typing import TYPE_CHECKING

@@ -1,9 +1,10 @@
 """Calibrated accuracy-loss model for the paper-scale DNNs.
 
-We cannot fine-tune ResNet50/DeiT/Transformer-Big on ImageNet/WMT16 in
-this environment (see DESIGN.md substitutions), so Fig. 15's accuracy
-axis comes from a parametric model calibrated to the qualitative anchor
-points the paper (and its cited pruning literature) reports:
+This reproduction does not fine-tune the paper-scale networks
+(ResNet50/DeiT/Transformer-Big on ImageNet/WMT16), so the accuracy axis
+of Figs. 2 and 15 is this parametric model, calibrated to the
+qualitative anchor points the paper (and its cited pruning literature)
+reports:
 
 * accuracy loss is ~0 below a network-specific "free" sparsity and
   grows super-linearly beyond it;

@@ -9,6 +9,7 @@ acceptance shape (``repro all`` twice performs zero evaluations on the
 warm run).
 """
 
+import dataclasses
 import json
 import sqlite3
 
@@ -32,7 +33,6 @@ from repro.eval.cache import (
 )
 from repro.eval.engine import EngineContext, SweepEngine
 from repro.model.workload import synthetic_workload
-from repro.serialization import metrics_to_dict
 
 
 @pytest.fixture
@@ -281,7 +281,7 @@ class TestLegacyCaches:
         with sqlite3.connect(cache.path) as conn:
             conn.execute(
                 "UPDATE entries SET metrics = ? WHERE digest = ?",
-                (json.dumps(metrics_to_dict(metrics)), digest),
+                (json.dumps(dataclasses.asdict(metrics)), digest),
             )
         conn.close()
         with pytest.raises(CacheError, match="v1 format"):

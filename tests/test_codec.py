@@ -22,7 +22,6 @@ from repro.errors import CacheError
 from repro.eval import codec
 from repro.model.metrics import Metrics
 from repro.model.workload import synthetic_workload
-from repro.serialization import metrics_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -95,4 +94,4 @@ class TestBlobCorruption:
     def test_v1_text_row_refused(self, metrics):
         """Older versions stored JSON TEXT rows; they are not read."""
         with pytest.raises(CacheError, match="corrupt metrics blob"):
-            codec.decode_blob(json.dumps(metrics_to_dict(metrics)))
+            codec.decode_blob(json.dumps(dataclasses.asdict(metrics)))

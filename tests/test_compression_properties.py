@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from repro.compression import (
     decode_hierarchical_cp,
     decode_operand_b,
-    encode_bitmask,
     encode_hierarchical_cp,
     encode_operand_b,
-    encode_run_length,
 )
 from repro.sparsity import HSSPattern, sparsify
 
@@ -26,19 +24,6 @@ def sparse_vectors(draw, max_len=96):
     )
     values[rng.random(length) < sparsity] = 0.0
     return values
-
-
-@settings(max_examples=60, deadline=None)
-@given(sparse_vectors())
-def test_bitmask_round_trip(vector):
-    np.testing.assert_allclose(encode_bitmask(vector).decode(), vector)
-
-
-@settings(max_examples=60, deadline=None)
-@given(sparse_vectors(), st.integers(min_value=2, max_value=6))
-def test_run_length_round_trip(vector, run_bits):
-    encoded = encode_run_length(vector, run_bits=run_bits)
-    np.testing.assert_allclose(encoded.decode(), vector)
 
 
 @settings(max_examples=60, deadline=None)

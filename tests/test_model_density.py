@@ -1,5 +1,7 @@
 """Tests for the density/utilization models."""
 
+import math
+
 import pytest
 
 from repro.errors import ModelError
@@ -134,6 +136,27 @@ class TestBalance:
     def test_rejects_zero_density(self):
         with pytest.raises(ModelError):
             random_balance_utilization(0.0)
+
+    def test_tracks_exact_binomial_statistic(self):
+        """The closed-form curve against the statistic it summarizes:
+        mean over expected max load of 32 lanes, each a 4-slot block
+        holding Binomial(4, d) nonzeros. They agree on direction and
+        rough magnitude."""
+        slots, lanes = 4, 32
+        for density in (0.25, 0.5, 0.75):
+            pmf = [
+                math.comb(slots, j) * density**j
+                * (1.0 - density) ** (slots - j)
+                for j in range(slots + 1)
+            ]
+            # E[max] = sum over k >= 1 of P(max >= k).
+            expected_max = sum(
+                1.0 - sum(pmf[:k]) ** lanes for k in range(1, slots + 1)
+            )
+            exact = min(1.0, slots * density / expected_max)
+            curve = random_balance_utilization(density)
+            assert abs(exact - curve) < 0.35
+            assert (exact < 1.0) == (curve < 1.0)
 
     def test_balance_efficiency_multiples(self):
         """Perfect only in the limit of many full groups."""

@@ -13,7 +13,7 @@ from repro.model.workload import (
     synthetic_workload,
     unstructured_operand,
 )
-from repro.sparsity import HSSPattern
+from repro.sparsity import HSSPattern, sparsify
 
 
 class TestOperandSparsity:
@@ -83,6 +83,18 @@ class TestMatmulWorkload:
 
     def test_effectual_products(self):
         assert self.workload().effectual_products == pytest.approx(16.0)
+
+    def test_effectual_products_match_a_counted_hss_matmul(self, rng):
+        """HSS-sparsified A x dense B: the analytical count equals the
+        products whose operands are both nonzero."""
+        pattern = HSSPattern.from_ratios((2, 4), (4, 4))
+        a = sparsify(rng.normal(size=(8, 32)), pattern)
+        b = rng.uniform(1, 2, size=(32, 8))
+        counted = ((a != 0).astype(int) @ (b != 0).astype(int)).sum()
+        workload = MatmulWorkload(
+            m=8, k=32, n=8, a=hss_operand(pattern), b=dense_operand()
+        )
+        assert workload.effectual_products == pytest.approx(counted)
 
     def test_swapped_shape(self):
         swapped = self.workload().swapped()

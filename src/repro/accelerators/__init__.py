@@ -16,7 +16,7 @@ the CLI resolve designs by name through the registry rather than by
 constructor.
 """
 
-from repro.accelerators.base import AcceleratorDesign, best_orientation
+from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.registry import (
     REGISTRY,
     DesignInfo,
@@ -33,7 +33,6 @@ from repro.accelerators.dsso import DSSO
 
 __all__ = [
     "AcceleratorDesign",
-    "best_orientation",
     "REGISTRY",
     "DesignInfo",
     "DesignRegistry",

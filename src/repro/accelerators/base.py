@@ -1,4 +1,5 @@
-"""The accelerator-design interface and the operand-swap harness rule."""
+"""The accelerator-design interface: support check, cost model, and
+the design's Sec. 7.1.1 degree-realization rule."""
 
 from __future__ import annotations
 
@@ -40,8 +41,8 @@ class AcceleratorDesign(abc.ABC):
         """The design's shape-free candidate realizations of one
         (degree_A, degree_B) cell (Sec. 7.1.1): each degree in the
         design's native pattern, in every orientation worth trying.
-        The harness and the sweep engine cost every candidate and keep
-        the best. Designs without a synthetic-sweep rule raise
+        The sweep engine costs every candidate and keeps the lowest
+        EDP. Designs without a synthetic-sweep rule raise
         :class:`~repro.errors.UnsupportedWorkloadError`."""
         raise UnsupportedWorkloadError(
             f"design {self.name!r} defines no degree realization"
@@ -55,39 +56,3 @@ class AcceleratorDesign(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-def best_orientation(
-    design: AcceleratorDesign,
-    workload: MatmulWorkload,
-    estimator: Estimator,
-    allow_swap: bool = True,
-) -> Metrics:
-    """Evaluate a design with the paper's operand-swap rule.
-
-    Matrix-multiplication accelerators treat operands interchangeably,
-    so the harness tries both orientations and reports the better EDP
-    (Sec. 7.1.1). Raises :class:`UnsupportedWorkloadError` when neither
-    orientation is supported.
-    """
-    candidates = []
-    if design.supports(workload):
-        candidates.append(design.evaluate(workload, estimator))
-    if allow_swap:
-        swapped = workload.swapped()
-        if design.supports(swapped):
-            metrics = design.evaluate(swapped, estimator)
-            candidates.append(
-                _mark_swapped(metrics)
-            )
-    if not candidates:
-        raise UnsupportedWorkloadError(
-            f"{design.name} supports neither orientation of "
-            f"{workload.describe()}"
-        )
-    return min(candidates, key=lambda metrics: metrics.edp)
-
-
-def _mark_swapped(metrics: Metrics) -> Metrics:
-    from dataclasses import replace
-
-    return replace(metrics, swapped=True)

@@ -6,19 +6,24 @@ decides *how*. The unit of memoization is a **(design, workload) pair**
 keyed by the workload's canonical content key
 (:meth:`~repro.model.workload.MatmulWorkload.key`): the synthetic
 Fig. 13/14/16 degree grids, the Fig. 2/15 network sweeps, and arbitrary
-user workloads all deduplicate against one cache. A degree-grid
-:class:`Cell` is a thin adapter on top — each cell's design realizes
-it into candidates (Sec. 7.1 rules), the engine keys them without
-building workloads, and picks the best, so repeated shapes
-deduplicate *across* cells, degrees, and labels (every
-dense layer of a network sweep is evaluated once, not once per
-weight-sparsity point).
+user workloads all deduplicate against one cache.
 
-Every cache miss is costed by its design's
-:meth:`~repro.accelerators.base.AcceleratorDesign.evaluate` (through
-the harness's support/orientation rule), one pair at a time, serially
-in the calling thread: an analytical evaluation is a pure-Python call
-of tens of microseconds, cheaper than handing it to a worker pool.
+Degree-grid points and network layers are both :class:`Cell` objects
+and take one route (Sec. 7.1.1): :meth:`SweepEngine.key_cells` has
+each cell's design realize it into candidates and keys them without
+building workloads, and :meth:`SweepEngine.evaluate_keyed` evaluates
+the keys and keeps each cell's lowest-EDP candidate
+(:func:`best_metrics`).
+Repeated shapes therefore deduplicate *across* cells, degrees and
+designs (every dense layer of a network sweep is evaluated once, not
+once per weight-sparsity point).
+
+Every cache miss is costed by :func:`evaluate_workload` (its design's
+:meth:`~repro.accelerators.base.AcceleratorDesign.evaluate`, or
+``None`` where the design does not support the candidate), one pair at
+a time, serially in the calling thread: an analytical evaluation is a
+pure-Python call of tens of microseconds, cheaper than handing it to a
+worker pool.
 Engines are shared per estimator (see :meth:`SweepEngine.shared`), the
 in-memory cache is thread-safe with exactly-once evaluation even under
 concurrent callers (``repro serve`` calls one engine from several
@@ -50,11 +55,6 @@ from repro.accelerators.registry import DesignRegistry
 from repro.energy.estimator import Estimator
 from repro.errors import EvaluationError, UnsupportedWorkloadError
 from repro.eval import cache as cache_mod
-from repro.eval.harness import (
-    best_metrics,
-    evaluate_workload,
-    realize_workloads,
-)
 from repro.model.metrics import GEOMEAN_METRICS, Metrics
 from repro.model.workload import MatmulWorkload, WorkloadKey
 from repro.utils import geomean
@@ -72,14 +72,15 @@ Pair = Tuple[str, MatmulWorkload]
 #: What a true miss builds its workload from: the caller's workload
 #: (:meth:`SweepEngine.evaluate_workloads`), or a design's realization
 #: candidate (A, B, swapped), in its pair key's orientation
-#: (:meth:`SweepEngine.evaluate_cells`).
+#: (:meth:`SweepEngine.key_cells`).
 MissSource = Union[MatmulWorkload, Candidate]
 
 
 class Cell(NamedTuple):
-    """One degree-grid sweep point: a design name on one
-    (sparsity_A, sparsity_B, shape) workload point. Memoization happens
-    at the realized-workload level (degree noise is absorbed by
+    """One sweep point: a design name on one (sparsity_A, sparsity_B,
+    shape) workload point — a degree-grid cell, or one network layer
+    (weights as A, activations as B). Memoization happens at the
+    realized-workload level (degree noise is absorbed by
     :func:`~repro.model.workload.quantize_degree` inside the workload
     keys), so cells carry no cache key of their own. A named tuple, not
     a frozen dataclass: a grid builds one per (design, A, B) point, and
@@ -92,12 +93,44 @@ class Cell(NamedTuple):
     k: int = 1024
     n: int = 1024
 
-    def realize(self) -> List[MatmulWorkload]:
-        """The cell's candidate workload realizations (Sec. 7.1)."""
-        return realize_workloads(
-            self.design, self.sparsity_a, self.sparsity_b,
-            self.m, self.k, self.n,
-        )
+
+class KeyedCells(NamedTuple):
+    """:meth:`SweepEngine.key_cells`' output for a cell list: every
+    candidate's pair key and miss source, flat and in cell order, plus
+    each cell's candidate count. Read-only once built, so a caller may
+    keep one and evaluate it again (network sweeps memoize theirs)."""
+
+    keys: List[PairKey]
+    sources: List[MissSource]
+    spans: List[int]
+
+
+def evaluate_workload(
+    design: AcceleratorDesign,
+    workload: MatmulWorkload,
+    estimator: Estimator,
+) -> Optional[Metrics]:
+    """Metrics for one (design, workload) pair as given — no operand
+    swap, no candidate selection — or ``None`` when the design cannot
+    process the workload. This is the engine's unit of memoization."""
+    if not design.supports(workload):
+        return None
+    return design.evaluate(workload, estimator)
+
+
+def best_metrics(
+    candidates: Sequence[Optional[Metrics]],
+) -> Optional[Metrics]:
+    """The paper's selection rule over a cell's candidate realizations:
+    lowest EDP wins, first candidate wins ties, all-unsupported is
+    ``None``."""
+    best: Optional[Metrics] = None
+    for metrics in candidates:
+        if metrics is None:
+            continue
+        if best is None or metrics.edp < best.edp:
+            best = metrics
+    return best
 
 
 @dataclass
@@ -616,18 +649,15 @@ class SweepEngine:
                     "a concurrent evaluation of a shared workload failed"
                 )
 
-    def evaluate_cells(
-        self, cells: Sequence[Cell]
-    ) -> List[Optional[Metrics]]:
-        """Best-candidate metrics for each degree-grid cell, in order.
+    def key_cells(self, cells: Sequence[Cell]) -> KeyedCells:
+        """Realize and key ``cells`` (the first of two steps).
 
         Each cell's design realizes it into shape-free candidates (both
-        orientations where the Sec. 7.1 rules allow a swap), and every
-        candidate is keyed straight from its interned operands' content
-        keys and routed through the workload-level cache, so equal
-        realizations are shared across cells and designs. A warm batch
-        builds no workload at all; only true misses do.
-        """
+        orientations where the Sec. 7.1.1 rules allow a swap), and each
+        candidate is keyed straight from the cell shape and its
+        interned operands' content keys: no workload is built. Raises
+        :class:`~repro.errors.UnsupportedWorkloadError` for a design
+        the registry does not know."""
         keys: List[PairKey] = []
         sources: List[MissSource] = []
         spans: List[int] = []
@@ -650,13 +680,31 @@ class SweepEngine:
                     else (m, k, n, a.key(), b.key()),
                 ))
                 sources.append(candidate)
-        results = self._evaluate_keys(keys, sources)
+        return KeyedCells(keys, sources, spans)
+
+    def evaluate_keyed(
+        self, keyed: KeyedCells
+    ) -> List[Optional[Metrics]]:
+        """Best-candidate metrics for each keyed cell, in order (the
+        second step): every key goes through the workload-level cache,
+        so equal realizations are shared across cells and designs and
+        a warm batch builds no workload at all; only true misses do.
+        Each cell then keeps its lowest-EDP candidate
+        (:func:`best_metrics`), ``None`` when none is supported."""
+        results = self._evaluate_keys(keyed.keys, keyed.sources)
         best: List[Optional[Metrics]] = []
         start = 0
-        for span in spans:
+        for span in keyed.spans:
             best.append(best_metrics(results[start:start + span]))
             start += span
         return best
+
+    def evaluate_cells(
+        self, cells: Sequence[Cell]
+    ) -> List[Optional[Metrics]]:
+        """Best-candidate metrics for each cell, in order:
+        :meth:`key_cells`, then :meth:`evaluate_keyed`."""
+        return self.evaluate_keyed(self.key_cells(cells))
 
     def sweep(
         self,

@@ -4,7 +4,8 @@ Every function is pure computation returning a structured result object
 with a uniform ``to_payload()``; :mod:`repro.eval.reporting` renders
 them as the rows/series the paper reports,
 :mod:`repro.eval.artifacts` exposes them behind the declarative
-artifact registry, and ``benchmarks/`` wraps them for pytest-benchmark.
+artifact registry, and :mod:`repro.eval.claims` checks the paper's
+claims on their results.
 
 Each experiment takes one ``ctx`` argument — an
 :class:`~repro.eval.engine.EngineContext` (or anything
@@ -31,7 +32,12 @@ from typing import (
     Union,
 )
 
-from repro.accelerators import REGISTRY, all_designs, main_design_names
+from repro.accelerators import (
+    REGISTRY,
+    DesignRegistry,
+    all_designs,
+    main_design_names,
+)
 from repro.accelerators.base import AcceleratorDesign
 from repro.arch import area_breakdown, table4
 from repro.arch.area import AreaModel
@@ -44,10 +50,11 @@ from repro.eval.engine import (
     Cell,
     ContextLike,
     EngineContext,
+    KeyedCells,
     Pair,
+    SweepEngine,
     SweepResult,
 )
-from repro.eval.harness import workload_for_layer
 from repro.eval.pareto import Point, is_on_frontier, pareto_frontier
 from repro.model.metrics import Metrics
 from repro.model.workload import (
@@ -282,39 +289,39 @@ def validate_profile(
         )
 
 
-#: Memoized realizations per (design, model identity, degree) — holds
-#: a strong model reference so the id stays valid. Only profile-free
-#: requests are memoized (profiles are open-ended mappings).
-_model_pairs_memo: Dict[
-    Tuple[str, int, float],
-    Tuple[DnnModel, List[Pair], List[Tuple[object, int]]],
+#: Keyed layer cells per (design, model identity, degree) — holds
+#: strong model and registry references so the id stays valid and the
+#: keys are the registry's. Only profile-free requests are memoized
+#: (profiles are open-ended mappings).
+_model_keys_memo: Dict[
+    Tuple[str, int, float], Tuple[DnnModel, DesignRegistry, KeyedCells]
 ] = {}
 
 
-def _model_pairs(
+def _model_keys(
+    engine: SweepEngine,
     design_name: str,
     model: DnnModel,
     weight_sparsity: float,
     profile: Optional[Mapping[str, float]] = None,
-) -> Tuple[List[Pair], List[Tuple[object, int]]]:
-    """Realize every layer of ``model`` into its candidate workloads.
+) -> KeyedCells:
+    """Every layer of ``model`` as one :class:`Cell` (weights as A,
+    activations as B, the layer's GEMM shape), realized and keyed by
+    :meth:`SweepEngine.key_cells`.
 
-    Returns the flat (design, workload) pair list for the engine plus
-    per-layer spans for reassembly. Prunable layers carry the requested
-    weight sparsity; other layers stay dense — which is why dense
-    layers deduplicate across every degree of a sweep. A ``profile``
-    overrides the degree per named layer (prunable or not), so one
-    sweep point can mix degrees across the network. Profile-free
-    realizations are memoized (callers treat the lists as read-only);
-    repeated sweeps of one model re-realize nothing.
+    Prunable layers carry the requested weight sparsity; other layers
+    stay dense — which is why dense layers deduplicate across every
+    degree of a sweep. A ``profile`` overrides the degree per named
+    layer (prunable or not), so one sweep point can mix degrees across
+    the network. Profile-free keys are memoized: repeated sweeps of one
+    model re-realize nothing.
     """
     memo_key = (design_name, id(model), weight_sparsity)
     if profile is None:
-        hit = _model_pairs_memo.get(memo_key)
-        if hit is not None and hit[0] is model:
-            return hit[1], hit[2]
-    pairs: List[Pair] = []
-    spans: List[Tuple[object, int]] = []
+        hit = _model_keys_memo.get(memo_key)
+        if hit is not None and hit[0] is model and hit[1] is engine.registry:
+            return hit[2]
+    cells: List[Cell] = []
     for layer in model.layers:
         if profile is not None and layer.name in profile:
             layer_sparsity = profile[layer.name]
@@ -322,44 +329,30 @@ def _model_pairs(
             layer_sparsity = (
                 weight_sparsity if layer.name in model.prunable else 0.0
             )
-        candidates = workload_for_layer(
-            design_name,
-            layer.gemm_shape(),
-            layer_sparsity,
-            model.activation_sparsity,
+        cells.append(
+            Cell(
+                design_name, layer_sparsity, model.activation_sparsity,
+                *layer.gemm_shape(),
+            )
         )
-        spans.append((layer, len(candidates)))
-        pairs.extend((design_name, workload) for workload in candidates)
+    keyed = engine.key_cells(cells)
     if profile is None:
-        _model_pairs_memo[memo_key] = (model, pairs, spans)
-    return pairs, spans
+        _model_keys_memo[memo_key] = (model, engine.registry, keyed)
+    return keyed
 
 
 def _assemble_model_evaluation(
     design_name: str,
     model: DnnModel,
     weight_sparsity: float,
-    spans: Sequence[Tuple[object, int]],
-    results: Sequence[Optional[Metrics]],
+    winners: Sequence[Optional[Metrics]],
 ) -> Optional[ModelEvaluation]:
-    """Fold per-candidate metrics back into a network total (best
-    candidate per layer; ``None`` when any layer is unsupported)."""
+    """Sum the per-layer winners (one per layer of ``model``, in order)
+    into a network total; ``None`` when any layer is unsupported."""
     per_layer: Dict[str, Metrics] = {}
     total_energy = 0.0
     total_cycles = 0.0
-    index = 0
-    for layer, span in spans:
-        # Inline best_metrics over the layer's slice (lowest EDP,
-        # first wins ties) — this fold runs once per (design, layer,
-        # degree) of every network sweep, so the intermediate list
-        # and call overhead are worth skipping.
-        best = None
-        for candidate in results[index:index + span]:
-            if candidate is not None and (
-                best is None or candidate.edp < best.edp
-            ):
-                best = candidate
-        index += span
+    for layer, best in zip(model.layers, winners):
         if best is None:
             return None
         per_layer[layer.name] = best
@@ -395,12 +388,9 @@ def evaluate_model(
     engine = EngineContext.coerce(ctx).engine
     if profile is not None:
         validate_profile(model, profile)
-    pairs, spans = _model_pairs(
-        design.name, model, weight_sparsity, profile
-    )
-    results = engine.evaluate_workloads(pairs)
+    keyed = _model_keys(engine, design.name, model, weight_sparsity, profile)
     return _assemble_model_evaluation(
-        design.name, model, weight_sparsity, spans, results
+        design.name, model, weight_sparsity, engine.evaluate_keyed(keyed)
     )
 
 
@@ -525,14 +515,15 @@ def sweep_model(
     """Sweep one network over designs x weight-sparsity degrees.
 
     This is the Fig. 15-per-model workhorse generalized to arbitrary
-    grids: every layer of every (design, degree) point is realized
-    into candidate workloads and the whole sweep is submitted to the
-    engine as **one batch**, so deduplication spans the entire network
-    sweep and dense layers (identical at every degree) are evaluated
-    once. ``degrees`` overrides the default ladders — a sequence
-    applies to every design, a mapping picks degrees per design (how
-    Fig. 2 runs its accuracy-matched points as one cached sweep); a
-    ``profile`` pins named layers to their own degrees at every point.
+    grids: every layer of every (design, degree) point is one
+    :class:`Cell`, realized and keyed by the engine, and the whole
+    sweep is evaluated as **one batch**, so deduplication spans the
+    entire network sweep and dense layers (identical at every degree)
+    are evaluated once. ``degrees`` overrides the default ladders — a
+    sequence applies to every design, a mapping picks degrees per
+    design (how Fig. 2 runs its accuracy-matched points as one cached
+    sweep); a ``profile`` pins named layers to their own degrees at
+    every point.
     """
     engine = EngineContext.coerce(ctx).engine
     if profile is not None:
@@ -554,24 +545,23 @@ def sweep_model(
         # Dense TC anchors normalization; TC ignores weight sparsity,
         # so any of its degrees is the dense baseline.
         baseline = ("TC", per_design["TC"][0])
-    items: List[Tuple[str, float, List[Tuple[object, int]], int]] = []
-    all_pairs: List[Pair] = []
+    points: List[Tuple[str, float]] = []
+    batch = KeyedCells([], [], [])
     for design_name in design_order:
         for degree in per_design[design_name]:
-            pairs, spans = _model_pairs(
-                design_name, model, degree, profile
-            )
-            items.append((design_name, degree, spans, len(pairs)))
-            all_pairs.extend(pairs)
-    results = engine.evaluate_workloads(all_pairs)
+            keyed = _model_keys(engine, design_name, model, degree, profile)
+            points.append((design_name, degree))
+            batch.keys.extend(keyed.keys)
+            batch.sources.extend(keyed.sources)
+            batch.spans.extend(keyed.spans)
+    winners = engine.evaluate_keyed(batch)
+    layers = len(model.layers)
     evaluations: Dict[Tuple[str, float], Optional[ModelEvaluation]] = {}
-    offset = 0
-    for design_name, degree, spans, count in items:
+    for index, (design_name, degree) in enumerate(points):
         evaluations[(design_name, degree)] = _assemble_model_evaluation(
-            design_name, model, degree, spans,
-            results[offset:offset + count],
+            design_name, model, degree,
+            winners[index * layers:(index + 1) * layers],
         )
-        offset += count
     return ModelSweepResult(
         model=model.name,
         design_order=design_order,

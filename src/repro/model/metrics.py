@@ -46,7 +46,11 @@ class Metrics:
     #: Whether the design natively supports the workload's sparsity
     #: (False => it ran in a degraded/dense fallback mode).
     supported: bool = True
-    #: True when the harness swapped operands for this result.
+    #: Always False today: no code path sets it, so every payload and
+    #: run record reads ``swapped: false`` even when a design's swapped
+    #: candidate won. The cached pair metrics are orientation-free
+    #: (one entry serves every cell that realizes that key), so the
+    #: winning orientation belongs to the cell, not to these metrics.
     swapped: bool = False
 
     def __post_init__(self) -> None:

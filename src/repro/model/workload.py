@@ -169,9 +169,10 @@ class MatmulWorkload:
     """An (M, K, N) matrix multiplication: ``Z[m, n] += A[m, k] B[k, n]``.
 
     Operand A holds weights (dense or HSS in HighLight's usage), operand
-    B holds input activations (dense or unstructured sparse); designs
-    that process matrix multiplications may swap operands and the
-    harness reports the better orientation (Sec. 7.1.1).
+    B holds input activations (dense or unstructured sparse). Operand
+    swaps happen before a workload exists: a design's ``realize``
+    returns swapped candidates, which the engine builds as the
+    transposed (N, K, M) product (Sec. 7.1.1).
     """
 
     m: int
@@ -226,21 +227,8 @@ class MatmulWorkload:
         return MatmulWorkload(m=self.m, k=self.k, n=self.n,
                               a=self.a, b=self.b)
 
-    def swapped(self) -> "MatmulWorkload":
-        """The transposed-operand workload (Z^T = B^T A^T)."""
-        return MatmulWorkload(
-            m=self.n,
-            k=self.k,
-            n=self.m,
-            a=self.b,
-            b=self.a,
-            name=f"{self.name}^T" if self.name else "",
-        )
-
     def describe(self) -> str:
-        """Display form, computed once per (frozen) instance. Network
-        sweeps memoize their realized workload instances, so this turns
-        repeated describes across sweeps/batches into one dict hit."""
+        """Display form, computed once per (frozen) instance."""
         return self._described
 
     @cached_property

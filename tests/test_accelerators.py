@@ -16,9 +16,9 @@ from repro.accelerators import (
     TC,
     HighLight,
     all_designs,
-    best_orientation,
 )
 from repro.errors import UnsupportedWorkloadError
+from repro.eval.engine import Cell, SweepEngine
 from repro.model.workload import (
     MatmulWorkload,
     dense_operand,
@@ -279,16 +279,26 @@ class TestDSSO:
 
 
 class TestBestOrientation:
+    """The Sec. 7.1.1 operand-swap rule: each design realizes a cell in
+    every orientation worth trying and the engine keeps the lowest
+    EDP."""
+
     def test_swap_helps_stc(self, estimator):
         """B sparse + A dense: swapping exposes the structured operand."""
-        wl = workload(dense_operand(), hss(0.5).pattern and hss(0.5))
-        result = best_orientation(STC(), wl, estimator)
-        assert result.swapped
+        engine = SweepEngine(estimator)
+        keyed = engine.key_cells([Cell("STC", 0.0, 0.5, SIZE, SIZE, SIZE)])
+        (best,) = engine.evaluate_keyed(keyed)
+        direct, swapped = (engine._cache[key] for key in keyed.keys)
+        assert best is swapped
+        assert swapped.edp < direct.edp
 
     def test_no_swap_when_unsupported(self, estimator):
-        wl = workload(dense_operand(), dense_operand())
-        with pytest.raises(UnsupportedWorkloadError):
-            best_orientation(S2TA(), wl, estimator)
+        engine = SweepEngine(estimator)
+        keyed = engine.key_cells([Cell("S2TA", 0.0, 0.0)])
+        assert engine.evaluate_keyed(keyed) == [None]
+        # Both orientations were tried, and neither is supported.
+        assert keyed.spans == [2]
+        assert [engine._cache[key] for key in keyed.keys] == [None, None]
 
     def test_all_designs_have_names_and_patterns(self):
         for design in all_designs():
@@ -298,4 +308,4 @@ class TestBestOrientation:
     def test_synthetic_workload_all_supported_by_tc(self, estimator):
         for sa in (0.0, 0.5, 0.75):
             wl = synthetic_workload(sa, 0.5, size=128)
-            assert best_orientation(TC(), wl, estimator).supported
+            assert TC().evaluate(wl, estimator).supported

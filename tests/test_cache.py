@@ -20,8 +20,7 @@ from repro.eval.cache import (
     merge_cache_dirs,
     pair_digest,
 )
-from repro.eval.engine import SweepEngine
-from repro.eval.harness import realize_workloads
+from repro.eval.engine import Cell, SweepEngine
 from repro.model.workload import synthetic_workload
 
 
@@ -61,52 +60,51 @@ class TestDigestContract:
     these digests (a workload key's format, its quantization, or how a
     design realizes a cell) silently colds every existing cache dir."""
 
-    # (design, degree A, degree B) -> (label, pair_digest hex) of each
-    # candidate realization at (m, k, n) = (64, 128, 256).
+    # (design, degree A, degree B) -> pair_digest hex of each candidate
+    # realization at (m, k, n) = (64, 128, 256), in candidate order.
     PINNED = {
         ("TC", 0.5, 0.3): [
-            ("A0.5/B0.3", "e8e5a197927c562b58c79a3fe4d8d04f"
-                          "c0b5c92c1d0dba16f70384475e6dbaf7"),
+            "e8e5a197927c562b58c79a3fe4d8d04f"
+            "c0b5c92c1d0dba16f70384475e6dbaf7",
         ],
         ("STC", 0.5, 0.3): [
-            ("A0.5/B0.3", "7042e6a4853ceb5b829b003907560a8b"
-                          "2946439fddaae08604faab733d8d5848"),
-            ("A0.5/B0.3^T", "95b6d6a2bd27b296dc6a003e3afc6167"
-                            "c9528ee18fce1dffb9bf4d21c60287e7"),
+            "7042e6a4853ceb5b829b003907560a8b"
+            "2946439fddaae08604faab733d8d5848",
+            "95b6d6a2bd27b296dc6a003e3afc6167"
+            "c9528ee18fce1dffb9bf4d21c60287e7",
         ],
         ("S2TA", 0.5, 0.3): [
-            ("A0.5/B0.3", "6b0f568740a71d3897b3bafeac3a12c5"
-                          "8bf7977a611999fb172cf93380f9553a"),
-            ("A0.5/B0.3^T", "8679dc8fc4100d8c04a8321c9aff8f15"
-                            "78ba8bd29620be0af2e20bcf93e4c378"),
+            "6b0f568740a71d3897b3bafeac3a12c5"
+            "8bf7977a611999fb172cf93380f9553a",
+            "8679dc8fc4100d8c04a8321c9aff8f15"
+            "78ba8bd29620be0af2e20bcf93e4c378",
         ],
         ("DSTC", 0.5, 0.3): [
-            ("A0.5/B0.3", "1855a2043a05bb702f41d562a406ae56"
-                          "0430cfe8805314ed68e698b33bc4f27f"),
+            "1855a2043a05bb702f41d562a406ae56"
+            "0430cfe8805314ed68e698b33bc4f27f",
         ],
         ("HighLight", 0.625, 0.75): [
-            ("A0.625/B0.75", "1f95885ac880394052a2d94ac37d9c7a"
-                             "54ad16a2b7b0b0ed4d8fe7c15a1a17fe"),
-            ("A0.625/B0.75^T", "1673050bd10970dd1f2f91ba815d5825"
-                               "837b55d143ea8dbc1e376575cfbd006f"),
+            "1f95885ac880394052a2d94ac37d9c7a"
+            "54ad16a2b7b0b0ed4d8fe7c15a1a17fe",
+            "1673050bd10970dd1f2f91ba815d5825"
+            "837b55d143ea8dbc1e376575cfbd006f",
         ],
         ("DSSO", 0.75, 0.0): [
-            ("A0.75/B0", "cc88a11a4aab46844f2865c5a1bef3e5"
-                         "c03c43065cc160c7fd8cf3f53b07af69"),
-            ("A0.75/B0^T", "4a3e58ce7f67a963e9e8216189698ac6"
-                           "b0233341bd87a412b525e67733961f2b"),
+            "cc88a11a4aab46844f2865c5a1bef3e5"
+            "c03c43065cc160c7fd8cf3f53b07af69",
+            "4a3e58ce7f67a963e9e8216189698ac6"
+            "b0233341bd87a412b525e67733961f2b",
         ],
     }
 
     @pytest.mark.parametrize("cell", sorted(PINNED), ids=lambda c: c[0])
-    def test_realized_digests_are_pinned(self, cell):
+    def test_realized_digests_are_pinned(self, cell, estimator):
         design, degree_a, degree_b = cell
-        workloads = realize_workloads(
-            design, degree_a, degree_b, 64, 128, 256
+        keyed = SweepEngine(estimator).key_cells(
+            [Cell(design, degree_a, degree_b, 64, 128, 256)]
         )
         assert [
-            (workload.name, pair_digest(design, workload.key()))
-            for workload in workloads
+            pair_digest(name, key) for name, key in keyed.keys
         ] == self.PINNED[cell]
 
     def test_pins_cover_every_design(self):

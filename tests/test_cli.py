@@ -756,7 +756,6 @@ class TestSingleEvaluationRegression:
         the counting spy must see each unique (design, workload) pair
         exactly once — and nothing outside the grid's realizations."""
         import repro.eval.engine as engine_mod
-        from repro.eval.harness import realize_workloads
 
         calls = []
         real = engine_mod.evaluate_workload
@@ -774,16 +773,33 @@ class TestSingleEvaluationRegression:
         E.fig16(estimator)
         assert calls, "spy never engaged"
         assert len(calls) == len(set(calls))
-        expected = {
-            (name, workload.key())
-            for sparsity_a in E.A_DEGREES
-            for sparsity_b in E.B_DEGREES
-            for name in ("TC", "STC", "DSTC", "S2TA", "HighLight")
-            for workload in realize_workloads(
-                name, sparsity_a, sparsity_b
-            )
-        }
-        assert set(calls) == expected
+        grid = engine_mod.grid_cells(
+            ("TC", "STC", "DSTC", "S2TA", "HighLight"),
+            E.A_DEGREES, E.B_DEGREES,
+        )
+        expected = engine_mod.SweepEngine(estimator).key_cells(grid).keys
+        assert set(calls) == set(expected)
+
+
+class TestColdCacheCounts:
+    """Cache counters of cold runs, pinned. Both network sweeps and
+    degree grids key through one realization step, so a change in how
+    either route realizes or keys a cell moves these counts."""
+
+    @pytest.mark.parametrize("argv, counts", [
+        (["all"], (1162, 528, 634)),
+        (["sweep", "--model", "ResNet50"], (418, 19, 399)),
+    ], ids=["all", "sweep-ResNet50"])
+    def test_cold_counts(self, argv, counts, tmp_path, capsys):
+        record_path = tmp_path / "run.json"
+        assert main(argv + ["--record", str(record_path)]) == 0
+        cache = json.loads(record_path.read_text())["cache"]
+        assert (
+            cache["requests"], cache["hits"], cache["misses"]
+        ) == counts
+        assert cache["disk_hits"] == 0
+
+
 
 
 class TestServeParser:

@@ -21,7 +21,7 @@ from repro.arch.spec import ArchitectureSpec
 from repro.energy import Estimator
 from repro.energy.plugins import default_plugins, iter_supported
 from repro.eval.codec import encode_metrics
-from repro.eval.harness import evaluate_workload
+from repro.eval.engine import evaluate_workload
 from repro.model.activity import ActivityCounts
 from repro.model.workload import (
     MatmulWorkload,

@@ -14,7 +14,6 @@ from repro.eval.engine import (
     SweepEngine,
     grid_cells,
 )
-from repro.eval.harness import realize_workloads
 from repro.model.metrics import GEOMEAN_METRICS
 from repro.model.workload import (
     dense_operand,
@@ -33,20 +32,17 @@ SMALL = dict(m=128, k=128, n=128)
 
 
 class TestCellRealization:
-    def test_degree_noise_shares_workload_keys(self):
+    def test_degree_noise_shares_workload_keys(self, engine):
         """Cells carry no cache key of their own; quantization inside
         the workload keys absorbs grid-arithmetic float noise."""
-        exact = [w.key() for w in Cell("HighLight", 0.5, 0.25).realize()]
-        noisy = [
-            w.key()
-            for w in Cell("HighLight", 0.5 + 1e-12, 0.25).realize()
-        ]
+        exact = engine.key_cells([Cell("HighLight", 0.5, 0.25)]).keys
+        noisy = engine.key_cells([Cell("HighLight", 0.5 + 1e-12, 0.25)]).keys
         assert exact == noisy
 
-    def test_shape_distinguishes_workloads(self):
+    def test_shape_distinguishes_workloads(self, engine):
         assert (
-            Cell("TC", 0.5, 0.0, m=256).realize()[0].key()
-            != Cell("TC", 0.5, 0.0).realize()[0].key()
+            engine.key_cells([Cell("TC", 0.5, 0.0, m=256)]).keys
+            != engine.key_cells([Cell("TC", 0.5, 0.0)]).keys
         )
 
 
@@ -148,11 +144,7 @@ class TestThreadSafety:
         cells = grid_cells(
             ("TC", "STC", "HighLight"), (0.0, 0.5), (0.0, 0.5), **SMALL
         )
-        unique_pairs = {
-            (cell.design, workload.key())
-            for cell in cells
-            for workload in cell.realize()
-        }
+        keys = engine.key_cells(cells).keys
         results = [None] * 8
         errors = []
 
@@ -171,9 +163,8 @@ class TestThreadSafety:
             thread.join()
         assert not errors
         assert all(batch == results[0] for batch in results)
-        assert engine.stats.misses == len(unique_pairs)
-        requests = sum(len(cell.realize()) for cell in cells) * 8
-        assert engine.stats.requests == requests
+        assert engine.stats.misses == len(set(keys))
+        assert engine.stats.requests == len(keys) * 8
 
 
 class TestSweep:
@@ -462,7 +453,7 @@ class ToyDesign(DSTC):
 
 class TestDesignOwnsRealization:
     """Realization lives on the design class: a new design needs a
-    registration and a ``realize``, and no edit to the harness."""
+    registration and a ``realize``, and no edit to the engine."""
 
     @staticmethod
     def _registry():
@@ -497,56 +488,57 @@ class TestDesignOwnsRealization:
         with pytest.raises(UnsupportedWorkloadError, match="'TC'"):
             AcceleratorDesign.realize(TC(), 0.5, 0.5)
 
-    #: The parent's ``realize_workloads`` output on the
-    #: ``TestDigestContract`` cells at (64, 128, 256): (label, key).
+    #: ``key_cells``' workload keys on the ``TestDigestContract``
+    #: cells at (64, 128, 256), in candidate order.
     PARENT = {
         ("DSSO", 0.75, 0.0): [
-            ("A0.75/B0", (64, 128, 256, ("hss", 0.25, ((2, 4), (4, 8))),
-                          ("dense", 1.0, ()))),
-            ("A0.75/B0^T", (256, 128, 64, ("dense", 1.0, ()),
-                            ("unstructured", 0.25, ()))),
+            (64, 128, 256, ("hss", 0.25, ((2, 4), (4, 8))),
+             ("dense", 1.0, ())),
+            (256, 128, 64, ("dense", 1.0, ()),
+             ("unstructured", 0.25, ())),
         ],
         ("DSTC", 0.5, 0.3): [
-            ("A0.5/B0.3", (64, 128, 256, ("unstructured", 0.5, ()),
-                           ("unstructured", 0.7, ()))),
+            (64, 128, 256, ("unstructured", 0.5, ()),
+             ("unstructured", 0.7, ())),
         ],
         ("HighLight", 0.625, 0.75): [
-            ("A0.625/B0.75", (64, 128, 256,
-                              ("hss", 0.375, ((2, 4), (3, 4))),
-                              ("unstructured", 0.25, ()))),
-            ("A0.625/B0.75^T", (256, 128, 64,
-                                ("hss", 0.25, ((2, 4), (4, 8))),
-                                ("unstructured", 0.375, ()))),
+            (64, 128, 256, ("hss", 0.375, ((2, 4), (3, 4))),
+             ("unstructured", 0.25, ())),
+            (256, 128, 64, ("hss", 0.25, ((2, 4), (4, 8))),
+             ("unstructured", 0.375, ())),
         ],
         ("S2TA", 0.5, 0.3): [
-            ("A0.5/B0.3", (64, 128, 256, ("hss", 0.5, ((4, 8),)),
-                           ("hss", 0.75, ((6, 8),)))),
-            ("A0.5/B0.3^T", (256, 128, 64, ("hss", 0.75, ((6, 8),)),
-                             ("hss", 0.5, ((4, 8),)))),
+            (64, 128, 256, ("hss", 0.5, ((4, 8),)),
+             ("hss", 0.75, ((6, 8),))),
+            (256, 128, 64, ("hss", 0.75, ((6, 8),)),
+             ("hss", 0.5, ((4, 8),))),
         ],
         ("STC", 0.5, 0.3): [
-            ("A0.5/B0.3", (64, 128, 256, ("hss", 0.5, ((2, 4), (4, 4))),
-                           ("unstructured", 0.7, ()))),
-            ("A0.5/B0.3^T", (256, 128, 64, ("unstructured", 0.7, ()),
-                             ("unstructured", 0.5, ()))),
+            (64, 128, 256, ("hss", 0.5, ((2, 4), (4, 4))),
+             ("unstructured", 0.7, ())),
+            (256, 128, 64, ("unstructured", 0.7, ()),
+             ("unstructured", 0.5, ())),
         ],
         ("TC", 0.5, 0.3): [
-            ("A0.5/B0.3", (64, 128, 256, ("dense", 1.0, ()),
-                           ("dense", 1.0, ()))),
+            (64, 128, 256, ("dense", 1.0, ()), ("dense", 1.0, ())),
         ],
     }
 
     @pytest.mark.parametrize("cell", sorted(PARENT), ids=lambda c: c[0])
-    def test_labeled_view_matches_the_name_switch(self, cell):
+    def test_labeled_view_matches_the_name_switch(self, cell, estimator):
+        """``key_cells`` labels each candidate key with its design name
+        and realizes it through that design's ``realize``: the pinned
+        keys, in candidate order."""
         design, degree_a, degree_b = cell
-        workloads = realize_workloads(
-            design, degree_a, degree_b, 64, 128, 256
+        keyed = SweepEngine(estimator).key_cells(
+            [Cell(design, degree_a, degree_b, 64, 128, 256)]
         )
-        assert [(w.name, w.key()) for w in workloads] == self.PARENT[cell]
+        assert keyed.keys == [(design, key) for key in self.PARENT[cell]]
+        assert keyed.spans == [len(self.PARENT[cell])]
 
     def test_engine_keys_match_the_labeled_view(self, estimator):
-        """``evaluate_cells`` keys candidates without building
-        workloads; its keys must be the labeled view's."""
+        """``evaluate_cells`` evaluates exactly the keys ``key_cells``
+        gives: the pinned ones, nothing else."""
         engine = SweepEngine(estimator)
         cells = [
             Cell(design, degree_a, degree_b, 64, 128, 256)
@@ -555,6 +547,6 @@ class TestDesignOwnsRealization:
         engine.evaluate_cells(cells)
         assert set(engine._cache) == {
             (design, key)
-            for (design, _, _), labeled in self.PARENT.items()
-            for _, key in labeled
+            for (design, _, _), keys in self.PARENT.items()
+            for key in keys
         }

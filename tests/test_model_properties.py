@@ -5,9 +5,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accelerators import DSTC, STC, TC, HighLight
+from repro.accelerators import DSTC, TC
 from repro.energy import Estimator
-from repro.eval.harness import evaluate_cell
+from repro.eval.engine import Cell, SweepEngine
 from repro.model.workload import (
     MatmulWorkload,
     dense_operand,
@@ -15,18 +15,25 @@ from repro.model.workload import (
 )
 
 ESTIMATOR = Estimator()
+ENGINE = SweepEngine(ESTIMATOR)
 A_DEGREES = st.sampled_from([0.0, 0.5, 0.625, 0.75])
 B_DEGREES = st.floats(min_value=0.0, max_value=0.9)
 SIZES = st.sampled_from([128, 256, 512, 1024])
 
 
+def best(design, sparsity_a, sparsity_b, size):
+    """The cell's best-EDP metrics (Sec. 7.1.1) on a square shape."""
+    (metrics,) = ENGINE.evaluate_cells(
+        [Cell(design, sparsity_a, sparsity_b, size, size, size)]
+    )
+    return metrics
+
+
 @settings(max_examples=40, deadline=None)
 @given(A_DEGREES, B_DEGREES, SIZES)
 def test_metrics_well_formed(sparsity_a, sparsity_b, size):
-    for design in (TC(), STC(), DSTC(), HighLight()):
-        metrics = evaluate_cell(
-            design, sparsity_a, sparsity_b, ESTIMATOR, size, size, size
-        )
+    for design in ("TC", "STC", "DSTC", "HighLight"):
+        metrics = best(design, sparsity_a, sparsity_b, size)
         assert metrics is not None
         assert metrics.energy_pj > 0
         assert metrics.cycles > 0
@@ -39,20 +46,16 @@ def test_metrics_well_formed(sparsity_a, sparsity_b, size):
 @settings(max_examples=40, deadline=None)
 @given(A_DEGREES, B_DEGREES, SIZES)
 def test_highlight_never_slower_than_dense(sparsity_a, sparsity_b, size):
-    dense = evaluate_cell(TC(), sparsity_a, sparsity_b, ESTIMATOR,
-                          size, size, size)
-    ours = evaluate_cell(HighLight(), sparsity_a, sparsity_b, ESTIMATOR,
-                         size, size, size)
+    dense = best("TC", sparsity_a, sparsity_b, size)
+    ours = best("HighLight", sparsity_a, sparsity_b, size)
     assert ours.cycles <= dense.cycles * (1 + 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(A_DEGREES, B_DEGREES, SIZES)
 def test_stc_speedup_capped(sparsity_a, sparsity_b, size):
-    dense = evaluate_cell(TC(), sparsity_a, sparsity_b, ESTIMATOR,
-                          size, size, size)
-    stc = evaluate_cell(STC(), sparsity_a, sparsity_b, ESTIMATOR,
-                        size, size, size)
+    dense = best("TC", sparsity_a, sparsity_b, size)
+    stc = best("STC", sparsity_a, sparsity_b, size)
     assert stc.cycles >= dense.cycles * 0.5 - 1e-9
 
 

@@ -16,6 +16,25 @@ from repro.model.workload import (
 from repro.sparsity import HSSPattern, sparsify
 
 
+def built_orientations(estimator, monkeypatch):
+    """The workloads the sweep engine builds for STC's two candidates
+    of the (0.5, 0) cell at (M, K, N) = (4, 8, 2): the direct one, then
+    the swapped one (the transposed product Z^T = B^T A^T)."""
+    from repro.eval import engine as engine_mod
+
+    built = []
+    real = engine_mod.evaluate_workload
+
+    def recording(design, workload, estimator):
+        built.append(workload)
+        return real(design, workload, estimator)
+
+    monkeypatch.setattr(engine_mod, "evaluate_workload", recording)
+    engine = engine_mod.SweepEngine(estimator)
+    engine.evaluate_cells([engine_mod.Cell("STC", 0.5, 0.0, 4, 8, 2)])
+    return built
+
+
 class TestOperandSparsity:
     def test_dense(self):
         operand = dense_operand()
@@ -96,21 +115,24 @@ class TestMatmulWorkload:
         )
         assert workload.effectual_products == pytest.approx(counted)
 
-    def test_swapped_shape(self):
-        swapped = self.workload().swapped()
+    def test_swapped_shape(self, estimator, monkeypatch):
+        _, swapped = built_orientations(estimator, monkeypatch)
         assert (swapped.m, swapped.k, swapped.n) == (2, 8, 4)
 
-    def test_swapped_operands(self):
-        swapped = self.workload().swapped()
-        assert swapped.a.structure is Structure.UNSTRUCTURED
-        assert swapped.b.structure is Structure.HSS
+    def test_swapped_operands(self, estimator, monkeypatch):
+        direct, swapped = built_orientations(estimator, monkeypatch)
+        assert direct.a.structure is Structure.HSS and direct.b.is_dense
+        # A's 50% degree now sits on B, in B's unstructured form.
+        assert swapped.a.is_dense
+        assert swapped.b.structure is Structure.UNSTRUCTURED
+        assert swapped.b.sparsity == pytest.approx(0.5)
 
-    def test_swap_involution_products(self):
-        workload = self.workload()
-        assert (
-            workload.swapped().swapped().dense_products
-            == workload.dense_products
+    def test_swap_involution_products(self, estimator, monkeypatch):
+        direct, swapped = built_orientations(estimator, monkeypatch)
+        assert (swapped.n, swapped.k, swapped.m) == (
+            direct.m, direct.k, direct.n,
         )
+        assert swapped.dense_products == direct.dense_products
 
     def test_rejects_bad_dims(self):
         with pytest.raises(WorkloadError):
@@ -179,9 +201,9 @@ class TestContentKeys:
         )
         assert other.key() != self.workload().key()
 
-    def test_swapped_workload_has_distinct_key(self):
-        workload = self.workload()
-        assert workload.swapped().key() != workload.key()
+    def test_swapped_workload_has_distinct_key(self, estimator, monkeypatch):
+        direct, swapped = built_orientations(estimator, monkeypatch)
+        assert swapped.key() != direct.key()
 
 
 class TestSyntheticWorkload:

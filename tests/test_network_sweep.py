@@ -5,7 +5,7 @@ import pytest
 from repro.dnn.models import deit_small, get_model, model_names
 from repro.energy import Estimator
 from repro.errors import WorkloadError
-from repro.eval.engine import SweepEngine
+from repro.eval.engine import Cell, SweepEngine
 from repro.eval import experiments as E
 
 
@@ -87,6 +87,35 @@ class TestExactlyOnceAcrossDegrees:
             == pytest.approx(sweep.evaluations[("TC", 0.0)].edp)
             for degree in (0.5, 0.75)
         )
+
+
+class TestOneRealizationRoute:
+    def test_layer_metrics_are_the_cells_metrics(self, estimator):
+        """A network layer is one cell: each per-layer winner of
+        ``sweep_model`` is the very object ``evaluate_cells`` returns
+        for that layer's cell on the same engine, and asking again
+        evaluates nothing."""
+        engine = SweepEngine(estimator)
+        model = deit_small()
+        sweep = E.sweep_model(model, ctx=engine)
+        misses = engine.stats.misses
+        for design, degree, evaluation in sweep.rows():
+            cells = [
+                Cell(
+                    design,
+                    degree if layer.name in model.prunable else 0.0,
+                    model.activation_sparsity,
+                    *layer.gemm_shape(),
+                )
+                for layer in model.layers
+            ]
+            winners = engine.evaluate_cells(cells)
+            if evaluation is None:
+                assert None in winners
+                continue
+            for layer, metrics in zip(model.layers, winners):
+                assert evaluation.per_layer[layer.name] is metrics
+        assert engine.stats.misses == misses
 
 
 class TestSweepModelResult:

@@ -10,13 +10,17 @@
 * :class:`DSSO` — the Sec. 7.5 dual-side HSS study design with
   alternating dense ranks.
 
-Every design self-registers in :data:`repro.accelerators.registry.REGISTRY`
-with metadata (category, sparsity side, Table 4 position); sweeps and
+The table below registers every design in
+:data:`repro.accelerators.registry.REGISTRY` by name, class reference
+and metadata (category, sparsity side, Table 4 position); sweeps and
 the CLI resolve designs by name through the registry rather than by
-constructor.
+constructor. A design's module loads on its first ``create()``, and
+the classes above load on first access, so reading the registry
+imports no cost model.
 """
 
-from repro.accelerators.base import AcceleratorDesign
+from typing import TYPE_CHECKING
+
 from repro.accelerators.registry import (
     REGISTRY,
     DesignInfo,
@@ -24,12 +28,61 @@ from repro.accelerators.registry import (
     RegistryError,
     register_design,
 )
-from repro.accelerators.tc import TC
-from repro.accelerators.stc import STC
-from repro.accelerators.s2ta import S2TA
-from repro.accelerators.dstc import DSTC
-from repro.accelerators.highlight import HighLight
-from repro.accelerators.dsso import DSSO
+from repro.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.accelerators.base import AcceleratorDesign
+    from repro.accelerators.tc import TC
+    from repro.accelerators.stc import STC
+    from repro.accelerators.s2ta import S2TA
+    from repro.accelerators.dstc import DSTC
+    from repro.accelerators.highlight import HighLight
+    from repro.accelerators.dsso import DSSO
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("AcceleratorDesign",),
+        "tc": ("TC",),
+        "stc": ("STC",),
+        "s2ta": ("S2TA",),
+        "dstc": ("DSTC",),
+        "highlight": ("HighLight",),
+        "dsso": ("DSSO",),
+    },
+)
+
+# Registration order is the order `repro list` prints.
+register_design(
+    "TC", "repro.accelerators.tc:TC",
+    category="dense", sparsity_side="none",
+    table4_order=0, main_evaluation=True,
+)
+register_design(
+    "STC", "repro.accelerators.stc:STC",
+    category="structured", sparsity_side="single",
+    table4_order=1, main_evaluation=True,
+)
+register_design(
+    "S2TA", "repro.accelerators.s2ta:S2TA",
+    category="structured", sparsity_side="dual",
+    table4_order=3, main_evaluation=True,
+)
+register_design(
+    "DSTC", "repro.accelerators.dstc:DSTC",
+    category="unstructured", sparsity_side="dual",
+    table4_order=2, main_evaluation=True,
+)
+register_design(
+    "HighLight", "repro.accelerators.highlight:HighLight",
+    category="hss", sparsity_side="single",
+    table4_order=4, main_evaluation=True,
+)
+register_design(
+    "DSSO", "repro.accelerators.dsso:DSSO",
+    category="hss", sparsity_side="dual",
+    main_evaluation=False, study="sec7.5",
+)
 
 __all__ = [
     "AcceleratorDesign",

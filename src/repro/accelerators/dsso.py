@@ -18,7 +18,6 @@ from repro.accelerators.realization import (
     Candidate,
     hss_weight_candidates,
 )
-from repro.accelerators.registry import register_design
 from repro.arch.designs import highlight_resources
 from repro.compression.metadata import offset_bits
 from repro.energy.estimator import Estimator
@@ -36,8 +35,6 @@ DSSO_A_RANK0 = GHRange(2, 4, 4)
 DSSO_B_RANK1 = GHRange(2, 2, 8)
 
 
-@register_design(category="hss", sparsity_side="dual",
-                 main_evaluation=False, study="sec7.5")
 class DSSO(AcceleratorDesign):
     """The dual-side HSS design of Fig. 17."""
 

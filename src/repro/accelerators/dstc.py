@@ -15,7 +15,6 @@ from typing import Tuple
 
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.realization import Candidate
-from repro.accelerators.registry import register_design
 from repro.arch.designs import dstc_resources
 from repro.energy.estimator import Estimator
 from repro.model.density import random_balance_utilization
@@ -34,8 +33,6 @@ WORD_BITS = 16
 PIPELINE_EFFICIENCY = 0.95
 
 
-@register_design(category="unstructured", sparsity_side="dual",
-                 table4_order=2, main_evaluation=True)
 class DSTC(AcceleratorDesign):
     """Dual-side sparse tensor core (Table 3: dense or unstructured)."""
 

@@ -17,7 +17,6 @@ from repro.accelerators.realization import (
     Candidate,
     hss_weight_candidates,
 )
-from repro.accelerators.registry import register_design
 from repro.arch.designs import highlight_resources
 from repro.compression.metadata import offset_bits
 from repro.energy.estimator import Estimator
@@ -38,8 +37,6 @@ WORD_BITS = 16
 B_SPARSITY_HAIRCUT = 0.05
 
 
-@register_design(category="hss", sparsity_side="single",
-                 table4_order=4, main_evaluation=True)
 class HighLight(AcceleratorDesign):
     """The HSS accelerator (Table 3 row "HighLight")."""
 

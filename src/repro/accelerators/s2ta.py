@@ -14,7 +14,6 @@ from typing import Tuple
 
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.realization import Candidate, g8_operand
-from repro.accelerators.registry import register_design
 from repro.arch.designs import s2ta_resources
 from repro.energy.estimator import Estimator
 from repro.model.density import s2ta_quantized_density
@@ -38,8 +37,6 @@ MIN_B_SCHEDULED_DENSITY = 0.5
 SPILL_INTERVAL = 8
 
 
-@register_design(category="structured", sparsity_side="dual",
-                 table4_order=3, main_evaluation=True)
 class S2TA(AcceleratorDesign):
     """S2TA-like design (Table 3: A C0({G<=4}:8); B C0({G<=8}:8))."""
 

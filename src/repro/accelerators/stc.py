@@ -12,7 +12,6 @@ from typing import Tuple
 
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.realization import Candidate, hss_or_unstructured
-from repro.accelerators.registry import register_design
 from repro.arch.designs import stc_resources
 from repro.energy.estimator import Estimator
 from repro.model.density import stc_effective_density
@@ -25,8 +24,6 @@ META_BITS_PER_VALUE = 2
 WORD_BITS = 16
 
 
-@register_design(category="structured", sparsity_side="single",
-                 table4_order=1, main_evaluation=True)
 class STC(AcceleratorDesign):
     """Sparse-tensor-core-like design (Table 3: A dense or C0({G<=2}:4))."""
 

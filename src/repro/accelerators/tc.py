@@ -11,7 +11,6 @@ from typing import Tuple
 
 from repro.accelerators.base import AcceleratorDesign
 from repro.accelerators.realization import Candidate
-from repro.accelerators.registry import register_design
 from repro.arch.designs import tc_resources
 from repro.energy.estimator import Estimator
 from repro.model.perf import build_metrics
@@ -19,8 +18,6 @@ from repro.model.metrics import Metrics
 from repro.model.workload import MatmulWorkload, dense_operand
 
 
-@register_design(category="dense", sparsity_side="none",
-                 table4_order=0, main_evaluation=True)
 class TC(AcceleratorDesign):
     """Dense accelerator: 320 KB GLB, 4 x 2 KB RF, 1024 MACs."""
 

@@ -1,14 +1,14 @@
-"""REP005 registry-hygiene: decorators carry required metadata.
+"""REP005 registry-hygiene: registrations carry required metadata.
 
 The design/artifact registries are queryable (``repro list
 --filter KEY=VALUE``), which only works when every registration
-passes the metadata the filters key on: ``@register_design`` needs
-``category`` and ``sparsity_side``, ``@artifact`` and
+passes the metadata the filters key on: ``register_design(...)``
+needs ``category`` and ``sparsity_side``, ``@artifact`` and
 ``register_artifact(...)`` need a non-empty ``title`` (the streaming
-UI prints it).  The rule also tracks
-registered names across the whole run and flags duplicates — a
-copy-pasted ``name = "TC"`` would otherwise only fail at import
-time, when the registry raises on the collision.
+UI prints it).  The rule also tracks the registered names (each
+call's first positional argument) across the whole run and flags
+duplicates — a copy-pasted table row would otherwise only fail at
+import time, when the registry raises on the collision.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.registry import rule
 
 _STATE_KEY = "REP005"
-#: decorator name -> keywords every call site must pass.
+#: registration function -> keywords every call site must pass.
 _REQUIRED_KEYWORDS = {
     "register_design": ("category", "sparsity_side"),
     "artifact": ("title",),
@@ -29,7 +29,7 @@ _REQUIRED_KEYWORDS = {
 }
 
 
-def _decorator_call(node: ast.expr) -> Optional[Tuple[str, ast.Call]]:
+def _registration_call(node: ast.expr) -> Optional[Tuple[str, ast.Call]]:
     if not isinstance(node, ast.Call):
         return None
     chain = attr_chain(node.func)
@@ -38,31 +38,10 @@ def _decorator_call(node: ast.expr) -> Optional[Tuple[str, ast.Call]]:
     return None
 
 
-def _class_name_constant(cls: ast.ClassDef) -> Optional[ast.Constant]:
-    for stmt in cls.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "name"
-                    and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, str)
-                ):
-                    return stmt.value
-    return None
-
-
-def _registered_name(decorator: str, call: ast.Call,
-                     node: ast.AST) -> Optional[Tuple[str, ast.AST]]:
+def _registered_name(call: ast.Call) -> Optional[Tuple[str, ast.AST]]:
     """The name this registration claims, and its anchor node."""
-    if decorator in ("artifact", "register_artifact"):
-        if call.args and isinstance(call.args[0], ast.Constant):
-            return str(call.args[0].value), call.args[0]
-        return None
-    if isinstance(node, ast.ClassDef):
-        constant = _class_name_constant(node)
-        if constant is not None:
-            return str(constant.value), constant
+    if call.args and isinstance(call.args[0], ast.Constant):
+        return str(call.args[0].value), call.args[0]
     return None
 
 
@@ -73,20 +52,21 @@ def _registered_name(decorator: str, call: ast.Call,
     finish=lambda shared: _finish(shared),
 )
 def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
-    """Registry decorators must pass required metadata; registered
-    names must be unique across the linted set."""
+    """Registrations must pass required metadata; registered names
+    must be unique across the linted set."""
     names = ctx.shared.setdefault(_STATE_KEY, {})
     for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        if isinstance(node, ast.FunctionDef):
             calls = [
                 resolved for decorator in node.decorator_list
-                if (resolved := _decorator_call(decorator)) is not None
+                if (resolved := _registration_call(decorator)) is not None
+                and resolved[0] == "artifact"
             ]
             owner: Optional[str] = node.name
         elif isinstance(node, ast.Expr):
-            # A plain registration call: register_artifact(...).
-            resolved = _decorator_call(node.value)
-            if resolved is None or resolved[0] != "register_artifact":
+            # A table row: register_design(...) or register_artifact(...).
+            resolved = _registration_call(node.value)
+            if resolved is None or resolved[0] == "artifact":
                 continue
             calls, owner = [resolved], None
         else:
@@ -118,11 +98,11 @@ def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
                         kw.value,
                         f"{subject} passes empty {kw.arg!r}",
                     )
-            claimed = _registered_name(kind, call, node)
+            claimed = _registered_name(call)
             if claimed is not None:
                 name, anchor = claimed
-                # Both spellings fill one artifact registry.
-                key = "artifact" if kind == "register_artifact" else kind
+                # Both artifact spellings fill one registry.
+                key = "design" if kind == "register_design" else "artifact"
                 names.setdefault((key, name), []).append(
                     _pending_duplicate(ctx, anchor, key, name)
                 )

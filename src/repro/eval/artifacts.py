@@ -41,7 +41,6 @@ the events).
 from __future__ import annotations
 
 import csv
-import importlib
 import io
 import json
 import time
@@ -63,42 +62,14 @@ from typing import (
 from repro.errors import EvaluationError
 from repro.eval import reporting as R
 from repro.eval.reporting import FORMATS
+from repro.lazy import Ref, Resolving
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.eval.engine import EngineContext, EngineStats
 
-#: An object, or the ``"module:attr"`` that names it.
-Ref = Union[str, Any]
-
-
-def _resolve(ref: Ref) -> Any:
-    if not isinstance(ref, str):
-        return ref
-    module, _, attr = ref.partition(":")
-    return getattr(importlib.import_module(module), attr)
-
-
-class _Resolving:
-    """Resolves each attribute named in ``_RESOLVED`` from the
-    reference field it maps to, on first access, and keeps it."""
-
-    _RESOLVED: ClassVar[Dict[str, str]] = {}
-
-    def __getattr__(self, attr: str) -> Any:
-        # Reached only while ``attr`` is unset on the instance.
-        ref = self._RESOLVED.get(attr)
-        if ref is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute "
-                f"{attr!r}"
-            )
-        value = _resolve(getattr(self, ref))
-        object.__setattr__(self, attr, value)
-        return value
-
 
 @dataclass(frozen=True)
-class Claim(_Resolving):
+class Claim(Resolving):
     """One paper claim an artifact's result must reproduce.
 
     ``check`` (``check(result, ctx) -> (measured, passed)``, with
@@ -118,7 +89,7 @@ class Claim(_Resolving):
 
 
 @dataclass(frozen=True)
-class ArtifactInfo(_Resolving):
+class ArtifactInfo(Resolving):
     """One registered artifact: its name and title, and where its
     compute function and renderers live.
 

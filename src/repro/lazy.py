@@ -16,6 +16,11 @@ import to the first access of a name that needs it::
 
 ``__all__`` stays a literal list, so ``from package import *``
 resolves every name through ``__getattr__``.
+
+The registries defer the same way: an artifact's compute function or a
+design's class is named by a ``"module:attr"`` :data:`Ref` and
+resolved by :class:`Resolving` on first use, so listing a registry
+imports none of the code it names.
 """
 
 from __future__ import annotations
@@ -23,7 +28,55 @@ from __future__ import annotations
 import importlib
 import sys
 from types import ModuleType
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+#: An object, or the ``"module:attr"`` that names it.
+Ref = Union[str, Any]
+
+
+def resolve(ref: Ref) -> Any:
+    """The object ``ref`` names (``ref`` itself unless a string)."""
+    if not isinstance(ref, str):
+        return ref
+    module, _, attr = ref.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
+class Resolving:
+    """Resolves each attribute named in ``_RESOLVED`` from the
+    reference field it maps to, on first access, and keeps it.
+
+    :meth:`_check_resolved` sees each resolved value before it is
+    kept; a subclass overrides it to reject a wrong one.
+    """
+
+    _RESOLVED: ClassVar[Dict[str, str]] = {}
+
+    def __getattr__(self, attr: str) -> Any:
+        # Reached only while ``attr`` is unset on the instance.
+        ref = self._RESOLVED.get(attr)
+        if ref is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute "
+                f"{attr!r}"
+            )
+        value = resolve(getattr(self, ref))
+        self._check_resolved(attr, value)
+        object.__setattr__(self, attr, value)
+        return value
+
+    def _check_resolved(self, attr: str, value: Any) -> None:
+        """Raise if ``value`` may not serve as ``attr``."""
 
 
 class _SubmoduleShadowGuard(ModuleType):

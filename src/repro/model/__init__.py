@@ -13,26 +13,53 @@ The model follows the Sparseloop methodology the paper uses [54]:
    (:mod:`repro.model.activity`) which, with the Accelergy-style
    estimator, become energy; cycle counts come from scheduled
    compute and utilization (:mod:`repro.model.metrics`).
+
+Names load on first access, so a caller that needs one submodule
+(the CLI reads :data:`repro.model.metrics.GEOMEAN_METRICS`) does not
+import the rest.
 """
 
-from repro.model.workload import (
-    MatmulWorkload,
-    OperandSparsity,
-    dense_operand,
-    hss_operand,
-    structured_operand,
-    unstructured_operand,
+from typing import TYPE_CHECKING
+
+from repro.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.model.workload import (
+        MatmulWorkload,
+        OperandSparsity,
+        dense_operand,
+        hss_operand,
+        structured_operand,
+        unstructured_operand,
+    )
+    from repro.model.metrics import Metrics, normalize
+    from repro.model.activity import ActivityCounts
+    from repro.model.density import (
+        balance_efficiency,
+        highlight_supported_density,
+        s2ta_quantized_density,
+        stc_effective_density,
+    )
+    from repro.model.dataflow import Loop, Loopnest, highlight_loopnest
+    from repro.model.mapping import Mapping, best_mapping, dram_traffic_vs_glb
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "workload": (
+            "MatmulWorkload", "OperandSparsity", "dense_operand",
+            "hss_operand", "structured_operand", "unstructured_operand",
+        ),
+        "metrics": ("Metrics", "normalize"),
+        "activity": ("ActivityCounts",),
+        "density": (
+            "balance_efficiency", "highlight_supported_density",
+            "s2ta_quantized_density", "stc_effective_density",
+        ),
+        "dataflow": ("Loop", "Loopnest", "highlight_loopnest"),
+        "mapping": ("Mapping", "best_mapping", "dram_traffic_vs_glb"),
+    },
 )
-from repro.model.metrics import Metrics, normalize
-from repro.model.activity import ActivityCounts
-from repro.model.density import (
-    balance_efficiency,
-    highlight_supported_density,
-    s2ta_quantized_density,
-    stc_effective_density,
-)
-from repro.model.dataflow import Loop, Loopnest, highlight_loopnest
-from repro.model.mapping import Mapping, best_mapping, dram_traffic_vs_glb
 
 __all__ = [
     "MatmulWorkload",

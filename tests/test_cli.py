@@ -748,6 +748,41 @@ class TestListSubcommand:
         for name in ("TC", "STC", "S2TA", "DSTC", "HighLight", "DSSO"):
             assert name not in designs
 
+    @staticmethod
+    def _listed_designs(capsys, *filters):
+        argv = ["list"]
+        for item in filters:
+            argv += ["--filter", item]
+        assert main(argv) == 0
+        designs = capsys.readouterr().out.split("\n\nArtifacts")[0]
+        return [line.split()[0] for line in designs.splitlines()[3:]]
+
+    def test_bool_filter_skips_int_metadata(self, capsys):
+        """``True == 1`` in Python; STC's ``table4_order=1`` still is
+        no match for ``true``."""
+        assert self._listed_designs(capsys, "table4_order=true") == []
+        assert self._listed_designs(capsys, "table4_order=1") == ["STC"]
+
+    def test_int_filter_skips_bool_metadata(self, capsys):
+        assert self._listed_designs(capsys, "main_evaluation=1") == []
+        assert self._listed_designs(capsys, "main_evaluation=true") == [
+            "TC", "STC", "S2TA", "DSTC", "HighLight",
+        ]
+
+    @pytest.mark.parametrize(
+        "filters, golden",
+        [((), "list.txt"),
+         (("--filter", "sparsity_side=dual"),
+          "list_sparsity_side_dual.txt")],
+        ids=["plain", "sparsity-side-dual"],
+    )
+    def test_output_matches_golden(self, capsys, filters, golden):
+        """Design metadata lives in the registration table: its order
+        and every field print as they always have."""
+        assert main(["list", *filters]) == 0
+        expected = (Path(__file__).parent / "golden" / golden).read_text()
+        assert capsys.readouterr().out == expected
+
 
 class TestSingleEvaluationRegression:
     def test_repro_all_evaluates_each_pair_once(self, monkeypatch):
@@ -1037,6 +1072,23 @@ class TestImportBudget:
         assert loaded_after(
             "from repro.cli import main\nmain(['list'])",
             EVALUATION_MODULES + ("sqlite3",),
+        ) == []
+
+    def test_list_loads_no_cost_model(self):
+        """Designs register as data; listing them imports no design
+        class and none of the cost model behind one."""
+        assert loaded_after(
+            "from repro.cli import main\nmain(['list'])",
+            tuple(
+                f"repro.accelerators.{name}"
+                for name in (
+                    "base", "tc", "stc", "s2ta", "dstc", "highlight",
+                    "dsso",
+                )
+            ) + (
+                "repro.model.workload", "repro.model.perf",
+                "repro.energy", "repro.arch", "repro.sparsity",
+            ),
         ) == []
 
     def test_six_design_sweep_loads_no_heavy_layer(self, tmp_path):

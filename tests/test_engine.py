@@ -459,7 +459,7 @@ class TestDesignOwnsRealization:
     def _registry():
         registry = DesignRegistry()
         registry.register("TC", TC)
-        register_design(registry)(ToyDesign)
+        register_design("Toy", ToyDesign, registry=registry)
         return registry
 
     def test_registry_only_design_sweeps_a_grid(self, estimator):

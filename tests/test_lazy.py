@@ -19,6 +19,8 @@ LAZY_PACKAGES = (
     "repro.compression",
     "repro.pruning",
     "repro.eval",
+    "repro.accelerators",
+    "repro.model",
 )
 
 

@@ -390,6 +390,25 @@ HYGIENE_BAD_CALL_DUPLICATE = """
         return None
 """
 
+HYGIENE_BAD_DESIGN_MISSING_KW = """
+    from repro.accelerators.registry import register_design
+
+    register_design("XT", "m:XT", category="dense")
+"""
+
+HYGIENE_BAD_DESIGN_EMPTY_VALUE = """
+    from repro.accelerators.registry import register_design
+
+    register_design("XT", "m:XT", category="dense", sparsity_side="")
+"""
+
+HYGIENE_BAD_DESIGN_DUPLICATE = """
+    from repro.accelerators.registry import register_design
+
+    register_design("XT", "m:XT", category="dense", sparsity_side="none")
+    register_design("XT", "m:XU", category="hss", sparsity_side="dual")
+"""
+
 HYGIENE_GOOD = """
     from repro.eval.artifacts import artifact
 
@@ -407,6 +426,22 @@ HYGIENE_GOOD_CALL = """
     )
 """
 
+#: A design and an artifact may share a name: they fill different
+#: registries.
+HYGIENE_GOOD_DESIGN_TABLE = """
+    from repro.accelerators.registry import register_design
+    from repro.eval.artifacts import register_artifact
+
+    register_design(
+        "XT", "m:XT", category="dense", sparsity_side="none",
+        table4_order=0,
+    )
+    register_design("XU", "m:XU", category="hss", sparsity_side="dual")
+    register_artifact(
+        "XT", "m:xt", "m:Result", text="m:render", title="XT sweep",
+    )
+"""
+
 
 class TestRegistryHygiene:
     @pytest.mark.parametrize(
@@ -417,13 +452,34 @@ class TestRegistryHygiene:
             HYGIENE_BAD_DUPLICATE,
             HYGIENE_BAD_CALL_MISSING_KW,
             HYGIENE_BAD_CALL_DUPLICATE,
+            HYGIENE_BAD_DESIGN_MISSING_KW,
+            HYGIENE_BAD_DESIGN_EMPTY_VALUE,
+            HYGIENE_BAD_DESIGN_DUPLICATE,
         ],
         ids=["missing-title", "empty-title", "duplicate-name",
-             "call-missing-title", "call-then-decorator-duplicate"],
+             "call-missing-title", "call-then-decorator-duplicate",
+             "design-missing-sparsity-side", "design-empty-sparsity-side",
+             "design-duplicate-name"],
     )
     def test_violations_flagged(self, tmp_path, source):
         findings = run_rule(tmp_path, source, "REP005")
         assert findings and all(f.rule == "REP005" for f in findings)
+
+    def test_design_row_missing_metadata_message(self, tmp_path):
+        findings = run_rule(tmp_path, HYGIENE_BAD_DESIGN_MISSING_KW, "REP005")
+        assert [f.line for f in findings] == [4]
+        assert "register_design(...) is missing required metadata: " \
+            "sparsity_side" in findings[0].message
+
+    def test_duplicate_design_flags_the_later_row(self, tmp_path):
+        findings = run_rule(tmp_path, HYGIENE_BAD_DESIGN_DUPLICATE, "REP005")
+        assert [f.line for f in findings] == [5]
+        assert "duplicate design registration for name 'XT'" in (
+            findings[0].message
+        )
+
+    def test_design_table_passes(self, tmp_path):
+        assert run_rule(tmp_path, HYGIENE_GOOD_DESIGN_TABLE, "REP005") == ()
 
     def test_complete_registration_passes(self, tmp_path):
         assert run_rule(tmp_path, HYGIENE_GOOD, "REP005") == ()

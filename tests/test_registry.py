@@ -4,6 +4,7 @@ import pytest
 
 from repro.accelerators import (
     REGISTRY,
+    TC,
     all_designs,
     main_design_names,
 )
@@ -60,6 +61,14 @@ class TestDefaultRegistry:
         assert info.metadata["main_evaluation"] is False
         assert "DSSO" not in main_design_names()
 
+    def test_every_entry_resolves_to_its_named_design_class(self):
+        for info in REGISTRY:
+            cls = info.factory
+            assert isinstance(cls, type), info.name
+            assert issubclass(cls, AcceleratorDesign), info.name
+            assert cls.name == info.name
+            assert type(REGISTRY.create(info.name)) is cls
+
     def test_contains_and_len(self):
         assert "HighLight" in REGISTRY
         assert "NoSuchDesign" not in REGISTRY
@@ -73,18 +82,39 @@ class TestRegistryMechanics:
         with pytest.raises(RegistryError, match="already registered"):
             registry.register("X", object)
 
-    def test_decorator_registration(self):
+    def test_call_registration(self):
         registry = DesignRegistry()
 
-        @register_design(registry, category="test", flag=1)
         class Dummy:
             name = "Dummy"
 
+        info = register_design("Dummy", Dummy, registry=registry,
+                               category="test", flag=1)
+
+        assert registry["Dummy"] is info
         assert "Dummy" in registry
         assert registry["Dummy"].metadata == {
             "category": "test", "flag": 1,
         }
         assert isinstance(registry.create("Dummy"), Dummy)
+
+    def test_reference_resolves_on_first_create(self):
+        registry = DesignRegistry()
+        info = register_design("TC", "repro.accelerators.tc:TC",
+                               registry=registry, category="dense")
+        assert "factory" not in vars(info)
+        assert isinstance(registry.create("TC"), TC)
+        assert vars(info)["factory"] is TC
+
+    def test_mismatched_reference_raises(self):
+        registry = DesignRegistry()
+        register_design("NotTC", "repro.accelerators.tc:TC",
+                        registry=registry, category="dense")
+        with pytest.raises(RegistryError, match="'NotTC'.*named 'TC'"):
+            registry.create("NotTC")
+        # The failed resolution is not kept.
+        with pytest.raises(RegistryError):
+            registry["NotTC"].factory
 
     def test_iteration_preserves_registration_order(self):
         registry = DesignRegistry()

@@ -8,8 +8,7 @@ hot-path float folds keep a pinned order so the golden tests stay
 bit-identical, and every constructed engine is closed so interrupted
 grids keep their work.  This package turns those conventions into
 machine-checked invariants: a multi-pass AST analyzer whose rules are
-registered with the :func:`rule` decorator (the same decorator-driven
-registry idiom as ``@artifact``), run over a
+registered with the :func:`rule` decorator, run over a
 file set by :func:`lint_paths`, and surfaced through the ``repro
 lint`` CLI as a text table or a JSON document.  The one exception
 path is an inline ``# repro-lint: ignore[REPnnn]`` comment on the

@@ -118,8 +118,8 @@ def rule(
     and yields findings; ``ctx.finding(...)`` builds them with the
     location filled in.  The runner drops findings an inline
     ``# repro-lint: ignore[...]`` comment covers.  The decorator
-    returns the :class:`RuleInfo` (like ``@artifact``), so the
-    module-level name is the registered spec, not the bare function.
+    returns the :class:`RuleInfo`, so the module-level name is the
+    registered spec, not the bare function.
     """
 
     def decorate(check: CheckFn) -> RuleInfo:

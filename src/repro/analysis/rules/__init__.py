@@ -2,7 +2,7 @@
 
 Each module holds one rule (plus its helpers) and registers it into
 :data:`repro.analysis.registry.RULES` via the ``@rule`` decorator at
-import time, as ``@artifact`` registers an artifact defined in place.
+import time.
 """
 
 from repro.analysis.rules import (  # noqa: F401

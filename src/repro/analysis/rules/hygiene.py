@@ -3,9 +3,8 @@
 The design/artifact registries are queryable (``repro list
 --filter KEY=VALUE``), which only works when every registration
 passes the metadata the filters key on: ``register_design(...)``
-needs ``category`` and ``sparsity_side``, ``@artifact`` and
-``register_artifact(...)`` need a non-empty ``title`` (the streaming
-UI prints it).  The rule also tracks the registered names (each
+needs ``category`` and ``sparsity_side``, ``register_artifact(...)``
+needs a non-empty ``title`` (the streaming UI prints it).  The rule also tracks the registered names (each
 call's first positional argument) across the whole run and flags
 duplicates — a copy-pasted table row would otherwise only fail at
 import time, when the registry raises on the collision.
@@ -24,7 +23,6 @@ _STATE_KEY = "REP005"
 #: registration function -> keywords every call site must pass.
 _REQUIRED_KEYWORDS = {
     "register_design": ("category", "sparsity_side"),
-    "artifact": ("title",),
     "register_artifact": ("title",),
 }
 
@@ -56,56 +54,46 @@ def check_registry_hygiene(ctx: FileContext) -> Iterator[Finding]:
     must be unique across the linted set."""
     names = ctx.shared.setdefault(_STATE_KEY, {})
     for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.FunctionDef):
-            calls = [
-                resolved for decorator in node.decorator_list
-                if (resolved := _registration_call(decorator)) is not None
-                and resolved[0] == "artifact"
-            ]
-            owner: Optional[str] = node.name
-        elif isinstance(node, ast.Expr):
-            # A table row: register_design(...) or register_artifact(...).
-            resolved = _registration_call(node.value)
-            if resolved is None or resolved[0] == "artifact":
-                continue
-            calls, owner = [resolved], None
-        else:
+        # A table row: register_design(...) or register_artifact(...).
+        if not isinstance(node, ast.Expr):
             continue
-        for kind, call in calls:
-            subject = f"@{kind} on {owner}" if owner else f"{kind}(...)"
-            keywords = {kw.arg for kw in call.keywords if kw.arg}
-            missing = [
-                key
-                for key in _REQUIRED_KEYWORDS[kind]
-                if key not in keywords
-            ]
-            if missing:
+        resolved = _registration_call(node.value)
+        if resolved is None:
+            continue
+        kind, call = resolved
+        subject = f"{kind}(...)"
+        keywords = {kw.arg for kw in call.keywords if kw.arg}
+        missing = [
+            key
+            for key in _REQUIRED_KEYWORDS[kind]
+            if key not in keywords
+        ]
+        if missing:
+            yield ctx.finding(
+                check_registry_hygiene,
+                call,
+                f"{subject} is missing required "
+                f"metadata: {', '.join(missing)} (repro list "
+                f"--filter and the run UI key on it)",
+            )
+        for kw in call.keywords:
+            if (
+                kw.arg in _REQUIRED_KEYWORDS[kind]
+                and isinstance(kw.value, ast.Constant)
+                and kw.value.value in ("", None)
+            ):
                 yield ctx.finding(
                     check_registry_hygiene,
-                    call,
-                    f"{subject} is missing required "
-                    f"metadata: {', '.join(missing)} (repro list "
-                    f"--filter and the run UI key on it)",
+                    kw.value,
+                    f"{subject} passes empty {kw.arg!r}",
                 )
-            for kw in call.keywords:
-                if (
-                    kw.arg in _REQUIRED_KEYWORDS[kind]
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value in ("", None)
-                ):
-                    yield ctx.finding(
-                        check_registry_hygiene,
-                        kw.value,
-                        f"{subject} passes empty {kw.arg!r}",
-                    )
-            claimed = _registered_name(call)
-            if claimed is not None:
-                name, anchor = claimed
-                # Both artifact spellings fill one registry.
-                key = "design" if kind == "register_design" else "artifact"
-                names.setdefault((key, name), []).append(
-                    _pending_duplicate(ctx, anchor, key, name)
-                )
+        claimed = _registered_name(call)
+        if claimed is not None:
+            name, anchor = claimed
+            key = "design" if kind == "register_design" else "artifact"
+            names.setdefault((key, name), []).append(
+                _pending_duplicate(ctx, anchor, key, name)
+            )
 
 
 def _pending_duplicate(

@@ -46,12 +46,13 @@ from contextlib import closing
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.accelerators import REGISTRY, main_design_names
+from repro.accelerators import REGISTRY
 from repro.endpoint import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.errors import (
     CacheError,
     EvaluationError,
     LintUsageError,
+    SweepSpecError,
     WorkloadError,
 )
 from repro.eval import reporting as R
@@ -61,6 +62,7 @@ from repro.model.metrics import GEOMEAN_METRICS
 if TYPE_CHECKING:  # pragma: no cover
     from repro.eval.artifacts import ArtifactFinished, ArtifactRegistry
     from repro.eval.engine import EngineContext
+    from repro.eval.sweeps import SweepSpec
 
 #: Geomean-able sweep metrics the `sweep` subcommand can render.
 SWEEP_METRICS = GEOMEAN_METRICS
@@ -114,27 +116,10 @@ def _render_outputs(results: Dict[str, Any], fmt: str) -> str:
     return "\n\n".join(sections)
 
 
-def run_artifacts(
-    names: List[str],
-    ctx: "EngineContext | None | object" = None,
-    fmt: str = "text",
-) -> str:
-    """Render the named artifacts off one shared context.
-
-    ``ctx`` accepts anything
-    :meth:`~repro.eval.engine.EngineContext.coerce` does (``None``, an
-    estimator, an engine, a context).
-    """
-    from repro.eval.artifacts import compute_artifacts
-    from repro.eval.engine import EngineContext
-
-    ctx = EngineContext.coerce(ctx)
-    return _render_outputs(compute_artifacts(names, ctx), fmt)
-
-
 def _parse_degrees(text: str) -> Tuple[float, ...]:
     """Comma-separated degrees, deduplicated in order (a repeated degree
-    would repeat a grid row or column, not add one)."""
+    would repeat a grid row or column, not add one). The sweep spec
+    checks their range."""
     try:
         # + 0.0 folds -0.0 into 0.0: one degree, one grid row.
         degrees = tuple(dict.fromkeys(
@@ -146,11 +131,6 @@ def _parse_degrees(text: str) -> Tuple[float, ...]:
         )
     if not degrees:
         raise argparse.ArgumentTypeError("empty degree list")
-    for degree in degrees:
-        if not 0.0 <= degree < 1.0:
-            raise argparse.ArgumentTypeError(
-                f"sparsity degrees must be in [0, 1), got {degree}"
-            )
     return degrees
 
 
@@ -261,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--model-file", default=None, metavar="PATH",
-        help="register a user-defined JSON layer table at runtime and "
-        "sweep it (see README for the schema)",
+        help="sweep a user-defined JSON layer table (see README for "
+        "the schema; a built-in model's name is refused)",
     )
     sweep.add_argument(
         "--profile", default=None, metavar="PATH",
@@ -290,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cubic GEMM side M=K=N (default 1024)",
     )
     sweep.add_argument(
-        "--metric", choices=SWEEP_METRICS, default="edp",
-        help="metric to render (default edp)",
+        "--metric", choices=SWEEP_METRICS, default=None,
+        help="(grid sweeps only) metric to render (default edp)",
     )
     _add_engine_options(sweep)
 
@@ -558,165 +538,99 @@ def _cmd_artifact(args: argparse.Namespace,
         return 0
 
 
-def _cmd_sweep_model(args: argparse.Namespace,
-                     parser: argparse.ArgumentParser,
-                     model=None) -> int:
-    from repro.dnn.models import get_model
-    from repro.eval import experiments as E
-    from repro.eval.runs import record_from_model_sweep
-
+def _read_json(parser: argparse.ArgumentParser, what: str,
+               path: str) -> Any:
+    """A ``--model-file``/``--profile`` file's JSON, or exit 2 naming
+    the file."""
     try:
-        # --model-file passes its model directly: re-resolving by name
-        # could hit a case-insensitive builtin (e.g. "resnet50").
-        if model is None:
-            model = get_model(args.model)
-        profile = (
-            E.load_profile(args.profile)
-            if args.profile is not None else None
+        return json.loads(Path(path).read_text())
+    except OSError as error:
+        parser.error(f"cannot read {what} {path}: {error}")
+    except json.JSONDecodeError as error:
+        parser.error(f"{what} {path} is not valid JSON: {error}")
+
+
+def _sweep_spec(args: argparse.Namespace,
+                parser: argparse.ArgumentParser) -> SweepSpec:
+    """The sweep spec the given flags ask for, validated by the same
+    parser as ``POST /v1/sweep``; a bad spec exits 2."""
+    from repro.eval.sweeps import sweep_spec
+
+    if args.model is not None and args.model_file is not None:
+        parser.error("--model and --model-file are mutually exclusive")
+    body: Dict[str, Any] = {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in (
+            ("model", args.model), ("designs", args.designs),
+            ("degrees", args.degrees), ("a_degrees", args.a_degrees),
+            ("b_degrees", args.b_degrees), ("size", args.size),
         )
-    except WorkloadError as error:
-        parser.error(str(error))
-    design_names = (
-        tuple(args.designs) if args.designs else main_design_names()
-    )
-    ctx = _build_context(args, parser)
-    with closing(ctx.engine):
-        start = time.perf_counter()
-        try:
-            sweep = E.sweep_model(
-                model,
-                designs=design_names,
-                degrees=args.degrees,
-                ctx=ctx,
-                profile=profile,
-            )
-        except WorkloadError as error:
-            parser.error(str(error))
-        wall_time_s = time.perf_counter() - start
-        print(R.render_model_sweep(sweep))
-        stats = ctx.engine.stats
-        print(
-            f"\n{len(design_names)} designs on {model.name}, "
-            f"{stats.evaluations} workloads evaluated, "
-            f"{stats.hits} memory hits, {stats.disk_hits} disk hits "
-            f"in {wall_time_s:.2f}s"
+        if value is not None
+    }
+    files = {"model": ("model file", args.model_file),
+             "profile": ("profile", args.profile)}
+    for key, (what, path) in files.items():
+        if path is not None:
+            body[key] = _read_json(parser, what, path)
+    if "model" in body and args.metric is not None:
+        parser.error(
+            "--metric applies to synthetic grids; a model sweep "
+            "renders network cycles, energy and normalized EDP"
         )
-        if ctx.record_path:
-            record = record_from_model_sweep(
-                command="sweep-model",
-                sweep=sweep,
-                engine=ctx.engine,
-                wall_time_s=wall_time_s,
-            )
-            path = record.write(ctx.record_path)
-            print(f"wrote {path}")
-        return 0
+    try:
+        return sweep_spec(body)
+    except SweepSpecError as error:
+        what, path = files.get(error.key or "", ("", None))
+        parser.error(
+            f"{what} {path}: {error}" if path is not None else str(error)
+        )
 
 
 def _cmd_sweep(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
-    design_names = (
-        tuple(args.designs) if args.designs else main_design_names()
-    )
-    for name in design_names:
-        if name not in REGISTRY:
-            parser.error(
-                f"unknown design {name!r}; run 'repro list' for the "
-                f"registered names"
-            )
-    loaded_model = None
-    if args.model_file is not None:
-        from repro.dnn.models import load_model_file, register_model
+    from repro.eval.sweeps import GridSweep
 
-        if args.model is not None:
-            parser.error(
-                "--model and --model-file are mutually exclusive"
-            )
-        try:
-            # replace=True only re-registers *runtime* models (loading
-            # the same file twice in one process is legitimate);
-            # shadowing a builtin like ResNet50 — any case variant —
-            # is refused inside register_model and lands here as a
-            # loud parser error.
-            loaded_model = register_model(
-                load_model_file(args.model_file), replace=True
-            )
-        except WorkloadError as error:
-            parser.error(str(error))
-        args.model = loaded_model.name
-    if args.model is not None:
-        for flag, value in (
-            ("--a-degrees", args.a_degrees),
-            ("--b-degrees", args.b_degrees),
-            ("--size", args.size),
-        ):
-            if value is not None:
-                parser.error(
-                    f"{flag} applies to synthetic grids; a --model "
-                    f"sweep takes its shapes from the network's layers "
-                    f"(use --degrees for the weight-sparsity ladder)"
-                )
-        return _cmd_sweep_model(args, parser, model=loaded_model)
-    if args.degrees is not None:
-        parser.error(
-            "--degrees applies to --model sweeps; use --a-degrees/"
-            "--b-degrees for synthetic grids"
-        )
-    if args.profile is not None:
-        parser.error(
-            "--profile applies to --model/--model-file sweeps (it "
-            "maps layer names to degrees)"
-        )
-    from repro.eval.engine import DEFAULT_A_DEGREES, DEFAULT_B_DEGREES
-    from repro.eval.runs import record_from_sweep
-
-    a_degrees = (
-        args.a_degrees if args.a_degrees is not None else DEFAULT_A_DEGREES
-    )
-    b_degrees = (
-        args.b_degrees if args.b_degrees is not None else DEFAULT_B_DEGREES
-    )
-    size = args.size if args.size is not None else 1024
+    spec = _sweep_spec(args, parser)
     ctx = _build_context(args, parser)
     with closing(ctx.engine):
         start = time.perf_counter()
-        sweep = ctx.engine.sweep(
-            designs=design_names,
-            a_degrees=a_degrees,
-            b_degrees=b_degrees,
-            m=size, k=size, n=size,
-        )
-        wall_time_s = time.perf_counter() - start
         try:
-            rendered = R.render_sweep(sweep, args.metric)
-        except EvaluationError as error:
-            # E.g. S2TA as baseline on a grid with a dense-dense cell
-            # it cannot process: normalization has nothing to divide
-            # by.
-            parser.error(
-                f"cannot normalize this grid: {error}. Include TC in "
-                f"--designs or restrict the degree grids to cells the "
-                f"baseline ({sweep.baseline}) supports."
+            sweep = spec.run(ctx)
+        except WorkloadError as error:
+            parser.error(str(error))
+        wall_time_s = time.perf_counter() - start
+        if isinstance(spec, GridSweep):
+            command = "sweep"
+            try:
+                rendered = R.render_sweep(sweep, args.metric or "edp")
+            except EvaluationError as error:
+                # E.g. S2TA as baseline on a grid with a dense-dense
+                # cell it cannot process: normalization has nothing to
+                # divide by.
+                parser.error(
+                    f"cannot normalize this grid: {error}. Include TC "
+                    f"in --designs or restrict the degree grids to "
+                    f"cells the baseline ({sweep.baseline}) supports."
+                )
+            shape = (
+                f"x {len(spec.a_degrees)}x{len(spec.b_degrees)} degree "
+                f"grid @ {spec.size}^3"
             )
+        else:
+            command = "sweep-model"
+            rendered = R.render_model_sweep(sweep)
+            shape = f"on {spec.model.name}"
         print(rendered)
         stats = ctx.engine.stats
         print(
-            f"\n{len(design_names)} designs x {len(a_degrees)}x"
-            f"{len(b_degrees)} degree grid @ {size}^3, "
+            f"\n{len(spec.designs)} designs {shape}, "
             f"{stats.evaluations} workloads evaluated, "
             f"{stats.hits} memory hits, {stats.disk_hits} disk hits "
             f"in {wall_time_s:.2f}s"
         )
         if ctx.record_path:
-            record = record_from_sweep(
-                command="sweep",
-                sweep=sweep,
-                engine=ctx.engine,
-                wall_time_s=wall_time_s,
-                shape=(size, size, size),
-            )
-            path = record.write(ctx.record_path)
-            print(f"wrote {path}")
+            record = spec.record(command, sweep, wall_time_s, stats)
+            print(f"wrote {record.write(ctx.record_path)}")
         return 0
 
 

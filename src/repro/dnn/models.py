@@ -18,10 +18,8 @@ activations, the GELU/softmax transformers are nearly dense (<10%).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from functools import lru_cache
 
@@ -248,9 +246,11 @@ def all_models() -> Tuple[DnnModel, ...]:
     return (resnet50(), deit_small(), transformer_big())
 
 
-#: Registered networks, addressable by name from the CLI and the
+#: The networks, addressable by name from the CLI, the service and the
 #: network-sweep experiments (paper trio first, extensions after).
-MODEL_BUILDERS: Dict[str, Callable[[], DnnModel]] = {
+#: Fixed at import: a user-defined table is swept as an inline model,
+#: never registered here.
+MODEL_BUILDERS: Mapping[str, Callable[[], DnnModel]] = {
     "ResNet50": resnet50,
     "DeiT-small": deit_small,
     "Transformer-Big": transformer_big,
@@ -258,67 +258,18 @@ MODEL_BUILDERS: Dict[str, Callable[[], DnnModel]] = {
 }
 
 
-#: The module-level builders above, frozen at import time: runtime
-#: registrations may never shadow these, case-insensitively — a model
-#: file named ``ResNet50`` (or ``resnet50``) silently replacing the
-#: builtin would corrupt every later sweep that asks for it by name.
-BUILTIN_MODELS: Tuple[str, ...] = tuple(MODEL_BUILDERS)
-
-
 def is_builtin_model(name: str) -> bool:
-    """Whether ``name`` resolves (case-insensitively) to a builtin."""
+    """Whether ``name`` resolves (case-insensitively, like
+    :func:`get_model`) to a built-in network; an inline table so named
+    is refused, since it would shadow the built-in."""
     return any(
-        builtin.lower() == name.lower() for builtin in BUILTIN_MODELS
+        builtin.lower() == name.lower() for builtin in MODEL_BUILDERS
     )
 
 
-def _registered_name(name: str) -> Optional[str]:
-    """The registered spelling ``name`` resolves to, if any.
-
-    Case-insensitive to match :func:`get_model`: a case-variant that
-    registers but can never be resolved is unreachable dead weight.
-    """
-    for registered in MODEL_BUILDERS:
-        if registered.lower() == name.lower():
-            return registered
-    return None
-
-
 def model_names() -> Tuple[str, ...]:
-    """All registered network names, registration order."""
+    """All network names, in order."""
     return tuple(MODEL_BUILDERS)
-
-
-def register_model(model: DnnModel, replace: bool = False) -> DnnModel:
-    """Register a concrete network into :data:`MODEL_BUILDERS`.
-
-    Runtime counterpart of the module-level builders, used by
-    ``repro sweep --model-file``. Collision checks are
-    case-insensitive because :func:`get_model` resolves
-    case-insensitively — a case-variant would register but be
-    unreachable. Shadowing a builtin is always refused (``replace``
-    does not override it); shadowing an earlier runtime registration
-    needs ``replace=True`` (re-registering the same file in one
-    process is legitimate), and the old spelling is dropped so two
-    case-variants never coexist.
-    """
-    existing = _registered_name(model.name)
-    if existing is not None:
-        if is_builtin_model(existing):
-            raise WorkloadError(
-                f"model {model.name!r} would shadow the built-in "
-                f"{existing!r} (model names resolve "
-                f"case-insensitively); rename it"
-            )
-        if not replace:
-            raise WorkloadError(
-                f"model {model.name!r} is already registered "
-                f"(as {existing!r}; names resolve case-insensitively); "
-                f"rename it or pass replace=True"
-            )
-        del MODEL_BUILDERS[existing]
-    MODEL_BUILDERS[model.name] = lambda: model
-    return model
 
 
 #: Layer-table schema for user-defined models (``--model-file``):
@@ -454,22 +405,6 @@ def model_from_dict(data: Any) -> DnnModel:
         activation_sparsity=float(activation_sparsity),
         prunability=float(prunability),
     )
-
-
-def load_model_file(path: "str | Path") -> DnnModel:
-    """Read a user-defined layer table from a JSON file."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as error:
-        raise WorkloadError(f"cannot read model file {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise WorkloadError(
-            f"model file {path} is not valid JSON: {error}"
-        )
-    try:
-        return model_from_dict(data)
-    except WorkloadError as error:
-        raise WorkloadError(f"model file {path}: {error}")
 
 
 def get_model(name: str) -> DnnModel:

@@ -60,6 +60,18 @@ class EvaluationError(ReproError):
     """An experiment harness failure (unknown experiment, bad sweep)."""
 
 
+class SweepSpecError(ReproError):
+    """An invalid sweep spec (``repro sweep``'s flags or a
+    ``POST /v1/sweep`` body). ``key`` names the spec key whose value
+    is at fault, so a front end can say where that value came from
+    (the CLI names the file behind ``--model-file`` or
+    ``--profile``)."""
+
+    def __init__(self, message: str, key: "str | None" = None) -> None:
+        super().__init__(message)
+        self.key = key
+
+
 class CacheError(ReproError):
     """A persistent-cache operation failed (e.g. merging cache
     directories whose estimator fingerprints disagree)."""

@@ -2,8 +2,8 @@
 
 Mirrors :mod:`repro.accelerators.registry`: each artifact registers a
 ``compute(ctx) -> result`` function under its name via
-:func:`register_artifact` (or the :func:`artifact` decorator), together
-with the structured result type it produces and its text renderer.
+:func:`register_artifact`, together with the structured result type it
+produces and its text renderer.
 Computation and presentation are fully separated — ``compute`` returns
 a result dataclass with a uniform ``to_payload()``, and :func:`render`
 turns any result into ``text`` (byte-identical to the historical CLI
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     ClassVar,
     Dict,
     Iterator,
@@ -248,36 +247,6 @@ def register_artifact(
             metadata=dict(metadata),
         )
     )
-
-
-def artifact(
-    name: str,
-    result_type: Ref,
-    text: Ref,
-    title: str = "",
-    registry: Optional[ArtifactRegistry] = None,
-    **metadata: Any,
-) -> Callable[[Callable[[EngineContext], Any]], ArtifactInfo]:
-    """Decorator: register ``compute(ctx)`` as the named artifact.
-
-    ::
-
-        @artifact("gated", SweepResult, text=render_gated,
-                  title="A grid behind a gate")
-        def gated(ctx):
-            return ctx.engine.sweep(...)
-
-    The decorated name is bound to the :class:`ArtifactInfo` (specs are
-    invoked through the registry, not called directly).
-    """
-
-    def decorator(compute: Callable[[EngineContext], Any]) -> ArtifactInfo:
-        return register_artifact(
-            name, compute, result_type, text, title=title,
-            registry=registry, **metadata,
-        )
-
-    return decorator
 
 
 def render(result: Any, fmt: str = "text") -> str:

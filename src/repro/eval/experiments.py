@@ -16,11 +16,9 @@ memoizing engine, and the execution policy end-to-end.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     Any,
     Dict,
@@ -242,11 +240,11 @@ def profile_from_dict(
     """Normalize an already-parsed profile mapping.
 
     ``data`` maps layer names to degrees (or ``{"degree": ...}`` /
-    ``{"pattern": "G:H"}`` objects). This is the validation core shared
-    by :func:`load_profile` (JSON file, the CLI's ``--profile``) and
-    ``repro serve`` (inline ``"profile"`` spec field); ``source`` names
-    the origin in error messages. :func:`validate_profile` then checks
-    the layer names against a concrete model.
+    ``{"pattern": "G:H"}`` objects): a sweep spec's ``profile``
+    (:mod:`repro.eval.sweeps`; the CLI's ``--profile`` file holds the
+    same JSON). ``source`` names the origin in error messages.
+    :func:`validate_profile` then checks the layer names against a
+    concrete model.
     """
     if not isinstance(data, dict) or not data:
         raise WorkloadError(
@@ -257,22 +255,6 @@ def profile_from_dict(
         str(layer): _profile_degree(value, str(layer))
         for layer, value in data.items()
     }
-
-
-def load_profile(path: "str | Path") -> SparsityProfile:
-    """Read a per-layer sparsity profile from a JSON file.
-
-    The file maps layer names to degrees (or ``{"degree": ...}`` /
-    ``{"pattern": "G:H"}`` objects); :func:`validate_profile` checks
-    the names against a concrete model.
-    """
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as error:
-        raise WorkloadError(f"cannot read profile {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise WorkloadError(f"profile {path} is not valid JSON: {error}")
-    return profile_from_dict(data, source=f"profile {path}")
 
 
 def validate_profile(

@@ -24,9 +24,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.errors import ServeError
 from repro.eval import cache as cache_mod
-from repro.eval import experiments as E
 from repro.serve import protocol
 from repro.serve.coalescing import InflightRun
 from repro.eval.artifacts import (
@@ -37,11 +35,8 @@ from repro.eval.artifacts import (
     finished_event_line,
     stats_by_artifact,
 )
-from repro.eval.runs import (
-    record_from_artifacts,
-    record_from_model_sweep,
-    record_from_sweep,
-)
+from repro.eval.runs import record_from_artifacts
+from repro.eval.sweeps import SweepSpec
 
 if TYPE_CHECKING:  # typing-only, avoids a cycle with server
     from repro.serve.server import EvaluationService
@@ -88,7 +83,7 @@ def execute_artifacts(
 def execute_sweep(
     service: "EvaluationService",
     run: InflightRun,
-    spec: protocol.SweepSpec,
+    spec: SweepSpec,
 ) -> None:
     """Run one sweep, streaming its three events. Executor thread."""
     broker = service.broker
@@ -97,23 +92,7 @@ def execute_sweep(
         broker.publish(run, protocol.sweep_started_line())
         checkpoint = engine.checkpoint()
         start = time.perf_counter()
-        if spec.kind == "model":
-            if spec.model is None:  # parse_sweep_spec guarantees it
-                raise ServeError("model sweep without a model")
-            sweep: Any = E.sweep_model(
-                spec.model,
-                designs=spec.designs,
-                degrees=spec.degrees,
-                ctx=service.ctx,
-                profile=spec.profile,
-            )
-        else:
-            sweep = engine.sweep(
-                designs=spec.designs,
-                a_degrees=spec.a_degrees or (),
-                b_degrees=spec.b_degrees or (),
-                m=spec.size, k=spec.size, n=spec.size,
-            )
+        sweep: Any = spec.run(service.ctx)
         # Mirror RunPlan.events(): a served run is durable before it
         # announces completion.
         engine.flush()
@@ -126,18 +105,9 @@ def execute_sweep(
             run, protocol.sweep_run_finished_line(stats, wall_time_s)
         )
         if service.record_dir is not None:
-            if spec.kind == "model":
-                record = record_from_model_sweep(
-                    command="serve-sweep", sweep=sweep,
-                    wall_time_s=wall_time_s, stats=stats,
-                )
-            else:
-                record = record_from_sweep(
-                    command="serve-sweep", sweep=sweep,
-                    wall_time_s=wall_time_s, stats=stats,
-                    shape=(spec.size, spec.size, spec.size),
-                )
-            record.write(service.record_path(run))
+            spec.record(
+                "serve-sweep", sweep, wall_time_s, stats
+            ).write(service.record_path(run))
     except BaseException as error:
         broker.publish(run, protocol.error_line(error))
         if isinstance(error, (KeyboardInterrupt, SystemExit)):

@@ -11,29 +11,25 @@ library:
   rejected loudly — a spec is a small JSON object);
 * NDJSON responses stream close-delimited, one event per line.
 
-Spec parsing lives here too, so the canonical digest — the coalescing
-key — is defined next to the validation that produces it: two requests
-coalesce exactly when their *normalized* specs serialize identically
-(key order, ``"all"`` expansion, and default grids never split runs).
-Validation failures raise :class:`~repro.errors.ServeError` carrying
-the HTTP status, wrapping the existing taxonomy
-(:class:`~repro.errors.EvaluationError`,
-:class:`~repro.errors.WorkloadError`) so clients see the same loud
-messages the CLI prints.
+The spec parsers here adapt the library's: artifacts specs resolve
+through :func:`repro.eval.artifacts.names_from_spec`, sweep specs
+through :func:`repro.eval.sweeps.sweep_spec` (the parser ``repro
+sweep`` uses too). Each spec carries a canonical digest, the
+coalescing key: two requests coalesce exactly when their *normalized*
+specs serialize identically (key order, ``"all"`` expansion, and
+default grids never split runs). Validation failures raise
+:class:`~repro.errors.ServeError` (400) with the library's message,
+so clients see what the CLI prints.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.accelerators import REGISTRY, main_design_names
-from repro.dnn.models import DnnModel, get_model, model_from_dict
-from repro.errors import EvaluationError, ServeError, WorkloadError
-from repro.eval import experiments as E
+from repro.errors import EvaluationError, ServeError, SweepSpecError
 from repro.eval.artifacts import (
     ArtifactRegistry,
     ArtifactStarted,
@@ -41,6 +37,7 @@ from repro.eval.artifacts import (
     names_from_spec,
 )
 from repro.eval.engine import EngineStats
+from repro.eval.sweeps import SweepSpec, spec_digest, sweep_spec
 
 #: Request line + headers must fit in this many bytes.
 MAX_HEADER_BYTES = 64 * 1024
@@ -271,14 +268,6 @@ def error_line(error: BaseException) -> str:
 # ----------------------------------------------------------------------
 
 
-def _digest(kind: str, payload: Dict[str, Any]) -> str:
-    blob = json.dumps(
-        {"kind": kind, **payload}, sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class ArtifactsSpec:
     """A validated ``POST /v1/artifacts`` body."""
@@ -302,198 +291,15 @@ def parse_artifacts_spec(
         raise ServeError(str(error))
     return ArtifactsSpec(
         names=names,
-        digest=_digest("artifacts", {"artifacts": list(names)}),
+        digest=spec_digest("artifacts", {"artifacts": list(names)}),
     )
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated ``POST /v1/sweep`` body.
-
-    ``kind`` is ``"model"`` (a registered or inline DNN swept over
-    designs x weight-sparsity degrees) or ``"grid"`` (the synthetic
-    design x operand-sparsity grid) — the same split as
-    ``repro sweep``'s ``--model`` vs grid modes, with the same mutual
-    exclusions.
-    """
-
-    kind: str
-    digest: str
-    designs: Tuple[str, ...]
-    # model kind
-    model: Optional[DnnModel] = None
-    degrees: Optional[Tuple[float, ...]] = None
-    profile: Optional[Dict[str, float]] = None
-    # grid kind
-    a_degrees: Optional[Tuple[float, ...]] = None
-    b_degrees: Optional[Tuple[float, ...]] = None
-    size: int = 1024
-
-
-_MODEL_ONLY = ("degrees", "profile")
-_GRID_ONLY = ("a_degrees", "b_degrees", "size")
-_SWEEP_KEYS = {"model", "designs", *_MODEL_ONLY, *_GRID_ONLY}
-
-
-def _sweep_designs(data: Mapping[str, Any]) -> Tuple[str, ...]:
-    designs = data.get("designs")
-    if designs is None:
-        return tuple(main_design_names())
-    if (
-        not isinstance(designs, list) or not designs
-        or not all(isinstance(name, str) for name in designs)
-    ):
-        raise ServeError(
-            "'designs' must be a non-empty list of design names"
-        )
-    for name in designs:
-        if name not in REGISTRY:
-            raise ServeError(
-                f"unknown design {name!r}; registered: "
-                f"{', '.join(info.name for info in REGISTRY)}"
-            )
-    duplicates = sorted({n for n in designs if designs.count(n) > 1})
-    if duplicates:
-        raise ServeError(
-            f"duplicate design(s) in spec: {', '.join(duplicates)}"
-        )
-    return tuple(designs)
-
-
-def _degree_list(value: Any, name: str) -> Tuple[float, ...]:
-    if (
-        not isinstance(value, list) or not value
-        or not all(
-            isinstance(item, (int, float))
-            and not isinstance(item, bool)
-            for item in value
-        )
-    ):
-        raise ServeError(
-            f"{name!r} must be a non-empty list of sparsity degrees"
-        )
-    # Deduplicated in order, like the CLI's --a-degrees: [0.5] and
-    # [0.5, 0.5] are one spec and coalesce; + 0.0 folds -0.0 into 0.0.
-    degrees = tuple(dict.fromkeys(float(item) + 0.0 for item in value))
-    for degree in degrees:
-        if not 0.0 <= degree < 1.0:
-            raise ServeError(
-                f"{name!r} degrees must be in [0, 1), got {degree}"
-            )
-    return degrees
-
-
-def _sweep_model(data: Mapping[str, Any]) -> "tuple[DnnModel, Any]":
-    """The spec's model plus its canonical-digest token.
-
-    A registered name keys by name (case-normalized by resolution); an
-    inline ``--model-file``-style table keys by its full validated
-    table, so byte-different but semantically identical JSON bodies
-    still coalesce. Inline models are *not* registered into the
-    process-wide model registry — concurrent requests must never race
-    on global state.
-    """
-    raw = data["model"]
-    try:
-        if isinstance(raw, str):
-            model = get_model(raw)
-            return model, model.name
-        model = model_from_dict(raw)
-    except WorkloadError as error:
-        raise ServeError(str(error))
-    return model, {
-        key: raw[key] for key in sorted(raw)
-    }
 
 
 def parse_sweep_spec(data: Any) -> SweepSpec:
-    """Validate a sweep spec and key it for coalescing."""
-    if not isinstance(data, dict):
-        raise ServeError(
-            f"sweep spec must be a JSON object, got "
-            f"{type(data).__name__}"
-        )
-    unknown = sorted(set(data) - _SWEEP_KEYS)
-    if unknown:
-        raise ServeError(
-            f"unknown sweep spec key(s): {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(_SWEEP_KEYS))}"
-        )
-    designs = _sweep_designs(data)
-    if "model" in data:
-        for key in _GRID_ONLY:
-            if key in data:
-                raise ServeError(
-                    f"{key!r} applies to synthetic grid sweeps; a "
-                    f"model sweep takes its shapes from the network's "
-                    f"layers (use 'degrees' for the weight-sparsity "
-                    f"ladder)"
-                )
-        model, model_token = _sweep_model(data)
-        degrees = (
-            _degree_list(data["degrees"], "degrees")
-            if "degrees" in data else None
-        )
-        profile: Optional[Dict[str, float]] = None
-        if "profile" in data:
-            try:
-                profile = E.profile_from_dict(
-                    data["profile"], source="'profile'"
-                )
-                E.validate_profile(model, profile)
-            except WorkloadError as error:
-                raise ServeError(str(error))
-        resolved_degrees = {
-            design: list(
-                degrees if degrees is not None
-                else E.design_ladder(design)
-            )
-            for design in designs
-        }
-        return SweepSpec(
-            kind="model",
-            digest=_digest("sweep-model", {
-                "model": model_token,
-                "designs": list(designs),
-                "degrees": resolved_degrees,
-                "profile": profile,
-            }),
-            designs=designs,
-            model=model,
-            degrees=degrees,
-            profile=profile,
-        )
-    for key in _MODEL_ONLY:
-        if key in data:
-            raise ServeError(
-                f"{key!r} applies to model sweeps (include a 'model' "
-                f"in the spec)"
-            )
-    a_degrees = (
-        _degree_list(data["a_degrees"], "a_degrees")
-        if "a_degrees" in data else tuple(E.A_DEGREES)
-    )
-    b_degrees = (
-        _degree_list(data["b_degrees"], "b_degrees")
-        if "b_degrees" in data else tuple(E.B_DEGREES)
-    )
-    size = data.get("size", 1024)
-    if (
-        not isinstance(size, int) or isinstance(size, bool)
-        or size < 1
-    ):
-        raise ServeError(f"'size' must be a positive integer, got "
-                         f"{size!r}")
-    return SweepSpec(
-        kind="grid",
-        digest=_digest("sweep-grid", {
-            "designs": list(designs),
-            "a_degrees": list(a_degrees),
-            "b_degrees": list(b_degrees),
-            "size": size,
-        }),
-        designs=designs,
-        a_degrees=a_degrees,
-        b_degrees=b_degrees,
-        size=size,
-    )
+    """Validate a sweep spec and key it for coalescing: the service's
+    adapter over :func:`repro.eval.sweeps.sweep_spec`, whose errors
+    answer 400."""
+    try:
+        return sweep_spec(data)
+    except SweepSpecError as error:
+        raise ServeError(str(error))

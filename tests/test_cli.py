@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main, run_artifacts
+from repro.cli import main
 from repro.energy import Estimator
 from repro.eval import experiments as E
 from repro.eval.artifacts import ARTIFACTS
@@ -45,9 +45,9 @@ class TestCli:
             "fig16", "fig17",
         }
 
-    def test_run_artifacts_fast_subset(self):
-        text = run_artifacts(["fig6"])
-        assert "15 supported densities" in text
+    def test_run_artifacts_fast_subset(self, capsys):
+        assert main(["fig6"]) == 0
+        assert "15 supported densities" in capsys.readouterr().out
 
     def test_report_written(self, tmp_path, capsys):
         path = tmp_path / "EXPERIMENTS.md"
@@ -199,7 +199,7 @@ class TestModelSweepSubcommand:
         sweep."""
         for flag, value in (
             ("--a-degrees", "0.5"), ("--b-degrees", "0.5"),
-            ("--size", "512"),
+            ("--size", "512"), ("--metric", "cycles"),
         ):
             with pytest.raises(SystemExit):
                 main(["sweep", "--model", "DeiT-small", flag, value])
@@ -262,14 +262,6 @@ class TestArtifactFormatsAndRecords:
 
 
 class TestModelFileSubcommand:
-    @pytest.fixture(autouse=True)
-    def _unregister(self):
-        """Runtime registrations must not leak into other tests."""
-        from repro.dnn.models import MODEL_BUILDERS
-
-        yield
-        MODEL_BUILDERS.pop("TinyNet", None)
-
     MODEL = {
         "name": "TinyNet",
         "activation_sparsity": 0.1,
@@ -325,12 +317,15 @@ class TestModelFileSubcommand:
         shadow = json.loads(json.dumps(self.MODEL))
         shadow["name"] = name
         path = self._write(tmp_path, shadow)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main([
                 "sweep", "--model-file", path,
                 "--designs", "TC", "--degrees", "0.0",
             ])
-        assert "built-in" in capsys.readouterr().err
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "built-in" in err
+        assert path in err
         assert name not in MODEL_BUILDERS or name == "ResNet50"
         # The builtin still resolves to its 22-layer table.
         assert len(get_model("resnet50").layers) == 22
@@ -338,9 +333,9 @@ class TestModelFileSubcommand:
     def test_rerunning_the_same_model_file_is_fine(
         self, tmp_path, capsys
     ):
-        """Loading one file twice in one process re-registers the
-        runtime model rather than erroring (the CLI's replace=True
-        covers runtime names, just not builtins)."""
+        """Sweeping one file twice in one process works: the table is
+        swept inline, never registered, so the second run cannot
+        collide with the first."""
         path = self._write(tmp_path, self.MODEL)
         argv = ["sweep", "--model-file", path,
                 "--designs", "TC", "--degrees", "0.0"]

@@ -345,31 +345,22 @@ class TestCloseDiscipline:
 
 
 HYGIENE_BAD_MISSING_KW = """
-    from repro.eval.artifacts import artifact
+    from repro.eval import artifacts
 
-    @artifact("fig99")
-    def fig99(ctx):
-        return None
+    artifacts.register_artifact("fig99", "m:a", "m:R", text="m:r")
 """
 
 HYGIENE_BAD_EMPTY_VALUE = """
-    from repro.eval.artifacts import artifact
+    from repro.eval.artifacts import register_artifact
 
-    @artifact("fig99", title="")
-    def fig99(ctx):
-        return None
+    register_artifact("fig99", "m:a", "m:R", text="m:r", title="")
 """
 
 HYGIENE_BAD_DUPLICATE = """
-    from repro.eval.artifacts import artifact
+    from repro.eval.artifacts import register_artifact
 
-    @artifact("fig99", title="First")
-    def first(ctx):
-        return None
-
-    @artifact("fig99", title="Second")
-    def second(ctx):
-        return None
+    register_artifact("fig99", "m:a", "m:R", text="m:r", title="First")
+    register_artifact("fig99", "m:b", "m:R", text="m:r", title="Second")
 """
 
 HYGIENE_BAD_CALL_MISSING_KW = """
@@ -379,15 +370,15 @@ HYGIENE_BAD_CALL_MISSING_KW = """
 """
 
 HYGIENE_BAD_CALL_DUPLICATE = """
-    from repro.eval.artifacts import artifact, register_artifact
+    from repro.eval import artifacts
+    from repro.eval.artifacts import register_artifact
 
     register_artifact(
         "fig99", "m:fig99", "m:Result", text="m:render", title="First"
     )
-
-    @artifact("fig99", title="Second")
-    def second(ctx):
-        return None
+    artifacts.register_artifact(
+        "fig99", "m:second", "m:Result", text="m:render", title="Second"
+    )
 """
 
 HYGIENE_BAD_DESIGN_MISSING_KW = """
@@ -410,11 +401,9 @@ HYGIENE_BAD_DESIGN_DUPLICATE = """
 """
 
 HYGIENE_GOOD = """
-    from repro.eval.artifacts import artifact
+    from repro.eval.artifacts import register_artifact
 
-    @artifact("fig99", title="Figure 99")
-    def fig99(ctx):
-        return None
+    register_artifact("fig99", "m:a", "m:R", text="m:r", title="Figure 99")
 """
 
 HYGIENE_GOOD_CALL = """
@@ -457,7 +446,7 @@ class TestRegistryHygiene:
             HYGIENE_BAD_DESIGN_DUPLICATE,
         ],
         ids=["missing-title", "empty-title", "duplicate-name",
-             "call-missing-title", "call-then-decorator-duplicate",
+             "call-missing-title", "call-then-qualified-call-duplicate",
              "design-missing-sparsity-side", "design-empty-sparsity-side",
              "design-duplicate-name"],
     )
@@ -528,13 +517,16 @@ class TestErrorTaxonomy:
 # Inline suppression covers per-file and whole-run (finish) findings
 
 DUPLICATE_LATER_LINE = """
-    from repro.eval.artifacts import artifact
+    from repro.eval.artifacts import register_artifact
 
-    @artifact("fig99", title="First")
-    def first(ctx):
-        return None
+    register_artifact("fig99", "m:a", "m:R", text="m:r", title="First")
 
-    @artifact("fig99", title="Second")  # repro-lint: ignore[{ids}]
+
+    # A copy-pasted row:
+    register_artifact("fig99",  # repro-lint: ignore[{ids}]
+                      "m:b", "m:R", text="m:r", title="Second")
+
+
     def second(ctx):
         return None
 """

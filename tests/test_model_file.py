@@ -5,14 +5,16 @@ import json
 import pytest
 
 from repro.dnn.layers import ConvLayer, LinearLayer
+from repro.cli import main
 from repro.dnn.models import (
     MODEL_BUILDERS,
     get_model,
-    load_model_file,
+    is_builtin_model,
     model_from_dict,
-    register_model,
+    model_names,
 )
-from repro.errors import WorkloadError
+from repro.errors import SweepSpecError, WorkloadError
+from repro.eval.sweeps import sweep_spec
 
 VALID = {
     "name": "TableNet",
@@ -118,96 +120,69 @@ class TestPaddingValidation:
 
 
 class TestLoadModelFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "net.json"
-        path.write_text(json.dumps(VALID))
-        assert load_model_file(path).name == "TableNet"
+    """``repro sweep --model-file`` reads the file and sweeps its table
+    inline; read, JSON and schema errors name the file and exit 2."""
 
-    def test_error_names_the_file(self, tmp_path):
+    @staticmethod
+    def _sweep(tmp_path, text):
         path = tmp_path / "net.json"
+        path.write_text(text)
+        return main([
+            "sweep", "--model-file", str(path),
+            "--designs", "TC", "--degrees", "0.5",
+        ])
+
+    def _refused(self, tmp_path, text, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self._sweep(tmp_path, text)
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
+    def test_round_trip(self, tmp_path, capsys):
+        assert self._sweep(tmp_path, json.dumps(VALID)) == 0
+        assert "Network sweep — TableNet" in capsys.readouterr().out
+
+    def test_error_names_the_file(self, tmp_path, capsys):
         data = _copy()
         del data["name"]
-        path.write_text(json.dumps(data))
-        with pytest.raises(WorkloadError, match="net.json"):
-            load_model_file(path)
+        err = self._refused(tmp_path, json.dumps(data), capsys)
+        assert "net.json" in err
+        assert "missing field(s): name" in err
 
-    def test_invalid_json_is_loud(self, tmp_path):
-        path = tmp_path / "net.json"
-        path.write_text("{oops")
-        with pytest.raises(WorkloadError, match="not valid JSON"):
-            load_model_file(path)
+    def test_invalid_json_is_loud(self, tmp_path, capsys):
+        err = self._refused(tmp_path, "{oops", capsys)
+        assert "net.json is not valid JSON" in err
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(WorkloadError, match="cannot read"):
-            load_model_file(tmp_path / "nope.json")
+    def test_missing_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--model-file", str(tmp_path / "nope.json")])
+        assert exit_info.value.code == 2
+        assert "cannot read model file" in capsys.readouterr().err
 
 
 class TestRegisterModel:
-    def test_registered_model_resolves_by_name(self):
-        model = model_from_dict(VALID)
-        try:
-            register_model(model)
-            assert get_model("tablenet").name == "TableNet"
-        finally:
-            MODEL_BUILDERS.pop("TableNet", None)
-
-    def test_shadowing_requires_replace(self):
-        model = model_from_dict(VALID)
-        try:
-            register_model(model)
-            with pytest.raises(WorkloadError, match="already registered"):
-                register_model(model)
-            register_model(model, replace=True)
-        finally:
-            MODEL_BUILDERS.pop("TableNet", None)
-
-    def test_collision_check_is_case_insensitive(self):
-        """get_model resolves case-insensitively, so a case-variant
-        that registered would be unreachable — the collision check
-        must catch it."""
-        data = _copy()
-        try:
-            register_model(model_from_dict(data))
-            data["name"] = "tablenet"
-            with pytest.raises(WorkloadError, match="already registered"):
-                register_model(model_from_dict(data))
-        finally:
-            MODEL_BUILDERS.pop("TableNet", None)
-
-    def test_replace_drops_the_old_case_variant(self):
-        """Replacing under a new spelling must not leave two
-        case-variant keys behind (one would be unreachable)."""
-        data = _copy()
-        try:
-            register_model(model_from_dict(data))
-            data["name"] = "TABLENET"
-            register_model(model_from_dict(data), replace=True)
-            assert "TableNet" not in MODEL_BUILDERS
-            assert get_model("tablenet").name == "TABLENET"
-        finally:
-            MODEL_BUILDERS.pop("TABLENET", None)
-            MODEL_BUILDERS.pop("TableNet", None)
+    """The model registry is fixed at import: a user-defined table is
+    swept inline and can neither join nor shadow it."""
 
     @pytest.mark.parametrize(
         "name", ["ResNet50", "resnet50", "DEIT-SMALL"]
     )
     def test_builtins_cannot_be_shadowed(self, name):
-        """Builtins are refused outright — replace=True does not
-        override, and every case variant is caught."""
+        """A sweep spec refuses an inline table named after a built-in,
+        in any case variant (names resolve case-insensitively)."""
         data = _copy()
         data["name"] = name
-        model = model_from_dict(data)
-        for replace in (False, True):
-            with pytest.raises(WorkloadError, match="built-in"):
-                register_model(model, replace=replace)
+        with pytest.raises(SweepSpecError, match="built-in") as info:
+            sweep_spec({"model": data, "designs": ["TC"]})
+        assert info.value.key == "model"
         assert name not in MODEL_BUILDERS or name == "ResNet50"
+        assert get_model(name).name in model_names()
 
     def test_builtin_inventory(self):
-        from repro.dnn.models import BUILTIN_MODELS, is_builtin_model
-
-        assert BUILTIN_MODELS == (
+        assert model_names() == (
             "ResNet50", "DeiT-small", "Transformer-Big",
             "EfficientNet-B0",
         )
+        assert tuple(MODEL_BUILDERS) == model_names()
         assert is_builtin_model("efficientnet-b0")
         assert not is_builtin_model("TableNet")

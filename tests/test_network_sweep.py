@@ -290,46 +290,29 @@ class TestSparsityProfiles:
 
 
 class TestProfileParsing:
-    def test_load_profile_forms(self, tmp_path):
-        import json
+    """The forms a profile (a ``--profile`` file's JSON, or a sweep
+    spec's ``profile``) may take, and the entries it refuses."""
 
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps({
+    def test_load_profile_forms(self):
+        profile = E.profile_from_dict({
             "a": 0.5,
             "b": {"degree": 0.625},
             "c": {"pattern": "2:4"},
-        }))
-        profile = E.load_profile(path)
+        })
         assert profile == {"a": 0.5, "b": 0.625, "c": 0.5}
 
-    def test_bad_degree_rejected(self, tmp_path):
-        import json
-
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps({"a": -0.1}))
+    def test_bad_degree_rejected(self):
         with pytest.raises(WorkloadError, match=r"\[0, 1\)"):
-            E.load_profile(path)
+            E.profile_from_dict({"a": -0.1})
 
-    def test_bad_pattern_rejected(self, tmp_path):
-        import json
-
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps({"a": {"pattern": "4:2"}}))
+    def test_bad_pattern_rejected(self):
         with pytest.raises(WorkloadError, match="G <= H"):
-            E.load_profile(path)
+            E.profile_from_dict({"a": {"pattern": "4:2"}})
 
-    def test_degree_and_pattern_conflict(self, tmp_path):
-        import json
-
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps(
-            {"a": {"degree": 0.5, "pattern": "2:4"}}
-        ))
+    def test_degree_and_pattern_conflict(self):
         with pytest.raises(WorkloadError, match="exactly one"):
-            E.load_profile(path)
+            E.profile_from_dict({"a": {"degree": 0.5, "pattern": "2:4"}})
 
-    def test_non_object_profile_rejected(self, tmp_path):
-        path = tmp_path / "profile.json"
-        path.write_text("[1, 2, 3]")
+    def test_non_object_profile_rejected(self):
         with pytest.raises(WorkloadError, match="JSON object"):
-            E.load_profile(path)
+            E.profile_from_dict([1, 2, 3])

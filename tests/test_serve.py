@@ -30,10 +30,11 @@ from repro.eval.artifacts import (
     ArtifactFinished,
     ArtifactRegistry,
     RunPlan,
-    artifact,
     finished_event_line,
+    register_artifact,
 )
 from repro.eval.engine import EngineContext, SweepResult
+from repro.eval.sweeps import GridSweep, ModelSweep
 from repro.serve import protocol
 from repro.serve.server import EvaluationService
 
@@ -163,7 +164,7 @@ class TestSweepSpec:
                 "size": 1024,
             }
         )
-        assert implicit.kind == "grid"
+        assert isinstance(implicit, GridSweep)
         assert implicit.digest == explicit.digest
 
     def test_int_and_float_degrees_coalesce(self):
@@ -216,7 +217,7 @@ class TestSweepSpec:
                 "designs": list(main_design_names()),
             }
         )
-        assert implicit.kind == "model"
+        assert isinstance(implicit, ModelSweep)
         assert implicit.digest == explicit.digest
 
     def test_inline_table_key_order_is_irrelevant(self):
@@ -259,6 +260,7 @@ class TestSweepSpec:
                  "profile": {"not-a-layer": 0.5}},
                 "not-a-layer",
             ),
+            ({"model": {**MODEL_TABLE, "name": "resnet50"}}, "built-in"),
         ],
     )
     def test_invalid_specs_raise_serve_error(self, bad, match):
@@ -355,8 +357,8 @@ class TestSweepSpecDigestProperty:
             for variant in variants:
                 spec = protocol.parse_sweep_spec(variant)
                 assert spec.digest == digest, (omitted, variant)
-            kinds.add(spec.kind)
-        assert kinds == {"grid", "model"}
+            kinds.add(type(spec))
+        assert kinds == {GridSweep, ModelSweep}
 
 
 # ----------------------------------------------------------------------
@@ -642,6 +644,87 @@ class TestSweepStream:
             await service.aclose()
 
 
+#: (``repro sweep`` flags, the same spec as a ``POST /v1/sweep`` body);
+#: ``{profile}``/``{model_file}`` name files holding ``PARITY_PROFILE``
+#: and ``MODEL_TABLE``.
+PARITY_PROFILE = {"ff1": 0.75, "ff2": {"pattern": "2:4"}}
+PARITY_SPECS = {
+    "grid": (
+        ["--designs", "TC,HighLight,DSTC", "--a-degrees", "0,0.5",
+         "--b-degrees", "0,0.25", "--size", "64"],
+        {"designs": ["TC", "HighLight", "DSTC"], "a_degrees": [0, 0.5],
+         "b_degrees": [0, 0.25], "size": 64},
+    ),
+    "profiled-model": (
+        ["--model", "DeiT-small", "--designs", "TC,HighLight",
+         "--degrees", "0.5", "--profile", "{profile}"],
+        {"model": "DeiT-small", "designs": ["TC", "HighLight"],
+         "degrees": [0.5], "profile": PARITY_PROFILE},
+    ),
+    "inline-model": (
+        ["--model-file", "{model_file}", "--designs", "TC,HighLight",
+         "--degrees", "0,0.5"],
+        {"model": MODEL_TABLE, "designs": ["TC", "HighLight"],
+         "degrees": [0, 0.5]},
+    ),
+}
+
+
+class TestSweepParity:
+    """``repro sweep`` and ``POST /v1/sweep`` go through one spec
+    parser: the same spec keys to the same digest, runs to the same
+    payload, and records the same grid, cells and geomeans."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_SPECS))
+    def test_cli_and_service_agree(self, name, tmp_path, capsys):
+        from repro.cli import _sweep_spec, build_parser, main
+
+        flags, body = PARITY_SPECS[name]
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(PARITY_PROFILE))
+        model_file = tmp_path / "net.json"
+        model_file.write_text(json.dumps(MODEL_TABLE))
+        argv = ["sweep"] + [
+            flag.format(profile=profile, model_file=model_file)
+            for flag in flags
+        ]
+        cli_record = tmp_path / "cli.json"
+        assert main(argv + ["--record", str(cli_record)]) == 0
+        capsys.readouterr()
+        parser = build_parser()
+        cli_spec = _sweep_spec(parser.parse_args(argv), parser)
+
+        served_spec = protocol.parse_sweep_spec(body)
+        assert type(cli_spec) is type(served_spec)
+        assert cli_spec.digest == served_spec.digest
+        record_dir = tmp_path / "records"
+        payload = run_async(self._serve(body, record_dir))
+        assert (
+            cli_spec.run(EngineContext.create()).to_payload() == payload
+        )
+        (served_record,) = record_dir.glob("serve-*.json")
+        cli = json.loads(cli_record.read_text())
+        served = json.loads(served_record.read_text())
+        assert served["command"] == "serve-sweep"
+        for key in ("grid", "cells", "geomeans"):
+            assert cli[key] == served[key], key
+
+    @staticmethod
+    async def _serve(body, record_dir):
+        service = EvaluationService(
+            EngineContext.create(), port=0, record_dir=record_dir
+        )
+        await service.start()
+        try:
+            status, stream = await request(
+                service.port, "POST", "/v1/sweep", body=body
+            )
+        finally:
+            await service.aclose()
+        assert status == 200, stream
+        return ndjson(stream)[1]["payload"]
+
+
 # ----------------------------------------------------------------------
 # Coalescing (the tentpole invariant: identical concurrent specs
 # evaluate exactly once, every subscriber gets the full stream)
@@ -653,23 +736,23 @@ def _gated_registry(gate):
     before evaluating one tiny grid, plus an ungated 'quick' one."""
     registry = ArtifactRegistry()
 
-    @artifact("gated", SweepResult, text=lambda r: "gated",
-              registry=registry)
-    def _gated(ctx):
+    def gated(ctx):
         assert gate.wait(timeout=60), "test gate never released"
         return ctx.engine.sweep(
             designs=("TC",), a_degrees=(0.5,), b_degrees=(0.5,),
             m=32, k=32, n=32,
         )
 
-    @artifact("quick", SweepResult, text=lambda r: "quick",
-              registry=registry)
-    def _quick(ctx):
+    def quick(ctx):
         return ctx.engine.sweep(
             designs=("TC",), a_degrees=(0.25,), b_degrees=(0.25,),
             m=32, k=32, n=32,
         )
 
+    register_artifact("gated", gated, SweepResult,
+                      text=lambda r: "gated", registry=registry)
+    register_artifact("quick", quick, SweepResult,
+                      text=lambda r: "quick", registry=registry)
     return registry
 
 

@@ -846,6 +846,24 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        # Flush here, not at interpreter exit, so a closed pipe shows
+        # up as the BrokenPipeError handled below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`repro sweep ... | head -1`).
+        # The engine's cache was flushed on the way out; point stdout
+        # at devnull so the exit flush of what is still buffered
+        # cannot fail again, and exit 1 with nothing on stderr.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _run(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] not in COMMANDS and (
         argv[0] == "all" or argv[0] in _artifacts()

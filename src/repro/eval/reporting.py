@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from itertools import zip_longest
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.findings import LintResult
@@ -25,15 +28,26 @@ FORMATS = ("text", "json", "csv", "md")
 def format_table(
     headers: Sequence[str], rows: Sequence[Sequence[str]]
 ) -> str:
-    """Monospace table with per-column padding."""
+    """Monospace table with per-column padding.
+
+    Each line is its cells left-justified to their column's width, two
+    spaces apart, right-stripped; a row shorter than the headers pads
+    only the cells it has. Each row fills one ``%``-format string made
+    for its length.
+    """
     widths = [len(h) for h in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
+    for index, column in enumerate(zip_longest(*rows, fillvalue="")):
+        widths[index] = max(widths[index], *map(len, column))
+    specs = ["%%-%ds" % width for width in widths]
+    templates: Dict[int, str] = {}
+
     def line(cells: Sequence[str]) -> str:
-        return "  ".join(
-            cell.ljust(widths[index]) for index, cell in enumerate(cells)
-        ).rstrip()
+        template = templates.get(len(cells))
+        if template is None:
+            template = templates[len(cells)] = "  ".join(
+                specs[:len(cells)]
+            )
+        return (template % tuple(cells)).rstrip()
 
     separator = "  ".join("-" * w for w in widths)
     return "\n".join(
@@ -43,6 +57,26 @@ def format_table(
 
 def _fmt(value: Optional[float], digits: int = 3) -> str:
     return "n/s" if value is None else f"{value:.{digits}f}"
+
+
+def _percent(degree: float) -> str:
+    return f"{degree:.0%}"
+
+
+class _Formatted(dict):
+    """value -> its text, formatted on first lookup.
+
+    Keyed by value, so callers look zeros up outside it: ``0.0`` and
+    ``-0.0`` are one key but format differently.
+    """
+
+    def __init__(self, formatter: Callable[[Any], str]) -> None:
+        super().__init__()
+        self.formatter = formatter
+
+    def __missing__(self, value: Any) -> str:
+        text = self[value] = self.formatter(value)
+        return text
 
 
 def markdown_section(title: str, name: str, body: str) -> str:
@@ -129,15 +163,25 @@ def render_fig13_artifact(result: SweepResult) -> str:
 
 def render_sweep(result: SweepResult, metric: str = "edp") -> str:
     """A custom sweep grid for one metric, normalized to the sweep's
-    own baseline design (the CLI ``sweep`` subcommand's view)."""
+    own baseline design (the CLI ``sweep`` subcommand's view).
+
+    A grid repeats few distinct degrees and ratios, so each is
+    formatted once; zeros and ``None`` (``n/s``) skip the memo."""
     normalized = result.normalized(metric)
     headers = ["A sparsity", "B sparsity"] + list(result.design_order)
+    degrees = _Formatted(_percent)
+    ratios = _Formatted(_fmt)
     rows: List[List[str]] = []
     for (sparsity_a, sparsity_b), per_design in sorted(normalized.items()):
-        rows.append(
-            [f"{sparsity_a:.0%}", f"{sparsity_b:.0%}"]
-            + [_fmt(per_design[d]) for d in result.design_order]
-        )
+        row = [
+            degrees[sparsity_a] if sparsity_a else _percent(sparsity_a),
+            degrees[sparsity_b] if sparsity_b else _percent(sparsity_b),
+        ]
+        row += [
+            ratios[ratio] if ratio else _fmt(ratio)
+            for ratio in map(per_design.__getitem__, result.design_order)
+        ]
+        rows.append(row)
     title = (
         f"Sweep — normalized {metric} "
         f"(lower is better, {result.baseline} = 1)"

@@ -7,13 +7,20 @@ set next to the ``BENCH_*.json`` pytest-benchmark files.
 
 Layout on disk: the envelope (every field but ``cells``) is indented
 two spaces; ``cells`` holds one compact JSON object per line, so a
-record stays line-diffable per cell while the bulk of it goes through
-the stdlib's C encoder (the pure-Python one runs whenever ``indent`` is
-set). Layout is not schema: any JSON reader sees the same object, key
-order and float reprs as a fully indented dump. Records are written
-atomically — encoded in full, written to a temporary file beside the
-target, then renamed over it — so a failed write never leaves a torn
-record or clobbers an earlier one.
+record stays line-diffable per cell. Layout is not schema: any JSON
+reader sees the same object, key order and float reprs as a fully
+indented dump. Records are written atomically — encoded in full,
+written to a temporary file beside the target, then renamed over it —
+so a failed write never leaves a torn record or clobbers an earlier
+one.
+
+A grid record repeats few distinct values: a seed-1 perfbench grid has
+16,224 cells but 1,598 distinct metric summaries, six design names and
+52 degrees. :func:`record_from_sweep` therefore shares one summary dict
+between cells whose metrics are equal in value, and the writer encodes
+each distinct value object once with the stdlib's C encoder, filling
+every ``cells`` line from a template of the cell keys — the same bytes
+as encoding each cell whole.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, fields
+from itertools import filterfalse
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -48,20 +57,75 @@ if TYPE_CHECKING:  # typing-only, avoids a cycle with experiments
 #: per line left v4 unchanged.
 SCHEMA_VERSION = 4
 
+#: The slice of :class:`Metrics` a run record keeps per cell, in order.
+SUMMARY_FIELDS = (
+    "cycles", "energy_pj", "edp", "utilization", "supported", "swapped",
+)
+_summary_values = attrgetter(*SUMMARY_FIELDS)
+
 
 def metrics_summary(metrics: Optional[Metrics]) -> Optional[Dict[str, Any]]:
     """The JSON-friendly slice of one cell's metrics (``None`` for
     cells the design cannot process)."""
     if metrics is None:
         return None
-    return {
-        "cycles": metrics.cycles,
-        "energy_pj": metrics.energy_pj,
-        "edp": metrics.edp,
-        "utilization": metrics.utilization,
-        "supported": metrics.supported,
-        "swapped": metrics.swapped,
-    }
+    return dict(zip(SUMMARY_FIELDS, _summary_values(metrics)))
+
+
+def _json_value_key(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """A dict key under which two tuples of JSON scalars meet only if
+    they encode to the same JSON.
+
+    Equality alone would merge ``1``, ``1.0`` and ``True`` (their types
+    tell them apart) and ``0.0`` and ``-0.0`` (the reprs of the falsy
+    values do). A NaN equals only itself, so equal NaN-holding tuples
+    hold the same NaN object.
+    """
+    return (
+        values,
+        tuple(map(type, values)),
+        tuple(map(repr, filterfalse(None, values))),
+    )
+
+
+def _encode_cells(cells: List[Dict[str, Any]]) -> str:
+    """``cells`` as compact JSON objects, one per record line: the same
+    text as encoding each cell whole, with each distinct value object
+    encoded once.
+
+    Every cell whose keys match the first cell's, in order, is filled
+    into one template of those keys; any other cell (or every cell,
+    when the first one's keys are not all strings) goes through the
+    plain encoder. The memo is keyed by object identity, which never
+    merges values whose JSON differs; the cells keep every keyed object
+    alive while it runs.
+    """
+    encode = json.JSONEncoder().encode
+    first = cells[0]
+    keys = tuple(first) if type(first) is dict else None
+    if keys is not None and not all(type(key) is str for key in keys):
+        keys = None  # the encoder coerces non-string keys
+    template = "{%s}" % ", ".join(
+        encode(key).replace("%", "%%") + ": %s" for key in keys or ()
+    )
+    memo: Dict[int, str] = {}
+    get = memo.get
+    lines: List[str] = []
+    append = lines.append
+    for cell in cells:
+        if type(cell) is not dict or tuple(cell) != keys:
+            append(encode(cell))
+            continue
+        texts = []
+        for value in cell.values():
+            text = get(id(value))
+            if text is None:
+                text = memo[id(value)] = encode(value)
+            texts.append(text)
+        append(template % tuple(texts))
+    # The line list dies with this frame, before the caller's final
+    # join allocates the record's full text.
+    return ",\n    ".join(lines)
 
 
 @dataclass(frozen=True)
@@ -89,8 +153,12 @@ class RunRecord:
         """The record as JSON text: an indented envelope around
         ``cells`` written one compact cell per line.
 
-        Fields are taken shallowly — they hold only JSON-ready values,
-        and a stray non-JSON value still raises ``TypeError`` here.
+        The envelope goes through ``json.dumps(..., indent=2)``; the
+        cells through :func:`_encode_cells`, which encodes each
+        distinct value once and writes the same bytes as encoding each
+        cell with ``json.JSONEncoder().encode``. Fields are taken
+        shallowly — they hold only JSON-ready values, and a stray
+        non-JSON value still raises ``TypeError`` here.
         """
         encode = json.JSONEncoder().encode
         # One join at the end: the cells text of a large grid is
@@ -103,8 +171,7 @@ class RunRecord:
                 parts.append(",\n")
             parts.append(f"  {encode(spec.name)}: ")
             if spec.name == "cells" and value:
-                parts += ("[\n    ", ",\n    ".join(map(encode, value)),
-                          "\n  ]")
+                parts += ("[\n    ", _encode_cells(value), "\n  ]")
             else:
                 parts.append(
                     json.dumps(value, indent=2).replace("\n", "\n  ")
@@ -158,15 +225,29 @@ def record_from_sweep(
     """
     if created_at is None:
         created_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    # One summary dict per distinct value: looked up by the metrics
+    # object first (the engine hands the same object to every cell of
+    # a cached pair), then by value (equal metrics of different pairs).
+    by_object: Dict[int, Dict[str, Any]] = {}
+    by_value: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
     cells: List[Dict[str, Any]] = []
     for (sparsity_a, sparsity_b), per_design in sweep.cells.items():
         for design, metrics in per_design.items():
+            summary = None
+            if metrics is not None:
+                summary = by_object.get(id(metrics))
+                if summary is None:
+                    key = _json_value_key(_summary_values(metrics))
+                    summary = by_value.get(key)
+                    if summary is None:
+                        summary = by_value[key] = metrics_summary(metrics)
+                    by_object[id(metrics)] = summary
             cells.append(
                 {
                     "design": design,
                     "sparsity_a": sparsity_a,
                     "sparsity_b": sparsity_b,
-                    "metrics": metrics_summary(metrics),
+                    "metrics": summary,
                 }
             )
     geomeans: Dict[str, Dict[str, float]] = {}

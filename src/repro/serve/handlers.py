@@ -85,11 +85,16 @@ def execute_sweep(
     run: InflightRun,
     spec: SweepSpec,
 ) -> None:
-    """Run one sweep, streaming its three events. Executor thread."""
+    """Run one sweep, streaming its three events. Executor thread.
+
+    The events are those of a one-artifact run named ``sweep``, so
+    they go through the artifacts run's encoders."""
     broker = service.broker
     engine = service.ctx.engine
     try:
-        broker.publish(run, protocol.sweep_started_line())
+        broker.publish(
+            run, protocol.started_line(ArtifactStarted("sweep", 0, 1))
+        )
         checkpoint = engine.checkpoint()
         start = time.perf_counter()
         sweep: Any = spec.run(service.ctx)
@@ -98,12 +103,12 @@ def execute_sweep(
         engine.flush()
         wall_time_s = time.perf_counter() - start
         stats = engine.stats_since(checkpoint)
-        broker.publish(
-            run, protocol.sweep_finished_line(sweep.to_payload(), stats)
-        )
-        broker.publish(
-            run, protocol.sweep_run_finished_line(stats, wall_time_s)
-        )
+        broker.publish(run, finished_event_line(ArtifactFinished(
+            "sweep", 0, 1, sweep, stats, wall_time_s,
+        )))
+        broker.publish(run, protocol.run_finished_line(
+            RunFinished({"sweep": sweep}, stats, wall_time_s)
+        ))
         if service.record_dir is not None:
             spec.record(
                 "serve-sweep", sweep, wall_time_s, stats

@@ -36,7 +36,6 @@ from repro.eval.artifacts import (
     RunFinished,
     names_from_spec,
 )
-from repro.eval.engine import EngineStats
 from repro.eval.sweeps import SweepSpec, spec_digest, sweep_spec
 
 #: Request line + headers must fit in this many bytes.
@@ -202,7 +201,9 @@ def stream_head() -> bytes:
 # :func:`repro.eval.artifacts.finished_event_line` — the CLI's exact
 # ``--stream --format json`` encoder — and therefore carry no "event"
 # key. The service-only frames below all do, so clients (and the CI
-# byte-diff) separate the two kinds with one membership test.
+# byte-diff) separate the two kinds with one membership test. Each
+# frame has one encoder: a sweep streams as a one-artifact run named
+# ``sweep``, through the same three encoders as an artifacts run.
 
 
 def started_line(event: ArtifactStarted) -> str:
@@ -222,31 +223,6 @@ def run_finished_line(event: RunFinished) -> str:
             "event": "finished",
             "stats": event.stats.as_dict(),
             "wall_time_s": event.wall_time_s,
-        }
-    )
-
-
-def sweep_started_line() -> str:
-    return json.dumps(
-        {"event": "started", "artifact": "sweep", "index": 0, "total": 1}
-    )
-
-
-def sweep_finished_line(payload: Dict[str, Any],
-                        stats: EngineStats) -> str:
-    return json.dumps(
-        {"artifact": "sweep", "payload": payload,
-         "stats": stats.as_dict()}
-    )
-
-
-def sweep_run_finished_line(stats: EngineStats,
-                            wall_time_s: float) -> str:
-    return json.dumps(
-        {
-            "event": "finished",
-            "stats": stats.as_dict(),
-            "wall_time_s": wall_time_s,
         }
     )
 

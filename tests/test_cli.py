@@ -1151,3 +1151,48 @@ class TestImportBudget:
 
     def test_serve_imports_without_numpy(self):
         assert loaded_after("import repro.serve.server", ("numpy",)) == []
+
+
+def _closed_stdout_run(argv):
+    """Run ``argv`` in a fresh interpreter whose stdout pipe is closed
+    before it writes a byte; returns (exit code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    process = subprocess.Popen(
+        [sys.executable, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    process.stdout.close()
+    stderr = process.stderr.read()
+    process.stderr.close()
+    return process.wait(timeout=120), stderr.decode()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``repro ... | head -1``)
+    gets a quiet nonzero exit, not a traceback."""
+
+    @pytest.mark.parametrize("command", (["list"], ["all"]))
+    def test_module_entry(self, command):
+        code, stderr = _closed_stdout_run(["-m", "repro", *command])
+        assert code != 0
+        assert stderr == ""
+
+    def test_console_script_entry(self):
+        """The ``repro`` console script calls ``repro.cli:main``."""
+        code, stderr = _closed_stdout_run(
+            ["-c", "import sys\nfrom repro.cli import main\n"
+             "sys.exit(main(['list']))"]
+        )
+        assert code != 0
+        assert stderr == ""
+
+    def test_sweep_keeps_cache_flushed(self, tmp_path, capsys):
+        argv = ["sweep", "--designs", "TC,HighLight",
+                "--a-degrees", "0,0.5", "--b-degrees", "0,0.25",
+                "--size", "128", "--cache-dir", str(tmp_path)]
+        code, stderr = _closed_stdout_run(["-m", "repro", *argv])
+        assert code != 0
+        assert stderr == ""
+        assert main(argv) == 0
+        assert "0 workloads evaluated" in capsys.readouterr().out

@@ -2,22 +2,25 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from repro.dnn.models import get_model
 from repro.eval.artifacts import ARTIFACTS, RunPlan
-from repro.eval.engine import EngineStats, SweepEngine
+from repro.eval.engine import EngineStats, SweepEngine, SweepResult
 from repro.eval.experiments import sweep_model
 from repro.eval.runs import (
     SCHEMA_VERSION,
     RunRecord,
+    _json_value_key,
     load_record,
     metrics_summary,
     record_from_artifacts,
     record_from_model_sweep,
     record_from_sweep,
 )
+from repro.model.metrics import Metrics
 
 
 @pytest.fixture
@@ -234,3 +237,154 @@ class TestAtomicWrite:
         record_from_sweep("again", sweep, engine).write(target)
         assert load_record(target)["command"] == "again"
         assert list(tmp_path.iterdir()) == [target]
+
+
+def _reference_text(record):
+    """The record as the one-encoder-call-per-cell writer wrote it: the
+    same indented envelope, with ``cells`` joined from a plain
+    ``JSONEncoder().encode`` of each cell."""
+    encode = json.JSONEncoder().encode
+    parts = []
+    for spec in dataclasses.fields(record):
+        value = getattr(record, spec.name)
+        if spec.name == "cells" and value:
+            body = "[\n    " + ",\n    ".join(map(encode, value)) + "\n  ]"
+        else:
+            body = json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts.append(f"  {encode(spec.name)}: {body}")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+def _hand_built(cells):
+    return RunRecord(command="hand", created_at="t", grid={}, cells=cells)
+
+
+class TestCellWriterBytes:
+    """The template writer's bytes equal the per-cell encoder's."""
+
+    def test_grid_with_unsupported_cells(self, engine):
+        sweep = engine.sweep(
+            designs=("TC", "S2TA", "HighLight", "DSSO"),
+            a_degrees=(0.0, 0.3, 0.5, 0.75), b_degrees=(0.0, 0.5, 0.9),
+            m=128, k=128, n=128,
+        )
+        record = record_from_sweep("sweep", sweep, engine,
+                                   wall_time_s=0.5, created_at="t")
+        assert any(cell["metrics"] is None for cell in record.cells)
+        assert record._to_json() == _reference_text(record)
+
+    def test_model_sweep_cells(self, engine):
+        sweep = sweep_model(
+            get_model("ResNet50"), designs=("TC", "HighLight"),
+            degrees=(0.0, 0.5), ctx=engine,
+        )
+        record = record_from_model_sweep("sweep-model", sweep, engine,
+                                         created_at="t")
+        assert record.cells
+        assert record._to_json() == _reference_text(record)
+
+    def test_artifact_record_with_empty_cells(self, estimator):
+        outcome = RunPlan.from_names(["tables", "fig6"], estimator).run()
+        record = record_from_artifacts("all", outcome.results,
+                                       created_at="t")
+        assert record.cells == []
+        assert record._to_json() == _reference_text(record)
+
+    def test_values_equal_but_encoded_differently(self):
+        nan = float("nan")
+        shared = {"x": 1.5, "flag": True}
+        cells = [
+            {"design": "A", "value": 0.0, "metrics": shared},
+            {"design": "A", "value": -0.0, "metrics": shared},
+            {"design": "B", "value": 1, "metrics": dict(shared)},
+            {"design": "B", "value": 1.0, "metrics": {"x": 1.5, "flag": 1}},
+            {"design": "C", "value": True, "metrics": None},
+            {"design": "C", "value": nan, "metrics": {"x": nan}},
+            {"design": "D", "value": float("nan"), "metrics": shared},
+            {"design": "D", "value": float("-inf"), "metrics": [0, -0.0]},
+        ]
+        record = _hand_built(cells)
+        text = record._to_json()
+        assert text == _reference_text(record)
+        for needle in ('"value": 0.0,', '"value": -0.0,', '"value": 1,',
+                       '"value": 1.0,', '"value": true,', '"value": NaN,',
+                       '"flag": 1}', '[0, -0.0]'):
+            assert needle in text
+
+    def test_differing_key_sets_and_orders(self):
+        cells = [
+            {"design": "A", "a": 0.5, "b": 0.25},
+            {"a": 0.5, "design": "A", "b": 0.25},
+            {"design": "A", "a": 0.5},
+            {"design": "A", "a": 0.5, "b": 0.25, "extra": "%s %d %%"},
+            {},
+            {"design": "A", "a": 0.5, "b": 0.25},
+        ]
+        record = _hand_built(cells)
+        assert record._to_json() == _reference_text(record)
+
+    def test_template_keys_needing_escapes(self):
+        cells = [{"%s": 1, 'quote"d': "%d", "ü": 2.5}] * 3
+        record = _hand_built(cells)
+        assert record._to_json() == _reference_text(record)
+
+    def test_non_string_keys_and_non_dict_cells(self):
+        for cells in (
+            [{1: "one", 2.5: "two"}, {1: "uno", 2.5: "dos"}],
+            [[1, 2], "cell", {"design": "A"}],
+            [{"design": "A"}, ["not", "a", "dict"], {"design": "B"}],
+        ):
+            record = _hand_built(cells)
+            assert record._to_json() == _reference_text(record)
+
+    def test_stray_value_still_fails(self):
+        record = _hand_built([{"design": "A"}, {"design": EngineStats()}])
+        with pytest.raises(TypeError):
+            record._to_json()
+
+
+def _metrics(cycles, utilization=1.0):
+    return Metrics(design="TC", workload="w", cycles=cycles,
+                   energy_breakdown_pj={"mac": 2.0},
+                   utilization=utilization)
+
+
+class TestSharedSummaries:
+    def _record(self, *per_cell):
+        sweep = SweepResult(
+            cells={(0.0, float(i)): {"TC": metrics}
+                   for i, metrics in enumerate(per_cell)},
+            design_order=("TC",),
+        )
+        return record_from_sweep("sweep", sweep, created_at="t")
+
+    def test_equal_metrics_share_one_summary(self):
+        first, second = _metrics(10.0), _metrics(10.0)
+        assert first is not second
+        record = self._record(first, second, first, None)
+        summaries = [cell["metrics"] for cell in record.cells]
+        assert summaries[0] is summaries[1] is summaries[2]
+        assert summaries[0] == metrics_summary(first)
+        assert summaries[3] is None
+        assert record._to_json() == _reference_text(record)
+
+    def test_equal_but_differently_encoded_metrics_stay_apart(self):
+        record = self._record(_metrics(10), _metrics(10.0),
+                              _metrics(float("nan")),
+                              _metrics(float("nan")))
+        summaries = [cell["metrics"] for cell in record.cells]
+        assert summaries[0] is not summaries[1]
+        assert summaries[0]["cycles"] == 10
+        assert type(summaries[0]["cycles"]) is int
+        assert type(summaries[1]["cycles"]) is float
+        assert math.isnan(summaries[2]["cycles"])
+        assert record._to_json() == _reference_text(record)
+
+    def test_value_key_separates_types_and_zero_signs(self):
+        distinct = [(0.0,), (-0.0,), (0,), (False,), (1,), (1.0,),
+                    (True,), (None,), ("",)]
+        keys = {_json_value_key(values) for values in distinct}
+        assert len(keys) == len(distinct)
+        assert _json_value_key((1.5, 0.0, False)) == _json_value_key(
+            (1.5, 0.0, False)
+        )
